@@ -39,14 +39,16 @@ class OffLatticeError(QFracError, ValueError):
 class SampleError(QFracError, ValueError):
     """A sampled function returned a non-finite value.
 
-    The lattice index of the offending point is available as ``index``.
+    The lattice index of the offending point is available as ``index``;
+    ``source`` names what returned the value.
     """
 
-    def __init__(self, index: int, x: float, value: float):
+    def __init__(self, index: int, x: float, value: float, source: str = "sample"):
         self.index = index
         self.x = x
         self.value = value
-        super().__init__(f"non-finite sample {value!r} at lattice index {index} (x={x!r})")
+        self.source = source
+        super().__init__(f"non-finite {source} {value!r} at lattice index {index} (x={x!r})")
 
 
 class DepthError(QFracError, ValueError):

@@ -43,6 +43,7 @@ __all__ = [
 
 _LOCATE_RTOL = 1e-9
 _MIN_DEPTH = 8
+_TINY = np.finfo(float).tiny  # smallest positive normal double
 
 
 class _ZeroAnchor:
@@ -82,6 +83,10 @@ class LatticeGrid:
         if self.depth < _MIN_DEPTH:
             raise DepthError(f"grid depth must be at least {_MIN_DEPTH}, got {self.depth}")
         pts = self.b * self.params.q ** np.arange(self.depth + 1, dtype=float)
+        if not pts[-1] >= _TINY:  # subnormal points lose precision, then collide
+            raise DepthError(
+                f"depth {self.depth} puts b*q**M = {float(pts[-1])!r} below the smallest normal "
+                f"double; the deepest admissible depth is {np.count_nonzero(pts >= _TINY) - 1}")
         pts.setflags(write=False)
         object.__setattr__(self, "_points", pts)
 

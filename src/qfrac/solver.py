@@ -44,15 +44,15 @@ from .errors import (
     MaxIterError,
     NoContractionError,
     PoleError,
+    SampleError,
 )
-from .qcore import QParams, q_gamma, q_gamma_ratio, q_power_basis, q_pochhammer_fractional
+from .qcore import QParams, q_gamma, q_gamma_ratio, q_power_basis
 from .qfracops import FracOrders, _weights_for, hilfer_derivative, rl_integral
 from .qgrid import (
     ZERO,
     Anchor,
     GridFunction,
     LatticeGrid,
-    LatticePoint,
     anchor_index,
     lattice_locate,
     q_derivative_n,
@@ -287,13 +287,6 @@ def _split_subintervals(p: CauchyProblem, g: LatticeGrid,
     return blocks
 
 
-def _rl_apply(g: LatticeGrid, values: np.ndarray, m_a: int | None, order: float) -> np.ndarray:
-    """I^order applied to raw samples; array-level twin of rl_integral."""
-    gf = GridFunction(g, values, domain_stop=(g.depth + 1 if m_a is None else m_a + 1))
-    anchor: Anchor = ZERO if m_a is None else LatticePoint(m_a)
-    return rl_integral(gf, anchor, order).values
-
-
 def _trust_stop(g: LatticeGrid, orders: FracOrders, m_a: int | None) -> int:
     """One past the deepest index where operator residuals are meaningful.
 
@@ -312,18 +305,29 @@ def _trust_stop(g: LatticeGrid, orders: FracOrders, m_a: int | None) -> int:
     return min(max(stop, 1), g.depth + 1)
 
 
-def _ode_residual(p_orders: FracOrders, params: QParams, g: LatticeGrid, m_a: int | None,
-                  y: np.ndarray, f_of_y: np.ndarray) -> tuple[float, float, int]:
+def _ode_residual(orders: FracOrders, y: GridFunction, anchor: Anchor,
+                  f_of_y: np.ndarray) -> tuple[float, float, int]:
     """(L^1_q, max) norms of D^{(a,b)mu} y - f over the trusted window."""
-    stop = _trust_stop(g, p_orders, m_a)
-    gf = GridFunction(g, y, domain_stop=(g.depth + 1 if m_a is None else m_a + 1))
-    anchor: Anchor = ZERO if m_a is None else LatticePoint(m_a)
-    H = hilfer_derivative(gf, anchor, p_orders)
-    stop = min(stop, H.trusted_stop)
+    g = y.grid
+    H = hilfer_derivative(y, anchor, orders)
+    stop = min(_trust_stop(g, orders, anchor_index(anchor)), H.trusted_stop)
     diff = np.abs(H.values[:stop] - f_of_y[:stop])
     l1 = float((1.0 - g.q) * np.sum(g.points[:stop] * diff))
     linf = float(np.max(diff)) if stop > 0 else 0.0
     return l1, linf, stop
+
+
+def _rhs_values(p: CauchyProblem, x: np.ndarray, y: np.ndarray, f_vals: np.ndarray,
+                lo: int, hi: int) -> None:
+    """Fill f_vals[lo:hi] with rhs(x_k, y_k); a non-finite value names the rhs."""
+    for k in range(lo, hi):
+        f_vals[k] = p.rhs(float(x[k]), float(y[k]))
+    bad = np.flatnonzero(~np.isfinite(f_vals[lo:hi]))
+    if bad.size:
+        k = lo + int(bad[0])
+        name = getattr(p.rhs, "__qualname__", repr(p.rhs))
+        raise SampleError(k, float(x[k]), float(f_vals[k]),
+                          source=f"rhs {name}(x, y={float(y[k])!r}) value")
 
 
 def _block_norm(g: LatticeGrid, delta: np.ndarray, start: int, stop: int) -> float:
@@ -369,9 +373,9 @@ def picard_solve(p: CauchyProblem, g: LatticeGrid, tol: float = 1e-10,
         it = 0
         while True:
             it += 1
-            for k in range(upper, domain_lo):
-                f_vals[k] = p.rhs(float(x[k]), float(y[k]))
-            integ = _rl_apply(g, f_vals, m_a, nu)
+            _rhs_values(p, x, y, f_vals, upper, domain_lo)
+            f_gf = GridFunction(g, f_vals, domain_stop=y0.domain_stop)
+            integ = rl_integral(f_gf, anchor, nu).values
             y_new = y.copy()
             active = slice(upper, frozen_hi)
             y_new[active] = y0.values[active] + integ[active]
@@ -391,10 +395,9 @@ def picard_solve(p: CauchyProblem, g: LatticeGrid, tol: float = 1e-10,
         diff_hist.append(tuple(norms))
         frozen_hi = upper
 
-    sol_gf = GridFunction(g, y, domain_stop=domain_lo + 1 if m_a is not None else M + 1)
-    for k in range(0, domain_lo):
-        f_vals[k] = p.rhs(float(x[k]), float(y[k]))
-    res_l1, res_linf, res_stop = _ode_residual(p.orders, p.params, g, m_a, y, f_vals)
+    sol_gf = GridFunction(g, y, domain_stop=y0.domain_stop)
+    _rhs_values(p, x, y, f_vals, 0, domain_lo)
+    res_l1, res_linf, res_stop = _ode_residual(p.orders, sol_gf, anchor, f_vals)
     return Solution(
         y=sol_gf,
         iterations_per_interval=tuple(iterations),
@@ -463,39 +466,26 @@ def linear_solve(p: LinearProblem, g: LatticeGrid) -> Solution:
                 quiet = 0
         y += xi_k * x ** (gamma - k) * acc
 
-    # forcing part: Neumann series of I^nu collapsed onto lattice kernels
+    # forcing part: the Neumann series sum_m lam**m I^(nu(m+1)) f.  By the
+    # splitting law the collapsed kernel (q**(j+1); q)_{nu-1} (q**(nu+j); q)_{m nu}
+    # is the I^(nu(m+1)) weight table; lam**m / G_q(nu(m+1)) advances by
+    # overflow-safe gamma ratios
     f_vals = np.array([p.forcing(float(t)) for t in x])
     if np.any(f_vals != 0.0):
-        w = _weights_for(g, nu)  # (q**(j+1); q)_{nu-1}
-        # d_m = lam**m / G_q(nu (m+1)); P[m, j] = (q**(nu+j); q)_{m nu}
-        d = np.empty(K + 1)
-        d[0] = 1.0 / q_gamma(params, nu)
-        for m in range(K):
-            d[m + 1] = d[m] * lam * q_gamma_ratio(params, nu * (m + 1), nu)
-        P = np.empty((K + 1, M + 1))
-        P[0] = 1.0
-        j_idx = np.arange(M, dtype=float)
-        for m in range(K):
-            s0 = nu * (m + 1)
-            step0 = q_pochhammer_fractional(params, q**s0, nu)
-            grow = (1.0 - q ** (s0 + j_idx + nu)) / (1.0 - q ** (s0 + j_idx))
-            steps = np.empty(M + 1)
-            steps[0] = step0
-            steps[1:] = step0 * np.cumprod(grow)
-            P[m + 1] = P[m] * steps
-        terms_used = max(terms_used, K)
         src = x * f_vals
-        m_idx = np.arange(K + 1, dtype=float)
-        for i in range(M + 1):
-            L = M + 1 - i
-            kernel = P[:, :L] @ (w[:L] * src[i:])  # over j, per series index m
-            coeff = d * xnu[i] ** m_idx  # lam**m x_i**(nu m) / G_q(nu(m+1))
-            y[i] += (1.0 - q) * x[i] ** (nu - 1.0) * float(np.dot(coeff, kernel))
+        coef = 1.0 / q_gamma(params, nu)  # lam**m / G_q(nu (m+1))
+        acc = np.zeros(M + 1)
+        for m in range(K + 1):
+            kernel = np.correlate(src, _weights_for(g, nu * (m + 1)), "full")[M:]
+            acc += coef * xnu ** float(m) * kernel
+            coef *= lam * q_gamma_ratio(params, nu * (m + 1), nu)
+        terms_used = max(terms_used, K)
+        y += (1.0 - q) * x ** (nu - 1.0) * acc
 
-    rhs_vals = lam * y + f_vals
-    res_l1, res_linf, res_stop = _ode_residual(p.orders, params, g, None, y, rhs_vals)
+    y_gf = GridFunction(g, y)
+    res_l1, res_linf, res_stop = _ode_residual(p.orders, y_gf, ZERO, lam * y + f_vals)
     return Solution(
-        y=GridFunction(g, y),
+        y=y_gf,
         iterations_per_interval=(terms_used,),
         omega_per_interval=(ratio,),
         residual_l1=res_l1,
@@ -524,16 +514,17 @@ def verify_equivalence(p: CauchyProblem, y: GridFunction, tol: float) -> Equival
         domain_lo = g.depth + 1 if m_a is None else m_a
         x = g.points
         f_vals = np.zeros(g.depth + 1)
-        for k in range(0, domain_lo):
-            f_vals[k] = p.rhs(float(x[k]), float(y.values[k]))
+        _rhs_values(p, x, y.values, f_vals, 0, domain_lo)
 
         y0 = initial_term(p, g)
-        integ = _rl_apply(g, f_vals, m_a, p.orders.nu)
+        f_gf = GridFunction(g, f_vals, domain_stop=y0.domain_stop)
+        integ = rl_integral(f_gf, anchor, p.orders.nu).values
         stop = _trust_stop(g, p.orders, m_a)
         volterra = y.values - (y0.values + integ)
         r1 = _block_norm(g, volterra, 0, stop)
 
-        r2, _, _ = _ode_residual(p.orders, p.params, g, m_a, y.values, f_vals)
+        y_gf = GridFunction(g, y.values, domain_stop=y0.domain_stop)
+        r2, _, _ = _ode_residual(p.orders, y_gf, anchor, f_vals)
 
         # initial-condition limits at the deepest trusted points above a;
         # each q-derivative divides roundoff by x, so the evaluation point

@@ -1018,7 +1018,7 @@ def _chk_superposition(rng, thorough):
 
 @_register("solver.order-reduction")
 def _chk_order_reduction(rng, thorough):
-    from .solver import CauchyProblem, _rl_apply
+    from .solver import CauchyProblem
 
     p = QParams(0.5)
     g = LatticeGrid(b=1.0, depth=200, params=p)
@@ -1027,7 +1027,7 @@ def _chk_order_reduction(rng, thorough):
         y = y0_vals.copy()
         for _ in range(iters):
             f = np.array([rhs(float(x), float(v)) for x, v in zip(g.points, y)])
-            y = y0_vals + _rl_apply(g, f, None, order)
+            y = y0_vals + rl_integral(GridFunction(g, f), ZERO, order).values
         return y
 
     rhs = lambda x, y: 0.4 * y + x

@@ -8,6 +8,7 @@ from qfrac.qcore import QParams, q_gamma, q_power_basis
 from qfrac.qgrid import ZERO, GridFunction, LatticeGrid, LatticePoint, sample
 from qfrac.qfracops import (
     FracOrders,
+    _weights_for,
     caputo_derivative,
     derivative_stage_cut,
     hilfer_derivative,
@@ -108,6 +109,44 @@ class TestRLIntegral:
         u = sample(grid(depth=20), lambda x: 1.0)
         with pytest.raises(DomainError):
             rl_integral(u, ZERO, 0.0)
+
+
+def per_row_rl_integral(u, a, alpha):
+    """Reference I^alpha: one dot product per output row, prefactor after the sum."""
+    g = u.grid
+    M = g.depth
+    x = g.points
+    m_a = None if a is ZERO else a.index
+    w = _weights_for(g, alpha)
+    pref = x ** (alpha - 1.0) * (1.0 - g.q) / q_gamma(g.params, alpha)
+    s = x * u.values
+    out = np.zeros(M + 1)
+    stop = M + 1 if m_a is None else m_a
+    top = M + 1 if m_a is None else m_a + 1
+    for m in range(min(top, M + 1)):
+        if stop > m:
+            out[m] = pref[m] * float(np.dot(w[: stop - m], s[m:stop]))
+    return out, min(top, u.domain_stop), u.guard
+
+
+class TestRLIntegralMatchesPerRowSum:
+    @pytest.mark.parametrize("q", [0.5, 0.98])
+    @pytest.mark.parametrize("depth", [8, 200, 1000])
+    @pytest.mark.parametrize("anchor", ["zero", 0, 1, "0.85M", "M"])
+    def test_bit_identical(self, q, depth, anchor):
+        g = grid(q=q, depth=depth)
+        rng = np.random.default_rng(depth)
+        vals = g.points ** -0.4 * rng.uniform(-1.0, 1.0, size=depth + 1)
+        u = GridFunction(g, vals, guard=2)
+        a = {"zero": ZERO, 0: LatticePoint(0), 1: LatticePoint(1),
+             "0.85M": LatticePoint(round(0.85 * depth)), "M": LatticePoint(depth)}[anchor]
+        for alpha in (0.35, 0.75, 1.5):
+            out = rl_integral(u, a, alpha)
+            want, domain_stop, guard = per_row_rl_integral(u, a, alpha)
+            assert np.array_equal(out.values, want)
+            assert (out.domain_stop, out.guard) == (domain_stop, guard)
+            if a == LatticePoint(0):
+                assert not np.any(out.values)  # empty sums
 
 
 class TestRLDerivative:

@@ -43,6 +43,17 @@ class TestLatticeGrid:
         with pytest.raises(DepthError):
             LatticeGrid(b=1.0, depth=2, params=P5)
 
+    @pytest.mark.parametrize("depth", [1023, 1075])
+    def test_subnormal_points_rejected(self, depth):
+        # 0.5**1023 is subnormal and 0.5**1075 rounds to 0
+        with pytest.raises(DepthError, match="deepest admissible depth is 1022"):
+            LatticeGrid(b=1.0, depth=depth, params=P5)
+
+    @pytest.mark.parametrize("q, depth", [(0.5, 1022), (0.98, 4000)])
+    def test_normal_points_accepted(self, q, depth):
+        g = grid(q=q, depth=depth)
+        assert g.points[-1] >= np.finfo(float).tiny
+
     def test_anchor_positive(self):
         with pytest.raises(DomainError):
             LatticeGrid(b=0.0, depth=20, params=P5)

@@ -8,6 +8,7 @@ from qfrac.errors import (
     DomainError,
     MaxIterError,
     NoContractionError,
+    SampleError,
 )
 from qfrac.qcore import QParams, q_gamma, q_power_basis
 from qfrac.qgrid import GridFunction, LatticeGrid, LatticePoint, sample
@@ -141,6 +142,17 @@ class TestPicard:
         with pytest.raises(MaxIterError) as err:
             picard_solve(p, grid(), tol=1e-14, max_iter=2)
         assert "omega" in err.value.diagnostics
+
+    def test_non_finite_rhs_named(self):
+        def nan_below_half(x, y):
+            return float("nan") if x < 0.5 else 0.4 * y + 1.0
+
+        g = grid()
+        p = make_problem(rhs=nan_below_half, A=0.4)
+        with pytest.raises(SampleError, match=r"non-finite rhs .*nan_below_half\(x, y=") as err:
+            picard_solve(p, g, tol=1e-12)
+        assert err.value.x < 0.5
+        assert err.value.x == g.points[err.value.index]
 
     def test_grid_mismatch_rejected(self):
         p = make_problem()
