@@ -56,7 +56,6 @@ from .qfracops import (
     FracOrders,
     caputo_derivative,
     hilfer_derivative,
-    hilfer_derivative_raw,
     rl_derivative,
     rl_integral,
 )
@@ -100,7 +99,6 @@ __all__ = [
     "rl_derivative",
     "caputo_derivative",
     "hilfer_derivative",
-    "hilfer_derivative_raw",
     "MLSpec",
     "MLBound",
     "ml_eval",

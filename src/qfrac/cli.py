@@ -23,7 +23,7 @@ import configparser
 import io
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -34,9 +34,10 @@ from .errors import (
     NoContractionError,
     QFracError,
 )
-from .qcore import QParams, q_power_basis
+from .qcore import QParams, masked_power_basis
 from .qfracops import (
     FracOrders,
+    _ceil_order,
     caputo_derivative,
     hilfer_derivative,
     rl_derivative,
@@ -78,13 +79,7 @@ def parse_fn_spec(spec: str, params: QParams, base: float) -> Callable[[float], 
             return lambda x: x**ppow
         if s.startswith("powerbasis:"):
             ppow = float(s.split(":", 1)[1])
-
-            def pb(x: float) -> float:
-                if base > 0.0 and x < base * (1.0 - 1e-12):
-                    return 0.0
-                return q_power_basis(params, x, base, ppow)
-
-            return pb
+            return lambda x: masked_power_basis(params, x, base, ppow)
     except ValueError as exc:
         raise ConfigError(f"bad function spec {spec!r}: {exc}") from exc
     raise ConfigError(f"unknown function spec {spec!r}")
@@ -320,15 +315,8 @@ class ProblemConfig:
                 orders=self.orders,
             )
             prob = bundled.problem
-            if lip is not None and lip != prob.lipschitz_A:
-                prob = CauchyProblem(orders=prob.orders, a=prob.a, b=prob.b,
-                                     rhs=prob.rhs, xi=self.xi, lipschitz_A=lip,
-                                     params=prob.params)
-            elif self.xi != prob.xi:
-                prob = CauchyProblem(orders=prob.orders, a=prob.a, b=prob.b,
-                                     rhs=prob.rhs, xi=self.xi,
-                                     lipschitz_A=prob.lipschitz_A, params=prob.params)
-            return prob
+            return replace(prob, xi=self.xi,
+                           lipschitz_A=prob.lipschitz_A if lip is None else lip)
         # polynomial: f(x, y) = sum c_ij x**i y**j
         coeffs = [(int(k[1]), int(k[2]), float(v)) for k, v in self.rhs_params
                   if k.startswith("c")]
@@ -373,7 +361,7 @@ def _cmd_eval_op(args) -> int:
         else:  # hilfer
             if args.beta is None or args.mu is None:
                 raise ConfigError("--op hilfer requires --beta and --mu")
-            n = math.ceil(args.alpha - 1e-12)
+            n = _ceil_order(args.alpha)
             orders = FracOrders(alpha=args.alpha, beta=args.beta, mu=args.mu, n=n)
             out = hilfer_derivative(u, anchor, orders)
     except QFracError as exc:
@@ -402,7 +390,7 @@ def _cmd_solve(args) -> int:
     try:
         cfg = ProblemConfig.from_file(args.config)
         if args.method:
-            cfg = ProblemConfig(**{**cfg.__dict__, "method": args.method})
+            cfg = replace(cfg, method=args.method)
             cfg.validate()
         grid = cfg.build_grid()
         if cfg.method == "closed-form":
@@ -453,8 +441,7 @@ def _cmd_ml_eval(args) -> int:
         value = ml_eval(spec, args.x, args.a)
     except DivergenceError:
         print(
-            "error: divergence: |lambda| x**alpha (1-q)**alpha = "
-            f"{abs(args.lam) * args.x**args.alpha * (1.0 - args.q) ** args.alpha:.6g}"
+            f"error: divergence: |lambda| x**alpha (1-q)**alpha = {ratio:.6g}"
             " >= 1 violates the convergence condition of the linear solution theorem",
             file=sys.stderr,
         )

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .qcore import QParams, q_gamma, q_power_basis
+from .qcore import QParams, masked_power_basis, q_gamma, q_power_basis
 from .qfracops import FracOrders
 from .solver import CauchyProblem, LinearProblem
 
@@ -45,15 +45,6 @@ class BundledProblem:
     problem: CauchyProblem
     exact: Callable[[float], float]
     seed_value: float | None = None  # constant positive Picard seed, if needed
-
-
-def _mask_below(base: float, fn: Callable[[float], float]) -> Callable[[float], float]:
-    def wrapped(x: float) -> float:
-        if x < base * (1.0 - 1e-12):
-            return 0.0
-        return fn(x)
-
-    return wrapped
 
 
 def make_example41(params: QParams, *, b: float = 1.0, anchor: float | None = None,
@@ -81,7 +72,7 @@ def make_example41(params: QParams, *, b: float = 1.0, anchor: float | None = No
         den = q_power_basis(params, x, den_base, nu)
         return lam * num / den * y * y
 
-    exact = _mask_below(A, lambda x: (1.0 / lam) * R * q_power_basis(params, x, A, -nu - dl))
+    exact = lambda x: (1.0 / lam) * R * masked_power_basis(params, x, A, -nu - dl)
     problem = CauchyProblem(
         orders=orders, a=A, b=b, rhs=rhs, xi=(0.0,) * orders.n,
         lipschitz_A=1.0, params=params,
@@ -113,7 +104,7 @@ def make_example42(params: QParams, *, b: float = 1.0, anchor: float | None = No
         den = q_power_basis(params, x, den_base, nu)
         return lam * max(num, 0.0) ** 0.5 / den * max(y, 0.0) ** 0.5
 
-    exact = _mask_below(A, lambda x: amp * q_power_basis(params, x, A, 2 * nu + 2 * dl))
+    exact = lambda x: amp * masked_power_basis(params, x, A, 2 * nu + 2 * dl)
     seed = 1.5 * amp * q_power_basis(params, b, A, 2 * nu + 2 * dl) + 0.1
     problem = CauchyProblem(
         orders=orders, a=A, b=b, rhs=rhs, xi=(0.0,) * orders.n,

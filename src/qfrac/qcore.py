@@ -35,6 +35,7 @@ __all__ = [
     "q_pochhammer_fractional",
     "q_gamma",
     "q_power_basis",
+    "masked_power_basis",
 ]
 
 # Absolute window around nonpositive integers treated as q-gamma poles.
@@ -245,3 +246,10 @@ def q_power_basis(p: QParams, x: float, a: float, alpha: float) -> float:
             f"q-power basis with non-integer order {alpha!r} needs x > 0, got {x!r}"
         )
     return x**alpha * q_pochhammer_fractional(p, a / x, alpha)
+
+
+def masked_power_basis(p: QParams, x: float, base: float, alpha: float) -> float:
+    """(x - base)^alpha_q, but 0 below a positive base (relative tolerance 1e-12)."""
+    if base > 0.0 and x < base * (1.0 - 1e-12):
+        return 0.0
+    return q_power_basis(p, x, base, alpha)

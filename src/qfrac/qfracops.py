@@ -13,8 +13,8 @@ orders g = beta + mu(n - beta) and v = beta + mu(alpha - beta),
     D^{(alpha,beta)mu} u = I^(g-v) D^g u  =  I^(mu(n-alpha)) D_q^n I^((1-mu)(n-beta)) u.
 
 The production path is the left composition (one fractional integral after
-one RL derivative); the raw three-factor composition is kept as a
-cross-checking oracle.
+one RL derivative); the raw three-factor composition is a cross-checking
+oracle in :mod:`qfrac.verify`.
 
 On the lattice the integral kernel samples (q t / x; q)_{s-1} collapse to
 (q**(j+1); q)_{s-1}, which depend only on the index offset j, so one weight
@@ -32,13 +32,15 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DepthError, DomainError
-from .qcore import QParams, q_gamma, q_pochhammer_fractional
+from .qcore import _INT_WINDOW, QParams, q_gamma, q_pochhammer_fractional
 from .qgrid import (
     Anchor,
     GridFunction,
     anchor_index,
     q_derivative,
     q_derivative_n,
+    roundoff_window,
+    tail_window,
 )
 
 __all__ = [
@@ -47,11 +49,8 @@ __all__ = [
     "rl_derivative",
     "caputo_derivative",
     "hilfer_derivative",
-    "hilfer_derivative_raw",
     "derivative_stage_cut",
 ]
-
-_INT_WINDOW = 1e-12
 
 
 @dataclass(frozen=True)
@@ -185,10 +184,8 @@ def caputo_derivative(u: GridFunction, a: Anchor, alpha: float) -> GridFunction:
     return _integrate_stage(q_derivative(u), u, a, orders_eff, 1.0 - alpha)
 
 
-_STAGE_TARGET = 1e-12
 # double-precision information floor target for the n >= 2 compositions
 _ROUNDOFF_TARGET = 1e-9
-_EPS = 2.3e-16
 
 
 def derivative_stage_cut(u: GridFunction, a: Anchor, orders: FracOrders) -> int:
@@ -201,23 +198,19 @@ def derivative_stage_cut(u: GridFunction, a: Anchor, orders: FracOrders) -> int:
     is built for) that the n-fold q-derivative amplifies by q**(-m n); and
     plain roundoff in the derivative stage grows like eps * q**(-m n)
     against values ~ q**(m(n-1)), of which the outer kernel weight q**m
-    cancels only one power.  The cut keeps both below their targets; for
-    n >= 2 this is a genuine double-precision information floor of the
-    0-anchored composition.
+    cancels only one power.  The cut keeps the first below the default
+    target of :func:`qfrac.qgrid.tail_window` and the second below 1e-9
+    (:func:`qfrac.qgrid.roundoff_window`); for n >= 2 this is a genuine
+    double-precision information floor of the 0-anchored composition.
     """
     m_a = anchor_index(a)
-    M = u.grid.depth
     if m_a is not None:
         return max(m_a + 1 - orders.n, 1)
-    d = min(orders.gamma - orders.n + 1.0, 1.0)
-    q = u.grid.params.q
-    s = math.log(1.0 / _STAGE_TARGET) / math.log(1.0 / q)
-    stop = int(((M + 1) * d - s) / (d + orders.n))
+    q = u.grid.q
+    stop = tail_window(q, u.grid.depth, min(orders.gamma - orders.n + 1.0, 1.0), orders.n)
     if orders.n >= 2:
-        r_stop = int(math.log(_ROUNDOFF_TARGET / _EPS)
-                     / ((orders.n - 1) * math.log(1.0 / q)))
-        stop = min(stop, r_stop)
-    return min(max(stop, 1), M + 1)
+        stop = min(stop, roundoff_window(q, orders.n - 1, 0, _ROUNDOFF_TARGET))
+    return max(stop, 1)
 
 
 def _integrate_stage(d: GridFunction, u: GridFunction, a: Anchor, orders: FracOrders,
@@ -254,18 +247,3 @@ def hilfer_derivative(u: GridFunction, a: Anchor, orders: FracOrders) -> GridFun
         raise DepthError(f"orders with n={orders.n} need grid depth >= {orders.n + 1}")
     d = rl_derivative(u, a, orders.gamma)
     return _integrate_stage(d, u, a, orders, orders.gamma - orders.nu)
-
-
-def hilfer_derivative_raw(u: GridFunction, a: Anchor, orders: FracOrders) -> GridFunction:
-    """Reference three-factor composition I^(mu(n-alpha)) D_q^n I^((1-mu)(n-beta)).
-
-    Kept as a cross-checking oracle for the production path; zero-order
-    integrals short-circuit to the identity and the derivative stage is
-    sanitized the same way.
-    """
-    if u.grid.depth < orders.n + 1:
-        raise DepthError(f"orders with n={orders.n} need grid depth >= {orders.n + 1}")
-    inner = (1.0 - orders.mu) * (orders.n - orders.beta)
-    outer = orders.mu * (orders.n - orders.alpha)
-    v = u if inner < _INT_WINDOW else rl_integral(u, a, inner)
-    return _integrate_stage(q_derivative_n(v, orders.n), u, a, orders, outer)

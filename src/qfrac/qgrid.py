@@ -8,6 +8,9 @@ existing samples, so no interpolation ever happens.  Only integrals anchored
 at 0 are truncated, at depth M; the dropped tail gets a recorded estimate
 and a TailWarning when it matters relative to the result.
 
+How deep a 0-anchored value can be trusted is decided here as well, by
+``tail_window`` (truncation) and ``roundoff_window`` (roundoff).
+
 Index conventions: index 0 is the right endpoint b, larger indices sit
 deeper (closer to 0).  ``domain_stop`` marks the end of the in-domain index
 range of a grid function (points below an integral's lower limit are carried
@@ -18,6 +21,7 @@ as zeros outside it) and ``guard`` counts in-domain indices adjacent to
 from __future__ import annotations
 
 import io
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Union
@@ -39,11 +43,17 @@ __all__ = [
     "q_derivative_n",
     "jackson_integral",
     "l1q_norm",
+    "tail_window",
+    "roundoff_window",
 ]
 
 _LOCATE_RTOL = 1e-9
 _MIN_DEPTH = 8
 _TINY = np.finfo(float).tiny  # smallest positive normal double
+# default relative size of truncation effects inside a trusted window
+_TRUST_TARGET = 1e-12
+# double-precision machine epsilon 2.2e-16, rounded up
+_EPS = 2.3e-16
 
 
 class _ZeroAnchor:
@@ -259,13 +269,19 @@ def q_derivative(u: GridFunction) -> GridFunction:
         raise DepthError("q-derivative needs depth >= 1")
     x = g.points
     out = np.empty_like(u.values)
-    out[:-1] = (u.values[:-1] - u.values[1:]) / (x[:-1] * (1.0 - g.q))
+    with np.errstate(over="ignore"):
+        out[:-1] = (u.values[:-1] - u.values[1:]) / (x[:-1] * (1.0 - g.q))
     out[-1] = out[-2]
     ds = u.domain_stop
     if ds <= g.depth:
         # keep out-of-domain slots at zero; the deepest in-domain slot used
         # an out-of-domain sample and is covered by the guard increment
         out[ds:] = 0.0
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        k = int(bad[0])
+        raise DomainError(f"q-derivative overflow at lattice index {k} (x={float(x[k])!r}): "
+                          "the difference quotient leaves double range")
     return u.with_values(out, guard=u.guard + 1)
 
 
@@ -279,6 +295,31 @@ def q_derivative_n(u: GridFunction, n: int) -> GridFunction:
     for _ in range(n):
         out = q_derivative(out)
     return out
+
+
+def tail_window(q: float, depth: int, decay: float, amp: float,
+                target: float = _TRUST_TARGET) -> int:
+    """One past the deepest index m at which a 0-anchored value is trusted.
+
+    A Jackson sum anchored at 0 and truncated at depth M drops a relative
+    tail ~ q**((M+1-m) decay) at index m (integrands ~ t**(decay-1)); the
+    q-derivatives applied afterwards amplify it by q**(-m amp), amp >= 0
+    (each divides by x_m ~ q**m).  The window keeps
+    q**((M+1-m) decay - m amp) below target (< 1), so it lies in [1, M+1].
+    """
+    s = math.log(1.0 / target) / math.log(1.0 / q)
+    return max(int(((depth + 1) * decay - s) / (decay + amp)), 1)
+
+
+def roundoff_window(q: float, amp: float, n: int, target: float) -> int:
+    """Index m, rounded down, at which roundoff eps q**(-m amp) / (1-q)**n reaches target.
+
+    n q-derivatives turn roundoff eps into eps / (1-q)**n at x = b, and into
+    a further q**(-m amp) times that at index m when the output falls below
+    the differentiated values by amp powers of x_m.  Not clamped: a result
+    <= 0 means the target is out of reach even at x = b.
+    """
+    return int(math.log(target * (1.0 - q) ** n / _EPS) / (amp * math.log(1.0 / q)))
 
 
 def _sum_range(g: LatticeGrid, values: np.ndarray, start: int, stop: int) -> float:

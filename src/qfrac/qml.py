@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DivergenceError, DomainError
+from .errors import DivergenceError, DomainError, NonConvergenceError
 from .qcore import QParams, q_gamma, q_gamma_ratio, q_pochhammer_fractional
 
 __all__ = ["MLSpec", "MLBound", "ml_eval", "ml_bound_check", "ml_terms"]
@@ -75,8 +75,9 @@ def ml_bound_check(spec: MLSpec, b: float) -> MLBound:
 def ml_terms(spec: MLSpec, x: float, a: float = 0.0) -> tuple[float, list[float]]:
     """Partial sum and the individual terms of the series at (x, a).
 
-    Stops once |term| < eps_series * |sum| holds for three consecutive terms
-    or at max_terms; with ratio < 1 the dropped tail is geometric.
+    Stops once |term| < eps_series * |sum| holds for three consecutive terms;
+    with ratio < 1 the dropped tail is geometric.  NonConvergenceError when
+    max_terms terms pass first.
     """
     p = spec.params
     if x <= 0.0:
@@ -110,6 +111,12 @@ def ml_terms(spec: MLSpec, x: float, a: float = 0.0) -> tuple[float, list[float]
                 break
         else:
             quiet = 0
+    else:
+        raise NonConvergenceError(
+            f"q-Mittag-Leffler series at ratio {r:.6g}: last term {term:.3e} against "
+            f"sum {total:.3e} after max_terms={p.max_terms} terms "
+            f"(eps_series={p.eps_series:.1e})"
+        )
     return total, terms
 
 

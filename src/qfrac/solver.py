@@ -43,10 +43,12 @@ from .errors import (
     DomainError,
     MaxIterError,
     NoContractionError,
+    NonConvergenceError,
     PoleError,
     SampleError,
 )
-from .qcore import QParams, q_gamma, q_gamma_ratio, q_power_basis
+from .qcore import (_INT_WINDOW, QParams, masked_power_basis, q_gamma, q_gamma_ratio,
+                    q_power_basis)
 from .qfracops import FracOrders, _weights_for, hilfer_derivative, rl_integral
 from .qgrid import (
     ZERO,
@@ -56,6 +58,8 @@ from .qgrid import (
     anchor_index,
     lattice_locate,
     q_derivative_n,
+    roundoff_window,
+    tail_window,
 )
 
 __all__ = [
@@ -73,9 +77,6 @@ __all__ = [
 ]
 
 _OMEGA_MARGIN = 0.9
-_INT_WINDOW = 1e-12
-# target relative size of truncation effects inside the residual window
-_TRUST_TARGET = 1e-12
 
 
 @dataclass(frozen=True)
@@ -211,13 +212,6 @@ class EquivalenceReport:
     detail: str = ""
 
 
-def _masked_power_basis(p: QParams, x: float, base: float, order: float) -> float:
-    """(x - base)^order_q for x at/above base, 0 below (out of domain)."""
-    if base > 0.0 and x < base * (1.0 - 1e-12):
-        return 0.0
-    return q_power_basis(p, x, base, order)
-
-
 def initial_term(p: CauchyProblem, g: LatticeGrid) -> GridFunction:
     """Leading Volterra term sum_k xi_k/G_q(g-k+1) (x - a)^(g-k)_q on the grid."""
     anchor = lattice_locate(g, p.a)
@@ -234,7 +228,7 @@ def initial_term(p: CauchyProblem, g: LatticeGrid) -> GridFunction:
         except PoleError as exc:
             raise PoleError(f"initial term k={k}: G_q({gamma - k + 1.0!r}) is a pole") from exc
         for m in range(stop):
-            vals[m] += coef * _masked_power_basis(p.params, g.point(m), p.a, gamma - k)
+            vals[m] += coef * masked_power_basis(p.params, g.point(m), p.a, gamma - k)
     return GridFunction(g, vals, domain_stop=stop)
 
 
@@ -293,16 +287,13 @@ def _trust_stop(g: LatticeGrid, orders: FracOrders, m_a: int | None) -> int:
     With a lattice lower limit every integral is exact and only the n
     derivative-edge indices are excluded.  Anchored at 0, truncation at
     depth M leaves relative tails ~ q**((M+1-m) d) that the n-fold
-    q-derivative amplifies by q**(-m); the window keeps the product below
-    the trust target.
+    q-derivative amplifies by q**(-m); :func:`qfrac.qgrid.tail_window` keeps
+    the product below its default target.
     """
     if m_a is not None:
         return max(m_a + 1 - orders.n, 1)
     d = min(orders.nu, orders.gamma - orders.n + 1.0, 1.0)
-    q = g.params.q
-    s = math.log(1.0 / _TRUST_TARGET) / math.log(1.0 / q)
-    stop = int(((g.depth + 1) * d - s) / (1.0 + d))
-    return min(max(stop, 1), g.depth + 1)
+    return tail_window(g.q, g.depth, d, 1.0)
 
 
 def _ode_residual(orders: FracOrders, y: GridFunction, anchor: Anchor,
@@ -412,11 +403,19 @@ def picard_solve(p: CauchyProblem, g: LatticeGrid, tol: float = 1e-10,
 
 
 def _series_length(params: QParams, ratio: float) -> int:
-    """Terms needed for a geometric tail below eps_series, capped."""
+    """Terms for a geometric tail below eps_series plus 4 spare, capped at max_terms.
+
+    NonConvergenceError when max_terms terms cannot certify the tail.
+    """
     if ratio <= 0.0:
         return 4
-    k = math.ceil(math.log(params.eps_series * (1.0 - ratio)) / math.log(ratio)) + 4
-    return min(max(k, 4), params.max_terms)
+    need = math.ceil(math.log(params.eps_series * (1.0 - ratio)) / math.log(ratio))
+    if need > params.max_terms:
+        raise NonConvergenceError(
+            f"series with ratio {ratio!r} needs {need} terms for a tail below "
+            f"eps_series={params.eps_series:.1e}; max_terms={params.max_terms}"
+        )
+    return min(max(need + 4, 4), params.max_terms)
 
 
 def linear_solve(p: LinearProblem, g: LatticeGrid) -> Solution:
@@ -531,21 +530,15 @@ def verify_equivalence(p: CauchyProblem, y: GridFunction, tol: float) -> Equival
         # of the j-fold derivative is additionally capped where
         # eps / (x (1-q))**j stays below ~1e-8
         inner = (1.0 - p.orders.mu) * (p.orders.n - p.orders.beta)
-        if inner < _INT_WINDOW:
-            w = y
-        else:
-            w = rl_integral(y, anchor, inner)
+        w = y if inner < _INT_WINDOW else rl_integral(y, anchor, inner)
         deepest = (m_a - 1) if m_a is not None else (stop - 1)
-        q = g.params.q
         ics = []
         for k in range(1, p.orders.n + 1):
             j = p.orders.n - k
             dk = q_derivative_n(w, j) if j >= 1 else w
             m_eval = deepest - j
             if m_a is None and j >= 1:
-                cap = int(math.log(1e-8 * (1.0 - q) ** j / 2.3e-16)
-                          / (j * math.log(1.0 / q)))
-                m_eval = min(m_eval, cap)
+                m_eval = min(m_eval, roundoff_window(g.q, j, j, 1e-8))
             ics.append(abs(float(dk.values[max(m_eval, 0)]) - p.xi[k - 1]))
         ic_ok = all(d <= tol * (1.0 + abs(x_k)) for d, x_k in zip(ics, p.xi))
         passed = (r1 <= tol) and (r2 <= tol) and ic_ok

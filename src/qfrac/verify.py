@@ -26,9 +26,11 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DivergenceError
+from .errors import DepthError, DivergenceError, NonConvergenceError
 from .qcore import (
+    _INT_WINDOW,
     QParams,
+    masked_power_basis,
     q_factorial,
     q_gamma,
     q_number,
@@ -39,9 +41,9 @@ from .qcore import (
 )
 from .qfracops import (
     FracOrders,
+    _integrate_stage,
     caputo_derivative,
     hilfer_derivative,
-    hilfer_derivative_raw,
     rl_derivative,
     rl_integral,
 )
@@ -53,7 +55,10 @@ from .qgrid import (
     LatticePoint,
     jackson_integral,
     q_derivative,
+    q_derivative_n,
+    roundoff_window,
     sample,
+    tail_window,
 )
 from .qml import MLSpec, ml_bound_check, ml_eval, ml_terms
 from .solver import (
@@ -66,7 +71,8 @@ from .solver import (
 )
 from .problems import make_example41, make_example42, make_linear_problem
 
-__all__ = ["CheckResult", "run_checks", "check_names", "render_report"]
+__all__ = ["CheckResult", "run_checks", "check_names", "render_report",
+           "hilfer_derivative_raw"]
 
 Q_SET = (0.3, 0.5, 0.7, 0.9)
 # depth per q for 0-anchored operator comparisons (deep tails shrink slowly
@@ -136,39 +142,6 @@ def render_report(results: list[CheckResult]) -> str:
 
 def _grid(q: float, depth: int | None = None) -> LatticeGrid:
     return LatticeGrid(b=1.0, depth=depth or DEPTH[q], params=QParams(q))
-
-
-def _clean_stop(q: float, M: int, decay: float, target: float = 1e-9) -> int:
-    """Deepest index where the 0-anchored truncation tail stays below target."""
-    need = math.log(1.0 / target) / (decay * math.log(1.0 / q))
-    return max(int(M + 1 - need), 1)
-
-
-def _deriv_stop(q: float, M: int, decay: float, amp: float, target: float = 1e-12) -> int:
-    """Trust window when a 0-anchored tail ~ q**((M+1-m) decay) is amplified
-    by q**(-m amp) (each q-derivative divides by x ~ q**m)."""
-    s = math.log(1.0 / target) / math.log(1.0 / q)
-    stop = int(((M + 1) * decay - s) / (decay + max(amp, 0.0)))
-    return max(stop, 1)
-
-
-def _roundoff_stop(q: float, amp: float, n: int, target: float = 1e-11) -> int:
-    """Deepest index before roundoff eps q**(-m amp) / (1-q)**n outgrows target.
-
-    Annihilated-output checks measure pure noise; the n-fold q-derivative
-    grows machine epsilon by q**(-m (order-power gap)) / (1-q)**n at index m.
-    """
-    budget = target * (1.0 - q) ** n / 2.3e-16
-    return max(int(math.log(budget) / (amp * math.log(1.0 / q))), 1)
-
-
-def _masked_pb(params: QParams, base: float, order: float) -> Callable[[float], float]:
-    def fn(x: float) -> float:
-        if base > 0.0 and x < base * (1.0 - 1e-12):
-            return 0.0
-        return q_power_basis(params, x, base, order)
-
-    return fn
 
 
 def _window_l1(u: np.ndarray, g: LatticeGrid, stop: int) -> float:
@@ -355,11 +328,11 @@ def _chk_integral_identity(rng, thorough):
             for m_a in (None, 4):
                 base = 0.0 if m_a is None else g.point(m_a)
                 anchor: Anchor = ZERO if m_a is None else LatticePoint(m_a)
-                u = sample(g, _masked_pb(p, base, lam))
+                u = sample(g, lambda x: masked_power_basis(p, x, base, lam))
                 got = rl_integral(u, anchor, alpha)
                 coef = q_gamma(p, lam + 1.0) / q_gamma(p, alpha + lam + 1.0)
                 if m_a is None:
-                    stop = _clean_stop(q, g.depth, lam + 1.0)
+                    stop = tail_window(q, g.depth, lam + 1.0, 0.0, target=1e-9)
                 else:
                     stop = m_a  # exact finite sums; skip the empty value at a
                 for m in range(0, stop, max(1, stop // 16)):
@@ -390,11 +363,11 @@ def _chk_derivative_identity(rng, thorough):
             for m_a in (None, 4):
                 base = 0.0 if m_a is None else g.point(m_a)
                 anchor: Anchor = ZERO if m_a is None else LatticePoint(m_a)
-                u = sample(g, _masked_pb(p, base, lam))
+                u = sample(g, lambda x: masked_power_basis(p, x, base, lam))
                 got = rl_derivative(u, anchor, alpha)
                 coef = q_gamma(p, lam + 1.0) / q_gamma(p, lam + 1.0 - alpha)
                 if m_a is None:
-                    stop = _deriv_stop(q, g.depth, lam + 1.0, n + lam - alpha)
+                    stop = tail_window(q, g.depth, lam + 1.0, n + lam - alpha)
                 else:
                     stop = m_a - n
                 for m in range(0, max(stop, 1), max(1, stop // 16)):
@@ -423,11 +396,11 @@ def _chk_annihilation(rng, thorough):
             for m_a in (None, 4):
                 base = 0.0 if m_a is None else g.point(m_a)
                 anchor: Anchor = ZERO if m_a is None else LatticePoint(m_a)
-                u = sample(g, _masked_pb(p, base, lam))
+                u = sample(g, lambda x: masked_power_basis(p, x, base, lam))
                 got = rl_derivative(u, anchor, alpha)
                 stop = (m_a - n) if m_a is not None else min(
-                    _deriv_stop(q, g.depth, lam + 1.0, alpha - lam),
-                    _roundoff_stop(q, alpha - lam, n),
+                    tail_window(q, g.depth, lam + 1.0, alpha - lam),
+                    roundoff_window(q, alpha - lam, n, 1e-11),
                 )
                 if stop > 0:
                     worst = max(worst, float(np.max(np.abs(got.values[:stop]))))
@@ -462,7 +435,7 @@ def _chk_semigroup(rng, thorough):
                     one = rl_integral(rl_integral(u, anchor, be), anchor, al)
                     two = rl_integral(u, anchor, al + be)
                     stop = (m_a if m_a is not None
-                            else _clean_stop(q, g.depth, min(be, 1.0), target=1e-10))
+                            else tail_window(q, g.depth, min(be, 1.0), 0.0, target=1e-10))
                     num = _window_l1(one.values - two.values, g, stop)
                     den = _window_l1(two.values, g, stop)
                     worst = max(worst, _rel(num, den))
@@ -485,7 +458,7 @@ def _chk_left_inverse(rng, thorough):
                     u = sample(g, mk(g.params, None))
                     back = rl_derivative(rl_integral(u, anchor, al), anchor, al)
                     stop = ((m_a - n) if m_a is not None
-                            else _clean_stop(q, g.depth, min(al, 1.0), target=1e-11))
+                            else tail_window(q, g.depth, min(al, 1.0), 0.0, target=1e-11))
                     num = _window_l1(back.values[:stop] - u.values[:stop], g, stop)
                     den = _window_l1(u.values, g, stop)
                     worst = max(worst, _rel(num, den))
@@ -510,7 +483,7 @@ def _chk_reduced_derivative(rng, thorough):
                     lhs = rl_derivative(rl_integral(u, anchor, al), anchor, be)
                     rhs = rl_integral(u, anchor, al - be)
                     stop = ((m_a - n) if m_a is not None
-                            else _clean_stop(q, g.depth, min(al - be, 1.0), target=1e-11))
+                            else tail_window(q, g.depth, min(al - be, 1.0), 0.0, target=1e-11))
                     num = _window_l1(lhs.values[:stop] - rhs.values[:stop], g, stop)
                     den = _window_l1(rhs.values, g, stop)
                     worst = max(worst, _rel(num, den))
@@ -532,7 +505,7 @@ def _chk_decomposition(rng, thorough):
             m_a = 6
             base = g.point(m_a)
             anchor = LatticePoint(m_a)
-            u = sample(g, _masked_pb(p, base, lam))
+            u = sample(g, lambda x: masked_power_basis(p, x, base, lam))
             recon = rl_integral(rl_derivative(u, anchor, al), anchor, al)
             # boundary terms of the decomposition: D^(al-k) u at a; asserted
             # numerically rather than assumed to vanish
@@ -587,7 +560,7 @@ def _reduction_family(g, p, base):
         sample(g, lambda x: 1.0),
         sample(g, lambda x: x),
         sample(g, lambda x: x**1.5),
-        sample(g, _masked_pb(p, base, 1.25)),
+        sample(g, lambda x: masked_power_basis(p, x, base, 1.25)),
     ]
     return fams
 
@@ -608,7 +581,7 @@ def _chk_hilfer_rl(rng, thorough):
                 h = hilfer_derivative(u, anchor, ords)
                 d = rl_derivative(u, anchor, beta)
                 stop = ((m_a - 1) if m_a is not None
-                        else _clean_stop(q, g.depth, 1.0, target=1e-11))
+                        else tail_window(q, g.depth, 1.0, 0.0, target=1e-11))
                 num = _window_l1(h.values[:stop] - d.values[:stop], g, stop)
                 den = max(_window_l1(d.values, g, stop), 1e-300)
                 worst = max(worst, num / den)
@@ -632,12 +605,28 @@ def _chk_hilfer_caputo(rng, thorough):
                 h = hilfer_derivative(u, anchor, ords)
                 c = caputo_derivative(u, anchor, alpha)
                 stop = ((m_a - 1) if m_a is not None
-                        else _clean_stop(q, g.depth, 1.0, target=1e-11))
+                        else tail_window(q, g.depth, 1.0, 0.0, target=1e-11))
                 num = _window_l1(h.values[:stop] - c.values[:stop], g, stop)
                 den = max(_window_l1(c.values, g, stop), 1e-300)
                 worst = max(worst, num / den)
     assert worst < 1e-7, f"mu=1 reduction rel err {worst:.3e} >= 1e-7"
     return f"max rel err {worst:.2e}"
+
+
+def hilfer_derivative_raw(u: GridFunction, a: Anchor, orders: FracOrders) -> GridFunction:
+    """Reference three-factor composition I^(mu(n-alpha)) D_q^n I^((1-mu)(n-beta)).
+
+    The cross-checking oracle for the production path
+    :func:`qfrac.qfracops.hilfer_derivative`; zero-order integrals
+    short-circuit to the identity and the derivative stage is sanitized the
+    same way.
+    """
+    if u.grid.depth < orders.n + 1:
+        raise DepthError(f"orders with n={orders.n} need grid depth >= {orders.n + 1}")
+    inner = (1.0 - orders.mu) * (orders.n - orders.beta)
+    outer = orders.mu * (orders.n - orders.alpha)
+    v = u if inner < _INT_WINDOW else rl_integral(u, a, inner)
+    return _integrate_stage(q_derivative_n(v, orders.n), u, a, orders, outer)
 
 
 @_register("qfracops.hilfer-raw-agreement")
@@ -686,11 +675,11 @@ def _chk_kernel_annihilation(rng, thorough):
                 base = 0.0 if m_a is None else g.point(m_a)
                 k_max = n if m_a is None else n - 1
                 for k in range(1, k_max + 1):
-                    u = sample(g, _masked_pb(p, base, gamma - k))
+                    u = sample(g, lambda x: masked_power_basis(p, x, base, gamma - k))
                     h = hilfer_derivative(u, anchor, ords)
                     stop = ((m_a - n) if m_a is not None
-                            else min(_deriv_stop(q, g.depth, gamma - n + 1.0, k),
-                                     _roundoff_stop(q, k, n), h.trusted_stop))
+                            else min(tail_window(q, g.depth, gamma - n + 1.0, k),
+                                     roundoff_window(q, k, n, 1e-11), h.trusted_stop))
                     if stop > 0:
                         worst = max(worst, float(np.max(np.abs(h.values[:stop]))))
     assert worst < 1e-7, f"kernel annihilation residual {worst:.3e} >= 1e-7"
@@ -794,6 +783,8 @@ def _chk_ml_divergence(rng, thorough):
         spec = MLSpec(alpha=0.8, beta=0.7, lam=lam, params=p)
         try:
             ml_eval(spec, x, 0.0)
+            raised = False
+        except NonConvergenceError:  # inside the region, beyond max_terms
             raised = False
         except DivergenceError:
             raised = True

@@ -1,5 +1,7 @@
 """Fractional q-operators: closed-form identities, reductions, error paths."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,10 +14,10 @@ from qfrac.qfracops import (
     caputo_derivative,
     derivative_stage_cut,
     hilfer_derivative,
-    hilfer_derivative_raw,
     rl_derivative,
     rl_integral,
 )
+from qfrac.verify import hilfer_derivative_raw
 
 P5 = QParams(0.5)
 
@@ -281,6 +283,25 @@ class TestHilfer:
         o2 = FracOrders(alpha=1.9, beta=1.9, mu=0.5, n=2)
         u = sample(g, lambda x: x)
         assert derivative_stage_cut(u, ZERO, o2) <= derivative_stage_cut(u, ZERO, o1)
+
+
+class TestQDerivativeOverflow:
+    """0-anchored derivatives at the deepest admissible depth of q = 0.5."""
+
+    @pytest.mark.parametrize("op, fn, index", [
+        (lambda u: hilfer_derivative(u, ZERO, FracOrders(1.7, 1.2, 0.4, 2)),
+         lambda x: 1.0 + x, 675),
+        (lambda u: caputo_derivative(u, ZERO, 0.5), lambda x: x**-0.3, 789),
+    ])
+    def test_overflow_named(self, op, fn, index):
+        g = grid(depth=1022)
+        u = sample(g, fn)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warning first
+            with pytest.raises(DomainError, match=(
+                    rf"q-derivative overflow at lattice index {index} "
+                    rf"\(x={g.point(index)!r}\)")):
+                op(u)
 
 
 class TestCompositionLaws:

@@ -1,6 +1,7 @@
 """Lattice grids, exact q-differentiation, Jackson sums, CSV round trips."""
 
 import io
+import math
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from qfrac.errors import (
     TailWarning,
 )
 from qfrac.qcore import QParams, q_number
+from qfrac.qfracops import FracOrders, derivative_stage_cut
 from qfrac.qgrid import (
     ZERO,
     GridFunction,
@@ -23,8 +25,11 @@ from qfrac.qgrid import (
     lattice_locate,
     q_derivative,
     q_derivative_n,
+    roundoff_window,
     sample,
+    tail_window,
 )
+from qfrac.solver import _trust_stop
 
 P5 = QParams(0.5)
 
@@ -284,3 +289,97 @@ class TestL1qNorm:
         vals[4] = -2.0
         u = GridFunction(g, vals)
         assert l1q_norm(u, ZERO, LatticePoint(0), warn=False) > 0.0
+
+
+# The trusted-window formulas as each call site wrote them out before they
+# were shared through tail_window and roundoff_window.
+
+
+def former_trust_stop(q, M, d):
+    """solver._trust_stop, anchored at 0."""
+    s = math.log(1.0 / 1e-12) / math.log(1.0 / q)
+    stop = int(((M + 1) * d - s) / (1.0 + d))
+    return min(max(stop, 1), M + 1)
+
+
+def former_stage_cut(q, M, d, n):
+    """qfracops.derivative_stage_cut, anchored at 0."""
+    s = math.log(1.0 / 1e-12) / math.log(1.0 / q)
+    stop = int(((M + 1) * d - s) / (d + n))
+    if n >= 2:
+        r_stop = int(math.log(1e-9 / 2.3e-16) / ((n - 1) * math.log(1.0 / q)))
+        stop = min(stop, r_stop)
+    return min(max(stop, 1), M + 1)
+
+
+def former_deriv_stop(q, M, decay, amp, target=1e-12):
+    """verify._deriv_stop."""
+    s = math.log(1.0 / target) / math.log(1.0 / q)
+    stop = int(((M + 1) * decay - s) / (decay + max(amp, 0.0)))
+    return max(stop, 1)
+
+
+def former_clean_stop(q, M, decay, target=1e-9):
+    """verify._clean_stop."""
+    need = math.log(1.0 / target) / (decay * math.log(1.0 / q))
+    return max(int(M + 1 - need), 1)
+
+
+def former_roundoff_stop(q, amp, n, target=1e-11):
+    """verify._roundoff_stop."""
+    budget = target * (1.0 - q) ** n / 2.3e-16
+    return max(int(math.log(budget) / (amp * math.log(1.0 / q))), 1)
+
+
+def former_ic_cap(q, j):
+    """The initial-condition evaluation cap of solver.verify_equivalence."""
+    return int(math.log(1e-8 * (1.0 - q) ** j / 2.3e-16) / (j * math.log(1.0 / q)))
+
+
+WINDOW_Q = (0.3, 0.5, 0.7, 0.9, 0.98)
+WINDOW_DEPTHS = (*range(8, 4001, 17), 200, 280, 800, 1000, 1022, 4000)
+CAPPED_DECAYS = np.linspace(0.05, 1.0, 20)  # min(order, 1) decays
+POWER_DECAYS = np.linspace(0.5, 4.0, 15)  # lam + 1 decays of the power identities
+AMPS = (1, 2, 3, *np.linspace(0.02, 3.0, 10))
+
+
+@pytest.mark.parametrize("q", WINDOW_Q)
+class TestWindowsMatchFormerFormulas:
+    def test_tail_window(self, q):
+        for M in WINDOW_DEPTHS:
+            for d in CAPPED_DECAYS:
+                assert tail_window(q, M, d, 1.0) == former_trust_stop(q, M, d)
+                for n in (1, 2, 3):
+                    assert tail_window(q, M, d, n) == former_deriv_stop(q, M, d, n)
+            for decay in (*CAPPED_DECAYS, *POWER_DECAYS):
+                for amp in AMPS:
+                    assert (tail_window(q, M, decay, amp)
+                            == former_deriv_stop(q, M, decay, amp))
+                for target in (1e-9, 1e-10, 1e-11):
+                    assert (tail_window(q, M, decay, 0.0, target)
+                            == former_clean_stop(q, M, decay, target))
+
+    def test_roundoff_window(self, q):
+        for amp in AMPS:
+            for n in (1, 2, 3):
+                assert (max(roundoff_window(q, amp, n, 1e-11), 1)
+                        == former_roundoff_stop(q, amp, n))
+        for j in (1, 2, 3):
+            assert roundoff_window(q, j, j, 1e-8) == former_ic_cap(q, j)
+
+    def test_call_sites(self, q):
+        fracs = (0.15, 0.5, 0.9, 1.0)
+        for M in WINDOW_DEPTHS:
+            if q**M < np.finfo(float).tiny:
+                continue
+            u = GridFunction(LatticeGrid(b=1.0, depth=M, params=QParams(q)), np.zeros(M + 1))
+            for n in (1, 2, 3):
+                for fa in fracs:
+                    for fb in fracs:
+                        for mu in (0.0, 0.5, 1.0):
+                            o = FracOrders(n - 1 + fa, n - 1 + fb, mu, n)
+                            d = min(o.gamma - n + 1.0, 1.0)
+                            assert (derivative_stage_cut(u, ZERO, o)
+                                    == former_stage_cut(q, M, d, n))
+                            assert (_trust_stop(u.grid, o, None)
+                                    == former_trust_stop(q, M, min(o.nu, d)))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qfrac.errors import DivergenceError, DomainError, PoleError
+from qfrac.errors import DivergenceError, DomainError, NonConvergenceError, PoleError
 from qfrac.qcore import QParams, q_gamma, q_pochhammer_fractional
 from qfrac.qml import MLSpec, ml_bound_check, ml_eval, ml_terms
 
@@ -81,7 +81,9 @@ class TestMLEval:
                 with pytest.raises(DivergenceError):
                     ml_eval(spec, x)
             else:
-                ml_eval(spec, x)
+                # inside the region, but the tail outlasts max_terms terms
+                with pytest.raises(NonConvergenceError):
+                    ml_eval(spec, x)
 
     def test_argument_domain(self):
         spec = MLSpec(alpha=0.8, beta=1.0, lam=0.1, params=P5)
@@ -100,6 +102,12 @@ class TestMLEval:
     def test_monotone_in_lambda(self):
         vals = [ml_eval(MLSpec(0.7, 0.9, lam, P5), 0.9) for lam in np.linspace(0, 1.1, 8)]
         assert np.all(np.diff(vals) >= 0)
+
+    def test_term_cap_before_tolerance_raises(self):
+        # ratio 0.9995: after 10001 terms the last one is still 3.4e-6 of the sum
+        spec = MLSpec(alpha=1.0, beta=1.0, lam=1.999, params=P5)
+        with pytest.raises(NonConvergenceError, match="max_terms=10000"):
+            ml_terms(spec, 1.0)
 
     def test_terms_expose_stopping_run(self):
         spec = MLSpec(alpha=0.9, beta=1.1, lam=0.4, params=P5)

@@ -8,6 +8,7 @@ from qfrac.errors import (
     DomainError,
     MaxIterError,
     NoContractionError,
+    NonConvergenceError,
     SampleError,
 )
 from qfrac.qcore import QParams, q_gamma, q_power_basis
@@ -17,6 +18,7 @@ from qfrac.solver import (
     CauchyProblem,
     LinearProblem,
     Solution,
+    _series_length,
     as_cauchy,
     contraction_constant,
     estimate_lipschitz,
@@ -231,6 +233,11 @@ class TestLinearSolve:
         frc = linear_solve(make_linear_problem(P5, o, 0.5, lambda x: 1 + x, (0.0,)), g)
         resid = full.y.values - hom.y.values - frc.y.values
         assert l1(g, resid) < 1e-9 * l1(g, full.y.values)
+
+    def test_series_cap_before_tolerance_raises(self):
+        # ratio 0.9995 needs ~70000 terms for a tail below eps_series
+        with pytest.raises(NonConvergenceError, match="max_terms=10000"):
+            _series_length(QParams(0.5), 0.9995)
 
     def test_nonzero_anchor_rejected(self):
         o = FracOrders(alpha=0.9, beta=0.7, mu=0.0, n=1)
