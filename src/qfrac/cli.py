@@ -157,13 +157,14 @@ class ProblemConfig:
             except ValueError as exc:
                 raise ConfigError(f"[{section}] {key}: not a number") from exc
 
+        def given(section: str, **convert) -> dict:
+            """The keys present in a section, converted; absent keys keep their defaults."""
+            return {key: conv(fnum(section, key)) for key, conv in convert.items()
+                    if cp.has_option(section, key)}
+
         try:
-            params = QParams(
-                q=fnum("grid", "q"),
-                eps_product=fnum("grid", "eps_product", 1e-15),
-                eps_series=fnum("grid", "eps_series", 1e-12),
-                max_terms=int(fnum("grid", "max_terms", 10_000)),
-            )
+            params = QParams(q=fnum("grid", "q"),
+                             **given("grid", eps_product=float, eps_series=float, max_terms=int))
             orders = FracOrders(
                 alpha=fnum("orders", "alpha"),
                 beta=fnum("orders", "beta"),
@@ -197,12 +198,12 @@ class ProblemConfig:
                 else:
                     raise ConfigError(f"unknown key in [rhs]: {key!r}")
         lip = fnum("problem", "lipschitz_a", math.nan)
-        method = (cp["solver"].get("method", "picard").strip()
-                  if cp.has_section("solver") else "picard")
-        if method not in ("picard", "closed-form"):
-            raise ConfigError(f"[solver] method must be picard or closed-form, got {method!r}")
-        seed = (cp["solver"].get("picard_seed", "").strip() or None
-                if cp.has_section("solver") else None)
+        solver = given("solver", tol=float, max_iter=int, residual_tol=float)
+        if cp.has_option("solver", "method"):
+            solver["method"] = cp["solver"]["method"].strip()
+            if solver["method"] not in ("picard", "closed-form"):
+                raise ConfigError("[solver] method must be picard or closed-form, "
+                                  f"got {solver['method']!r}")
         cfg = cls(
             params=params,
             b=b,
@@ -213,13 +214,8 @@ class ProblemConfig:
             lipschitz_a=None if math.isnan(lip) else lip,
             rhs_kind=rhs_kind,
             rhs_params=tuple(sorted(rhs_items.items())),
-            tol=fnum("solver", "tol", 1e-10) if cp.has_section("solver") else 1e-10,
-            max_iter=(int(fnum("solver", "max_iter", 200))
-                      if cp.has_section("solver") else 200),
-            residual_tol=(fnum("solver", "residual_tol", 1e-5)
-                          if cp.has_section("solver") else 1e-5),
-            method=method,
-            picard_seed=seed,
+            picard_seed=cp.get("solver", "picard_seed", fallback="").strip() or None,
+            **solver,
         )
         cfg.validate()
         return cfg
@@ -458,9 +454,7 @@ def main(argv=None) -> int:
     parser = _OneLineParser(prog="qfrac", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_eval = sub.add_parser("eval-op", parents=[], help="apply a fractional operator",
-                            add_help=True)
-    p_eval.error = parser.error  # type: ignore[method-assign]
+    p_eval = sub.add_parser("eval-op", help="apply a fractional operator")
     p_eval.add_argument("--op", required=True,
                         choices=["rl-int", "rl-der", "caputo", "hilfer"])
     p_eval.add_argument("--q", type=float, required=True)
@@ -475,7 +469,6 @@ def main(argv=None) -> int:
     p_eval.set_defaults(func=_cmd_eval_op)
 
     p_solve = sub.add_parser("solve", help="solve a configured Cauchy problem")
-    p_solve.error = parser.error  # type: ignore[method-assign]
     p_solve.add_argument("--config", required=True)
     p_solve.add_argument("--method", choices=["picard", "closed-form"], default=None)
     p_solve.add_argument("--out", default=None,
@@ -483,14 +476,12 @@ def main(argv=None) -> int:
     p_solve.set_defaults(func=_cmd_solve)
 
     p_verify = sub.add_parser("verify", help="run the identity/property check suite")
-    p_verify.error = parser.error  # type: ignore[method-assign]
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--filter", default=None)
     p_verify.add_argument("--thorough", action="store_true")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_ml = sub.add_parser("ml-eval", help="evaluate the q-Mittag-Leffler series")
-    p_ml.error = parser.error  # type: ignore[method-assign]
     p_ml.add_argument("--q", type=float, required=True)
     p_ml.add_argument("--alpha", type=float, required=True)
     p_ml.add_argument("--beta", type=float, required=True)

@@ -323,7 +323,10 @@ def roundoff_window(q: float, amp: float, n: int, target: float) -> int:
 
 
 def _sum_range(g: LatticeGrid, values: np.ndarray, start: int, stop: int) -> float:
-    """(1-q) * sum_{k=start}^{stop-1} x_k values_k (empty sum gives 0)."""
+    """(1-q) * sum_{k=start}^{stop-1} x_k values_k (empty sum gives 0).
+
+    The package's one L^1_q range sum: solver and verify norms pass |v|.
+    """
     if stop <= start:
         return 0.0
     seg = g.points[start:stop] * values[start:stop]

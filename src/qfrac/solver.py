@@ -55,6 +55,7 @@ from .qgrid import (
     Anchor,
     GridFunction,
     LatticeGrid,
+    _sum_range,
     anchor_index,
     lattice_locate,
     q_derivative_n,
@@ -79,6 +80,25 @@ __all__ = [
 _OMEGA_MARGIN = 0.9
 
 
+def _check_interval_and_data(p) -> None:
+    """Normalise xi to floats and check its length, a >= 0 and b > a."""
+    object.__setattr__(p, "xi", tuple(float(v) for v in np.atleast_1d(p.xi)))
+    if len(p.xi) != p.orders.n:
+        raise DomainError(f"xi must have exactly n={p.orders.n} entries, got {len(p.xi)}")
+    if p.a < 0.0:
+        raise DomainError(f"lower limit a must be nonnegative, got {p.a!r}")
+    if not p.b > p.a:
+        raise DomainError(f"need b > a, got a={p.a!r}, b={p.b!r}")
+
+
+def _check_grid(p, g: LatticeGrid) -> None:
+    """The solve grid must share the problem's b and q parameters."""
+    if abs(g.b - p.b) > 1e-12 * p.b:
+        raise DomainError(f"grid anchor b={g.b!r} does not match problem b={p.b!r}")
+    if g.params != p.params:
+        raise DomainError("grid params and problem params must agree")
+
+
 @dataclass(frozen=True)
 class CauchyProblem:
     """Nonlinear Cauchy-type problem: orders, interval, rhs and initial data.
@@ -98,19 +118,11 @@ class CauchyProblem:
     params: QParams
 
     def __post_init__(self):
-        object.__setattr__(self, "xi", tuple(float(v) for v in np.atleast_1d(self.xi)))
-        if len(self.xi) != self.orders.n:
-            raise DomainError(
-                f"xi must have exactly n={self.orders.n} entries, got {len(self.xi)}"
-            )
+        _check_interval_and_data(self)
         if not (self.lipschitz_A > 0.0 and math.isfinite(self.lipschitz_A)):
             raise DomainError(
                 f"lipschitz_A must be positive and finite, got {self.lipschitz_A!r}"
             )
-        if self.a < 0.0:
-            raise DomainError(f"lower limit a must be nonnegative, got {self.a!r}")
-        if not self.b > self.a:
-            raise DomainError(f"need b > a, got a={self.a!r}, b={self.b!r}")
 
 
 @dataclass(frozen=True)
@@ -130,15 +142,7 @@ class LinearProblem:
     params: QParams
 
     def __post_init__(self):
-        object.__setattr__(self, "xi", tuple(float(v) for v in np.atleast_1d(self.xi)))
-        if len(self.xi) != self.orders.n:
-            raise DomainError(
-                f"xi must have exactly n={self.orders.n} entries, got {len(self.xi)}"
-            )
-        if self.a < 0.0:
-            raise DomainError(f"lower limit a must be nonnegative, got {self.a!r}")
-        if not self.b > self.a:
-            raise DomainError(f"need b > a, got a={self.a!r}, b={self.b!r}")
+        _check_interval_and_data(self)
         r = self.ratio
         if r >= 1.0:
             raise DivergenceError(
@@ -303,9 +307,8 @@ def _ode_residual(orders: FracOrders, y: GridFunction, anchor: Anchor,
     H = hilfer_derivative(y, anchor, orders)
     stop = min(_trust_stop(g, orders, anchor_index(anchor)), H.trusted_stop)
     diff = np.abs(H.values[:stop] - f_of_y[:stop])
-    l1 = float((1.0 - g.q) * np.sum(g.points[:stop] * diff))
     linf = float(np.max(diff)) if stop > 0 else 0.0
-    return l1, linf, stop
+    return _sum_range(g, diff, 0, stop), linf, stop
 
 
 def _rhs_values(p: CauchyProblem, x: np.ndarray, y: np.ndarray, f_vals: np.ndarray,
@@ -321,11 +324,6 @@ def _rhs_values(p: CauchyProblem, x: np.ndarray, y: np.ndarray, f_vals: np.ndarr
                           source=f"rhs {name}(x, y={float(y[k])!r}) value")
 
 
-def _block_norm(g: LatticeGrid, delta: np.ndarray, start: int, stop: int) -> float:
-    """L^1_q norm of a difference over lattice indices [start, stop)."""
-    return float((1.0 - g.q) * np.sum(g.points[start:stop] * np.abs(delta[start:stop])))
-
-
 def picard_solve(p: CauchyProblem, g: LatticeGrid, tol: float = 1e-10,
                  max_iter: int = 200, y_init: GridFunction | None = None) -> Solution:
     """Solve the Cauchy problem by blockwise Picard iteration on the grid.
@@ -336,10 +334,7 @@ def picard_solve(p: CauchyProblem, g: LatticeGrid, tol: float = 1e-10,
     subinterval drops below tol.  Deterministic: identical inputs produce
     bit-identical solutions.
     """
-    if abs(g.b - p.b) > 1e-12 * p.b:
-        raise DomainError(f"grid anchor b={g.b!r} does not match problem b={p.b!r}")
-    if g.params != p.params:
-        raise DomainError("grid params and problem params must agree")
+    _check_grid(p, g)
     anchor = lattice_locate(g, p.a)
     m_a = anchor_index(anchor)
     nu = p.orders.nu
@@ -370,7 +365,7 @@ def picard_solve(p: CauchyProblem, g: LatticeGrid, tol: float = 1e-10,
             y_new = y.copy()
             active = slice(upper, frozen_hi)
             y_new[active] = y0.values[active] + integ[active]
-            d = _block_norm(g, y_new - y, upper, frozen_hi)
+            d = _sum_range(g, np.abs(y_new - y), upper, frozen_hi)
             norms.append(d)
             y = y_new
             if d < tol:
@@ -426,10 +421,7 @@ def linear_solve(p: LinearProblem, g: LatticeGrid) -> Solution:
     """
     if p.a != 0.0:
         raise DomainError("closed-form linear solve requires lower limit a = 0")
-    if abs(g.b - p.b) > 1e-12 * p.b:
-        raise DomainError(f"grid anchor b={g.b!r} does not match problem b={p.b!r}")
-    if g.params != p.params:
-        raise DomainError("grid params and problem params must agree")
+    _check_grid(p, g)
     params = p.params
     q = params.q
     nu, gamma, n = p.orders.nu, p.orders.gamma, p.orders.n
@@ -469,7 +461,12 @@ def linear_solve(p: LinearProblem, g: LatticeGrid) -> Solution:
     # splitting law the collapsed kernel (q**(j+1); q)_{nu-1} (q**(nu+j); q)_{m nu}
     # is the I^(nu(m+1)) weight table; lam**m / G_q(nu(m+1)) advances by
     # overflow-safe gamma ratios
-    f_vals = np.array([p.forcing(float(t)) for t in x])
+    f_vals = np.array([p.forcing(float(t)) for t in x], dtype=float)
+    bad = np.flatnonzero(~np.isfinite(f_vals))
+    if bad.size:
+        k = int(bad[0])
+        name = getattr(p.forcing, "__qualname__", repr(p.forcing))
+        raise SampleError(k, float(x[k]), float(f_vals[k]), source=f"forcing {name}(x) value")
     if np.any(f_vals != 0.0):
         src = x * f_vals
         coef = 1.0 / q_gamma(params, nu)  # lam**m / G_q(nu (m+1))
@@ -520,7 +517,7 @@ def verify_equivalence(p: CauchyProblem, y: GridFunction, tol: float) -> Equival
         integ = rl_integral(f_gf, anchor, p.orders.nu).values
         stop = _trust_stop(g, p.orders, m_a)
         volterra = y.values - (y0.values + integ)
-        r1 = _block_norm(g, volterra, 0, stop)
+        r1 = _sum_range(g, np.abs(volterra), 0, stop)
 
         y_gf = GridFunction(g, y.values, domain_stop=y0.domain_stop)
         r2, _, _ = _ode_residual(p.orders, y_gf, anchor, f_vals)

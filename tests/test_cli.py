@@ -1,5 +1,6 @@
 """CLI subcommands, config files, CSV emission, and exit codes."""
 
+import dataclasses
 import io
 import subprocess
 import sys
@@ -175,6 +176,20 @@ class TestProblemConfig:
         )
         with pytest.raises(ConfigError):
             ProblemConfig.from_text(bad)
+
+    def test_required_keys_only_take_dataclass_defaults(self):
+        text = (
+            "[grid]\nq = 0.5\nb = 1.0\n\n"
+            "[orders]\nalpha = 0.8\nbeta = 0.6\nmu = 0.0\nn = 1\n\n"
+            "[problem]\nxi = 1.0\nlipschitz_a = 0.4\nrhs = linear\n\n"
+            "[rhs]\nlambda = 0.4\n"
+        )
+        cfg = ProblemConfig.from_text(text)
+        assert cfg.params == QParams(0.5)
+        defaults = {f.name: f.default for f in dataclasses.fields(ProblemConfig)
+                    if f.default is not dataclasses.MISSING}
+        assert set(defaults) == {"tol", "max_iter", "residual_tol", "method", "picard_seed"}
+        assert {name: getattr(cfg, name) for name in defaults} == defaults
 
     def test_polynomial_rhs_built(self):
         text = CONFIG_LINEAR.replace("rhs = linear", "rhs = polynomial").replace(

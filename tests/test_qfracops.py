@@ -4,8 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qfrac.errors import DepthError, DomainError
+from qfrac.errors import DepthError, DomainError, QFracError
 from qfrac.qcore import QParams, q_gamma, q_power_basis
 from qfrac.qgrid import ZERO, GridFunction, LatticeGrid, LatticePoint, sample
 from qfrac.qfracops import (
@@ -330,3 +332,37 @@ class TestCompositionLaws:
             lhs = float(np.sum(g.points * np.abs(out.values))) * 0.5
             rhs = K * float(np.sum(g.points * np.abs(u.values))) * 0.5
             assert lhs <= rhs * (1 + 1e-9)
+
+
+_OPERATORS = {
+    "rl_integral": lambda u, a, o: rl_integral(u, a, o.alpha),
+    "rl_derivative": lambda u, a, o: rl_derivative(u, a, o.alpha),
+    "caputo_derivative": lambda u, a, o: caputo_derivative(u, a, o.alpha - o.n + 1),
+    "hilfer_derivative": hilfer_derivative,
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    q=st.floats(0.05, 0.95),
+    depth=st.integers(8, 400),
+    anchor_index=st.one_of(st.none(), st.integers(0, 400)),
+    power=st.floats(-0.9, 3.0),
+    op=st.sampled_from(sorted(_OPERATORS)),
+    n=st.integers(1, 2),
+    alpha=st.floats(0.01, 1.0),
+    beta=st.floats(0.01, 1.0),
+    mu=st.floats(0.0, 1.0),
+)
+def test_operator_contract(q, depth, anchor_index, power, op, n, alpha, beta, mu):
+    """Finite values or a QFracError, and never a numpy RuntimeWarning."""
+    orders = FracOrders(alpha=n - 1 + alpha, beta=n - 1 + beta, mu=mu, n=n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            g = grid(q=q, depth=depth)
+            anchor = ZERO if anchor_index is None else LatticePoint(min(anchor_index, depth))
+            out = _OPERATORS[op](sample(g, lambda x: x**power), anchor, orders)
+        except QFracError:
+            return
+    assert np.all(np.isfinite(out.values))

@@ -239,6 +239,21 @@ class TestLinearSolve:
         with pytest.raises(NonConvergenceError, match="max_terms=10000"):
             _series_length(QParams(0.5), 0.9995)
 
+    def test_non_finite_forcing_named(self):
+        g = grid(depth=50)
+        bad_x = g.point(7)
+
+        def nan_at_index_seven(x):
+            return float("nan") if x == bad_x else 1.0
+
+        o = FracOrders(alpha=0.9, beta=0.7, mu=0.0, n=1)
+        lin = make_linear_problem(P5, o, lam=0.2, forcing=nan_at_index_seven, xi=(1.0,))
+        with pytest.raises(SampleError,
+                           match=r"non-finite forcing .*nan_at_index_seven\(x\)") as err:
+            linear_solve(lin, g)
+        assert err.value.index == 7
+        assert err.value.x == bad_x
+
     def test_nonzero_anchor_rejected(self):
         o = FracOrders(alpha=0.9, beta=0.7, mu=0.0, n=1)
         lin = LinearProblem(orders=o, a=0.25, b=1.0, lam=0.2,
