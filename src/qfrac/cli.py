@@ -44,7 +44,7 @@ from .qfracops import (
     rl_integral,
 )
 from .qgrid import LatticeGrid, lattice_locate, sample
-from .qml import MLSpec, ml_eval
+from .qml import MLSpec, ml_bound_check, ml_eval
 from .solver import LinearProblem, Solution, linear_solve, picard_solve
 from .problems import make_example41, make_example42
 from .solver import CauchyProblem
@@ -59,6 +59,16 @@ class _OneLineParser(argparse.ArgumentParser):
     def error(self, message):
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(2)
+
+
+def _finite(text: str) -> float:
+    """The number a command-line or config value spells, if it is finite."""
+    try:
+        if math.isfinite(value := float(text)):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
 
 
 def parse_fn_spec(spec: str, params: QParams, base: float) -> Callable[[float], float]:
@@ -148,14 +158,12 @@ class ProblemConfig:
             return cp[section][key]
 
         def fnum(section: str, key: str, default=None) -> float:
-            if not cp.has_option(section, key):
-                if default is None:
-                    raise ConfigError(f"missing required key {key!r} in [{section}]")
+            if default is not None and not cp.has_option(section, key):
                 return default
             try:
-                return float(cp[section][key])
-            except ValueError as exc:
-                raise ConfigError(f"[{section}] {key}: not a number") from exc
+                return _finite(need(section, key))
+            except argparse.ArgumentTypeError as exc:
+                raise ConfigError(f"[{section}] {key}: {exc}") from exc
 
         def given(section: str, **convert) -> dict:
             """The keys present in a section, converted; absent keys keep their defaults."""
@@ -177,9 +185,9 @@ class ProblemConfig:
         depth = int(fnum("grid", "depth", 200))
         xi_raw = need("problem", "xi")
         try:
-            xi = tuple(float(tok) for tok in xi_raw.split(","))
-        except ValueError as exc:
-            raise ConfigError(f"[problem] xi: expected comma-separated reals") from exc
+            xi = tuple(_finite(tok) for tok in xi_raw.split(","))
+        except argparse.ArgumentTypeError as exc:
+            raise ConfigError(f"[problem] xi: expected comma-separated reals, {exc}") from exc
         if len(xi) != orders.n:
             raise ConfigError(f"[problem] xi must have n={orders.n} entries, got {len(xi)}")
         rhs_kind = need("problem", "rhs").strip()
@@ -190,14 +198,11 @@ class ProblemConfig:
             for key, val in cp["rhs"].items():
                 if key in ("forcing",):
                     rhs_items[key] = val.strip()
-                elif key in _RHS_KEYS:
-                    rhs_items[key] = float(val)
-                elif (rhs_kind == "polynomial" and len(key) == 3 and key[0] == "c"
-                      and key[1:].isdigit()):
-                    rhs_items[key] = float(val)
+                elif key in _RHS_KEYS or (rhs_kind == "polynomial" and len(key) == 3
+                                          and key[0] == "c" and key[1:].isdigit()):
+                    rhs_items[key] = fnum("rhs", key)
                 else:
                     raise ConfigError(f"unknown key in [rhs]: {key!r}")
-        lip = fnum("problem", "lipschitz_a", math.nan)
         solver = given("solver", tol=float, max_iter=int, residual_tol=float)
         if cp.has_option("solver", "method"):
             solver["method"] = cp["solver"]["method"].strip()
@@ -211,7 +216,7 @@ class ProblemConfig:
             orders=orders,
             a=fnum("problem", "a", 0.0),
             xi=xi,
-            lipschitz_a=None if math.isnan(lip) else lip,
+            lipschitz_a=given("problem", lipschitz_a=float).get("lipschitz_a"),
             rhs_kind=rhs_kind,
             rhs_params=tuple(sorted(rhs_items.items())),
             picard_seed=cp.get("solver", "picard_seed", fallback="").strip() or None,
@@ -433,11 +438,11 @@ def _cmd_ml_eval(args) -> int:
     try:
         params = QParams(q=args.q)
         spec = MLSpec(alpha=args.alpha, beta=args.beta, lam=args.lam, params=params)
-        ratio = abs(args.lam) * args.x**args.alpha * (1.0 - args.q) ** args.alpha
         value = ml_eval(spec, args.x, args.a)
     except DivergenceError:
         print(
-            f"error: divergence: |lambda| x**alpha (1-q)**alpha = {ratio:.6g}"
+            "error: divergence: |lambda| x**alpha (1-q)**alpha = "
+            f"{ml_bound_check(spec, args.x).ratio:.6g}"
             " >= 1 violates the convergence condition of the linear solution theorem",
             file=sys.stderr,
         )
@@ -446,7 +451,7 @@ def _cmd_ml_eval(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"value={value:.17g}")
-    print(f"ratio={ratio:.17g}")
+    print(f"ratio={ml_bound_check(spec, args.x).ratio:.17g}")
     return 0
 
 
@@ -457,13 +462,13 @@ def main(argv=None) -> int:
     p_eval = sub.add_parser("eval-op", help="apply a fractional operator")
     p_eval.add_argument("--op", required=True,
                         choices=["rl-int", "rl-der", "caputo", "hilfer"])
-    p_eval.add_argument("--q", type=float, required=True)
-    p_eval.add_argument("--b", type=float, required=True)
+    p_eval.add_argument("--q", type=_finite, required=True)
+    p_eval.add_argument("--b", type=_finite, required=True)
     p_eval.add_argument("--depth", type=int, default=200)
-    p_eval.add_argument("--alpha", type=float, required=True)
-    p_eval.add_argument("--beta", type=float, default=None)
-    p_eval.add_argument("--mu", type=float, default=None)
-    p_eval.add_argument("--a", type=float, default=0.0)
+    p_eval.add_argument("--alpha", type=_finite, required=True)
+    p_eval.add_argument("--beta", type=_finite, default=None)
+    p_eval.add_argument("--mu", type=_finite, default=None)
+    p_eval.add_argument("--a", type=_finite, default=0.0)
     p_eval.add_argument("--fn", required=True,
                         help="const:<v> | x^<p> | powerbasis:<p> | zero")
     p_eval.set_defaults(func=_cmd_eval_op)
@@ -482,12 +487,12 @@ def main(argv=None) -> int:
     p_verify.set_defaults(func=_cmd_verify)
 
     p_ml = sub.add_parser("ml-eval", help="evaluate the q-Mittag-Leffler series")
-    p_ml.add_argument("--q", type=float, required=True)
-    p_ml.add_argument("--alpha", type=float, required=True)
-    p_ml.add_argument("--beta", type=float, required=True)
-    p_ml.add_argument("--lambda", dest="lam", type=float, required=True)
-    p_ml.add_argument("--x", type=float, required=True)
-    p_ml.add_argument("--a", type=float, default=0.0)
+    p_ml.add_argument("--q", type=_finite, required=True)
+    p_ml.add_argument("--alpha", type=_finite, required=True)
+    p_ml.add_argument("--beta", type=_finite, required=True)
+    p_ml.add_argument("--lambda", dest="lam", type=_finite, required=True)
+    p_ml.add_argument("--x", type=_finite, required=True)
+    p_ml.add_argument("--a", type=_finite, default=0.0)
     p_ml.set_defaults(func=_cmd_ml_eval)
 
     args = parser.parse_args(argv)

@@ -217,15 +217,24 @@ def q_gamma_ratio(p: QParams, x: float, step: float) -> float:
     """Overflow-safe ratio G_q(x) / G_q(x + step).
 
     Evaluates (q**(x+step); q)_inf / (q**x; q)_inf * (1-q)**step in log
-    space, which stays O(1) even where the gammas themselves overflow.
+    space, which stays O(1) even where the gammas themselves overflow.  Factors
+    1 - q**e are -expm1(e log q) (-e log q where that underflows) to stay exact.
     """
-    s_num, l_num = _signed_log_poch(p, p.q ** (x + step))
-    s_den, l_den = _signed_log_poch(p, p.q**x)
-    if s_den == 0.0:
+    n = _capped_length(p, p.q ** min(x, x + step))
+    if x <= 0.0 and x == round(x):
         raise PoleError(f"q-gamma ratio pole at x={x!r}")
-    if s_num == 0.0:
+    if x + step <= 0.0 and x + step == round(x + step):
         return 0.0  # G_q(x + step) sits on a pole, so the ratio vanishes
-    return s_num * s_den * _safe_exp(l_num - l_den + step * math.log(1.0 - p.q))
+    if n == 0:  # q**x underflows: both products are 1
+        return _safe_exp(step * math.log(1.0 - p.q))
+    e = np.arange(n) + np.array([[x + step], [x]])
+    t = e * math.log(p.q)
+    tiny = np.abs(t) < 1e-300
+    logs = np.log(np.abs(np.expm1(np.where(tiny, -1.0, t))))
+    if tiny.any():
+        logs[tiny] = np.log(np.abs(e[tiny])) + math.log(-math.log(p.q))
+    sign = -1.0 if np.count_nonzero(e < 0.0) % 2 else 1.0
+    return sign * _safe_exp(logs[0].sum() - logs[1].sum() + step * math.log(1.0 - p.q))
 
 
 def q_power_basis(p: QParams, x: float, a: float, alpha: float) -> float:

@@ -1,32 +1,34 @@
-"""Two-parameter q-Mittag-Leffler function with a convergence certificate.
+"""Two-parameter q-Mittag-Leffler function with a certified truncation rule.
 
 The series evaluated here is
 
     E_{A,B}[lam; x, a] = sum_{k>=0} lam**k x**(k A) (a/x; q)_{k A} / G_q(A k + B),
 
 the q-analogue of the Mittag-Leffler function in the argument structure
-lam * (x - a)^A_q.  Terms are built by ratio recurrences -- the fractional
-Pochhammer grows one A-step per term through the splitting law
-(c; q)_{(k+1)A} = (c; q)_{kA} (q**(kA) c; q)_A, and the gamma factor enters
-as the overflow-safe ratio G_q(y)/G_q(y+A) -- so no individual factor ever
-leaves double range while the certificate r = |lam| x**A (1-q)**A < 1 holds.
-Outside that region the series has no assigned meaning and evaluation is a
-hard error.
+lam * (x - a)^A_q.  It converges where r = |lam| x**A (1-q)**A < 1; outside
+that region evaluation is a hard error.  Terms are built by ratio recurrences
+that keep every factor in double range: the Pochhammer grows by the splitting
+law (c; q)_{(k+1)A} = (c; q)_{kA} (q**(kA) c; q)_A, a step of at most 1, the
+gamma factor by the ratio G_q(y)/G_q(y+A).
+
+Every q-Mittag-Leffler series of the package (here and in the closed-form
+linear solve) stops by one rule.  Term k+1 is at most rho_k = |lam| s**A
+G_q(Ak+B)/G_q(Ak+A+B) times term k, and rho_k falls towards r but never grows
+because G_q is log-convex (Askey, Applicable Anal. 8, 1978).  So once rho_k < 1
+the tail is at most |term k| rho_k/(1 - rho_k); the sum stops when that is
+within eps_series * |sum|, or raises NonConvergenceError after max_terms terms.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import DivergenceError, DomainError, NonConvergenceError
 from .qcore import QParams, q_gamma, q_gamma_ratio, q_pochhammer_fractional
 
 __all__ = ["MLSpec", "MLBound", "ml_eval", "ml_bound_check", "ml_terms"]
-
-# consecutive sub-tolerance terms required before the series may stop;
-# single-term tests can fire spuriously when the Pochhammer factor
-# oscillates in magnitude
-_STOP_RUN = 3
 
 
 @dataclass(frozen=True)
@@ -45,10 +47,10 @@ class MLSpec:
 
 @dataclass(frozen=True)
 class MLBound:
-    """Convergence certificate: the series is geometric with ratio `ratio`.
+    """Convergence certificate: the term ratio falls to `ratio`, which must be < 1.
 
-    ``tail_bound`` is the uniform bound 1 / (|lam| b**alpha (1-q)**(alpha+1))
-    on the absolute sum (infinite for lam = 0).
+    ``tail_bound`` is the uniform bound 1 / (ratio (1-q)) on the absolute
+    sum (infinite for lam = 0).
     """
 
     ratio: float
@@ -64,59 +66,58 @@ def ml_bound_check(spec: MLSpec, b: float) -> MLBound:
         raise DomainError(f"bound point b must be positive, got {b!r}")
     q = spec.params.q
     r = abs(spec.lam) * b**spec.alpha * (1.0 - q) ** spec.alpha
-    tail = (
-        float("inf")
-        if r == 0.0
-        else 1.0 / (abs(spec.lam) * b**spec.alpha * (1.0 - q) ** (spec.alpha + 1.0))
-    )
-    return MLBound(ratio=r, tail_bound=tail)
+    return MLBound(ratio=r, tail_bound=math.inf if r == 0.0 else 1.0 / (r * (1.0 - q)))
+
+
+def _ml_series(p: QParams, alpha: float, beta: float, lam: float,
+               s: float) -> Iterator[tuple[float, float]]:
+    """Yield the terms t_k = lam**k s**(alpha k) / G_q(alpha k + beta) with rho_k.
+
+    rho_k is infinite while alpha k + beta <= 0, where G_q is not log-convex.
+    NonConvergenceError when the caller asks for more than max_terms terms.
+    """
+    z = lam * s**alpha
+    t = 1.0 / q_gamma(p, beta)
+    for k in range(p.max_terms):
+        y = alpha * k + beta
+        g = q_gamma_ratio(p, y, alpha)
+        rho = abs(z * g) if y > 0.0 else math.inf
+        yield t, rho
+        t *= z * g
+    raise NonConvergenceError(
+        f"q-Mittag-Leffler series E_{{{alpha:.6g},{beta:.6g}}}[{z:.6g}]: term ratio {rho:.6g}, "
+        f"tail above eps_series={p.eps_series:.1e} after max_terms={p.max_terms} terms")
+
+
+def _tail_within(p: QParams, size: float, rho: float, total: float) -> bool:
+    """The stopping rule: size * rho / (1 - rho) <= eps_series * |total| with rho < 1."""
+    return rho < 1.0 and size * rho <= p.eps_series * abs(total) * (1.0 - rho)
 
 
 def ml_terms(spec: MLSpec, x: float, a: float = 0.0) -> tuple[float, list[float]]:
-    """Partial sum and the individual terms of the series at (x, a).
-
-    Stops once |term| < eps_series * |sum| holds for three consecutive terms;
-    with ratio < 1 the dropped tail is geometric.  NonConvergenceError when
-    max_terms terms pass first.
-    """
+    """Partial sum and the individual terms of the series at (x, a), s = x."""
     p = spec.params
     if x <= 0.0:
         raise DomainError(f"evaluation point x must be positive, got {x!r}")
     if a < 0.0 or a > x:
         raise DomainError(f"lower base a must satisfy 0 <= a <= x, got a={a!r}, x={x!r}")
-    r = abs(spec.lam) * x**spec.alpha * (1.0 - p.q) ** spec.alpha
+    r = ml_bound_check(spec, x).ratio
     if r >= 1.0:
         raise DivergenceError(
             f"|lam| x**alpha (1-q)**alpha = {r:.6g} >= 1: outside the convergence region"
         )
     c = a / x
-    xa = x**spec.alpha
-    term = 1.0 / q_gamma(p, spec.beta)  # k = 0
-    total = term
-    terms = [term]
-    quiet = 0
-    for k in range(p.max_terms):
-        step = (
-            q_pochhammer_fractional(p, p.q ** (k * spec.alpha) * c, spec.alpha)
-            if c != 0.0
-            else 1.0
-        )
-        gratio = q_gamma_ratio(p, spec.alpha * k + spec.beta, spec.alpha)
-        term = term * spec.lam * xa * step * gratio
+    poch = 1.0  # (c; q)_{k alpha}
+    total = 0.0
+    terms = []
+    for k, (t, rho) in enumerate(_ml_series(p, spec.alpha, spec.beta, spec.lam, x)):
+        term = t * poch
         total += term
         terms.append(term)
-        if abs(term) < p.eps_series * abs(total):
-            quiet += 1
-            if quiet >= _STOP_RUN:
-                break
-        else:
-            quiet = 0
-    else:
-        raise NonConvergenceError(
-            f"q-Mittag-Leffler series at ratio {r:.6g}: last term {term:.3e} against "
-            f"sum {total:.3e} after max_terms={p.max_terms} terms "
-            f"(eps_series={p.eps_series:.1e})"
-        )
+        if _tail_within(p, abs(term), rho, total):
+            break
+        if c != 0.0:
+            poch *= q_pochhammer_fractional(p, p.q ** (k * spec.alpha) * c, spec.alpha)
     return total, terms
 
 

@@ -43,13 +43,13 @@ from .errors import (
     DomainError,
     MaxIterError,
     NoContractionError,
-    NonConvergenceError,
     PoleError,
     SampleError,
 )
-from .qcore import (_INT_WINDOW, QParams, masked_power_basis, q_gamma, q_gamma_ratio,
+from .qcore import (_INT_WINDOW, QParams, masked_power_basis, q_gamma, q_number,
                     q_power_basis)
 from .qfracops import FracOrders, _weights_for, hilfer_derivative, rl_integral
+from .qml import MLSpec, _ml_series, _tail_within, ml_bound_check
 from .qgrid import (
     ZERO,
     Anchor,
@@ -152,8 +152,7 @@ class LinearProblem:
 
     @property
     def ratio(self) -> float:
-        v = self.orders.nu
-        return abs(self.lam) * self.b**v * (1.0 - self.params.q) ** v
+        return ml_bound_check(MLSpec(self.orders.nu, 1.0, self.lam, self.params), self.b).ratio
 
 
 def as_cauchy(p: LinearProblem) -> CauchyProblem:
@@ -183,8 +182,8 @@ class Solution:
     counterpart is reported alongside.  ``subinterval_boundaries`` lists the
     upper lattice index of each Picard subinterval in processing order
     (deep to shallow); the closed-form path reports a single interval with
-    the series term count in ``iterations_per_interval`` and the
-    convergence ratio as its omega.
+    the term count of its longer certified series in ``iterations_per_interval``
+    and the convergence ratio as its omega.
     """
 
     y: GridFunction
@@ -397,70 +396,42 @@ def picard_solve(p: CauchyProblem, g: LatticeGrid, tol: float = 1e-10,
     )
 
 
-def _series_length(params: QParams, ratio: float) -> int:
-    """Terms for a geometric tail below eps_series plus 4 spare, capped at max_terms.
-
-    NonConvergenceError when max_terms terms cannot certify the tail.
-    """
-    if ratio <= 0.0:
-        return 4
-    need = math.ceil(math.log(params.eps_series * (1.0 - ratio)) / math.log(ratio))
-    if need > params.max_terms:
-        raise NonConvergenceError(
-            f"series with ratio {ratio!r} needs {need} terms for a tail below "
-            f"eps_series={params.eps_series:.1e}; max_terms={params.max_terms}"
-        )
-    return min(max(need + 4, 4), params.max_terms)
-
-
 def linear_solve(p: LinearProblem, g: LatticeGrid) -> Solution:
     """Closed-form solution of the linear problem via q-Mittag-Leffler kernels.
 
     Requires lower limit 0 (the closed form integrates from the origin);
-    problems anchored elsewhere route through picard_solve.
+    problems anchored elsewhere route through picard_solve.  Both series stop
+    by :mod:`qfrac.qml`'s rule at s = b, the homogeneous one against max |sum|.
     """
     if p.a != 0.0:
         raise DomainError("closed-form linear solve requires lower limit a = 0")
     _check_grid(p, g)
     params = p.params
-    q = params.q
     nu, gamma, n = p.orders.nu, p.orders.gamma, p.orders.n
     lam = p.lam
-    ratio = p.ratio
     M = g.depth
     x = g.points
-    xnu = x**nu
-
-    K = _series_length(params, ratio)
+    xnu = (x / g.b) ** nu  # the series terms come scaled to s = b
     y = np.zeros(M + 1)
+    terms_used = 0
 
     # homogeneous part: sum_k xi_k x**(gamma-k) E_{nu, gamma-k+1}[lam x**nu]
-    terms_used = 0
     for k in range(1, n + 1):
         xi_k = p.xi[k - 1]
         if xi_k == 0.0:
             continue
-        shift = gamma - k + 1.0
-        coef = 1.0 / q_gamma(params, shift)
-        acc = np.full(M + 1, coef)
-        quiet = 0
-        for m in range(K):
-            coef *= lam * q_gamma_ratio(params, nu * m + shift, nu)
-            term = coef * xnu ** (m + 1)
-            acc += term
-            terms_used = max(terms_used, m + 1)
-            if np.max(np.abs(term)) < params.eps_series * max(np.max(np.abs(acc)), 1e-300):
-                quiet += 1
-                if quiet >= 3:
-                    break
-            else:
-                quiet = 0
+        acc = np.zeros(M + 1)
+        for m, (t, rho) in enumerate(_ml_series(params, nu, gamma - k + 1.0, lam, g.b)):
+            acc += t * xnu ** float(m)
+            if _tail_within(params, abs(t), rho, np.max(np.abs(acc))):
+                break
+        terms_used = max(terms_used, m + 1)
         y += xi_k * x ** (gamma - k) * acc
 
-    # forcing part: the Neumann series sum_m lam**m I^(nu(m+1)) f.  By the
-    # splitting law the collapsed kernel (q**(j+1); q)_{nu-1} (q**(nu+j); q)_{m nu}
-    # is the I^(nu(m+1)) weight table; lam**m / G_q(nu(m+1)) advances by
-    # overflow-safe gamma ratios
+    # forcing part: the Neumann series sum_m lam**m I^(nu(m+1)) f, t_m the term of
+    # E_{nu,nu}.  By the splitting law the collapsed kernel (q**(j+1); q)_{nu-1}
+    # (q**(nu+j); q)_{m nu} is the I^(nu(m+1)) weight table.  As I^s 1 = x**s / G_q(s+1),
+    # term m is at most ||f|| b**nu |t_m| / [nu(m+1)]_q; the series stops on their sum
     f_vals = np.array([p.forcing(float(t)) for t in x], dtype=float)
     bad = np.flatnonzero(~np.isfinite(f_vals))
     if bad.size:
@@ -469,21 +440,25 @@ def linear_solve(p: LinearProblem, g: LatticeGrid) -> Solution:
         raise SampleError(k, float(x[k]), float(f_vals[k]), source=f"forcing {name}(x) value")
     if np.any(f_vals != 0.0):
         src = x * f_vals
-        coef = 1.0 / q_gamma(params, nu)  # lam**m / G_q(nu (m+1))
+        scale = float(np.max(np.abs(f_vals))) * g.b**nu
         acc = np.zeros(M + 1)
-        for m in range(K + 1):
+        majorant = 0.0
+        for m, (t, rho) in enumerate(_ml_series(params, nu, nu, lam, g.b)):
             kernel = np.correlate(src, _weights_for(g, nu * (m + 1)), "full")[M:]
-            acc += coef * xnu ** float(m) * kernel
-            coef *= lam * q_gamma_ratio(params, nu * (m + 1), nu)
-        terms_used = max(terms_used, K)
-        y += (1.0 - q) * x ** (nu - 1.0) * acc
+            acc += t * xnu ** float(m) * kernel
+            size = scale * abs(t) / q_number(params, nu * (m + 1))
+            majorant += size
+            if _tail_within(params, size, rho, majorant):
+                break
+        terms_used = max(terms_used, m + 1)
+        y += (1.0 - params.q) * x ** (nu - 1.0) * acc
 
     y_gf = GridFunction(g, y)
     res_l1, res_linf, res_stop = _ode_residual(p.orders, y_gf, ZERO, lam * y + f_vals)
     return Solution(
         y=y_gf,
         iterations_per_interval=(terms_used,),
-        omega_per_interval=(ratio,),
+        omega_per_interval=(p.ratio,),
         residual_l1=res_l1,
         subinterval_boundaries=(0,),
         residual_linf=res_linf,

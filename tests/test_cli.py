@@ -13,8 +13,10 @@ from qfrac.cli import ProblemConfig, main, parse_fn_spec
 from qfrac.errors import ConfigError
 from qfrac.qcore import QParams, q_gamma
 from qfrac.qgrid import GridFunction
+from qfrac.qml import MLSpec, ml_bound_check
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+BUNDLED_CONFIGS = sorted((REPO_ROOT / "configs").glob("*.ini"))
 
 CONFIG_LINEAR = """
 [grid]
@@ -143,6 +145,41 @@ class TestMlEvalCommand:
                         str(beta), "--lambda", str(lam), "--x", str(x)])
         lines = dict(line.split("=") for line in proc.stdout.strip().splitlines())
         assert float(lines["value"]) == pytest.approx(want, rel=1e-10)
+        assert float(lines["ratio"]) == ml_bound_check(MLSpec(alpha, beta, lam, p), x).ratio
+
+    def test_nonpositive_x_keeps_ml_eval_message(self, capsys):
+        assert main(["ml-eval", "--q", "0.5", "--alpha", "1", "--beta", "1",
+                     "--lambda", "3", "--x", "0"]) == 2
+        assert capsys.readouterr().err == "error: evaluation point x must be positive, got 0.0\n"
+
+
+class TestNonFiniteNumbers:
+    """Numbers from the command line or a config file must be finite reals."""
+
+    EVAL_OP = ["eval-op", "--op", "rl-int", "--q", "0.5", "--b", "1", "--alpha", "0.5",
+               "--fn", "const:1"]
+    ML_EVAL = ["ml-eval", "--q", "0.5", "--alpha", "0.7", "--beta", "0.9"]
+
+    @pytest.mark.parametrize("argv, option, value", [
+        (EVAL_OP, "--a", "nan"),
+        (EVAL_OP, "--a", "inf"),
+        (ML_EVAL + ["--lambda", "0.1"], "--x", "nan"),
+        (ML_EVAL + ["--x", "0.5"], "--lambda", "nan"),
+    ], ids=["eval-op-a-nan", "eval-op-a-inf", "ml-eval-x-nan", "ml-eval-lambda-nan"])
+    def test_option_exits_2_with_one_line(self, argv, option, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [option, value])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            f"error: argument {option}: not a finite number: {value!r}\n")
+
+    @pytest.mark.parametrize("value, method", [("abc", "picard"), ("nan", "closed-form")])
+    def test_rhs_value_exits_2_with_one_line(self, value, method, tmp_path, capsys):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(CONFIG_LINEAR.replace("lambda = 0.4", f"lambda = {value}"))
+        assert main(["solve", "--config", str(cfg), "--method", method]) == 2
+        assert capsys.readouterr().err == (
+            f"error: [rhs] lambda: not a finite number: {value!r}\n")
 
 
 class TestProblemConfig:
@@ -255,17 +292,31 @@ class TestSolveCommand:
         proc = run_cli(["solve", "--config", "/nonexistent/x.ini"])
         assert proc.returncode == 2
 
-    def test_bundled_sqrt_config(self, tmp_path):
-        config = REPO_ROOT / "configs" / "example42.ini"
-        proc = run_cli(["solve", "--config", str(config),
-                        "--out", str(tmp_path / "ex42")])
+    @pytest.mark.parametrize("config", BUNDLED_CONFIGS, ids=lambda path: path.name)
+    def test_bundled_config(self, config, tmp_path):
+        # each file solves by its own method
+        proc = run_cli(["solve", "--config", str(config), "--out", str(tmp_path / "s")])
         assert proc.returncode == 0, proc.stderr
         assert "status=ok" in proc.stdout
-        diag = (tmp_path / "ex42.diagnostics.txt").read_text()
+        diag = (tmp_path / "s.diagnostics.txt").read_text()
         residual = float(dict(
             line.split("=") for line in diag.strip().splitlines()
         )["residual_l1"])
-        assert residual < 1e-5
+        assert residual < ProblemConfig.from_file(config).residual_tol
+
+    def test_bundled_linear_closed_form_matches_picard(self, tmp_path):
+        config = REPO_ROOT / "configs" / "linear.ini"
+        for method in ("picard", "closed-form"):
+            proc = run_cli(["solve", "--config", str(config), "--method", method,
+                            "--out", str(tmp_path / method)])
+            assert proc.returncode == 0, proc.stderr
+        params = ProblemConfig.from_file(config).params
+        a = GridFunction.from_csv(str(tmp_path / "picard.solution.csv"), params)
+        b = GridFunction.from_csv(str(tmp_path / "closed-form.solution.csv"), params)
+        g = a.grid
+        num = float(np.sum(g.points * np.abs(a.values - b.values)))
+        den = float(np.sum(g.points * np.abs(b.values)))
+        assert num < 1e-7 * den
 
 
 class TestVerifyCommand:

@@ -228,6 +228,21 @@ def test_pochhammer_splitting_property(q, a, al, be):
     assert abs(whole - split) <= 1e-10 * max(abs(whole), 1e-300)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    q=st.floats(min_value=0.05, max_value=0.99),
+    a=st.floats(min_value=0.0, max_value=2.0, exclude_min=True),
+    y1=st.floats(min_value=0.0, max_value=40.0, exclude_min=True),
+    y2=st.floats(min_value=0.0, max_value=40.0, exclude_min=True),
+)
+def test_gamma_ratio_never_grows(q, a, y1, y2):
+    # G_q is log-convex on (0, inf), so G_q(y) / G_q(y + a) does not increase
+    # in y: the premise of the q-Mittag-Leffler truncation rule in qfrac.qml
+    p = QParams(q)
+    lo, hi = sorted((y1, y2))
+    assert q_gamma_ratio(p, hi, a) <= q_gamma_ratio(p, lo, a) * (1.0 + 1e-12)
+
+
 def test_classical_limit_sanity():
     p = QParams(0.9999, eps_product=1e-9, max_terms=2_000_000)
     for x in (1.5, 2.5, 3.5):

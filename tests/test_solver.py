@@ -18,7 +18,6 @@ from qfrac.solver import (
     CauchyProblem,
     LinearProblem,
     Solution,
-    _series_length,
     as_cauchy,
     contraction_constant,
     estimate_lipschitz,
@@ -236,8 +235,13 @@ class TestLinearSolve:
 
     def test_series_cap_before_tolerance_raises(self):
         # ratio 0.9995 needs ~70000 terms for a tail below eps_series
+        g = grid(depth=50)
+        o = FracOrders(alpha=0.9, beta=0.75, mu=0.0, n=1)  # nu = 0.75
+        lam = 0.9995 / (1.0 - P5.q) ** o.nu
+        lin = make_linear_problem(P5, o, lam=lam, forcing=lambda x: 0.0, xi=(1.0,))
+        assert lin.ratio == pytest.approx(0.9995, rel=1e-14)
         with pytest.raises(NonConvergenceError, match="max_terms=10000"):
-            _series_length(QParams(0.5), 0.9995)
+            linear_solve(lin, g)
 
     def test_non_finite_forcing_named(self):
         g = grid(depth=50)
@@ -280,6 +284,43 @@ class TestLinearSolve:
         rep = verify_equivalence(as_cauchy(lin), sp.y, 1e-3)
         assert rep.passed, (rep.volterra_residual, rep.ode_residual,
                             rep.ic_deviations, rep.detail)
+
+
+# E_{0.6,beta}[lam] at q = 0.98, lam = r / (1-q)**0.6, summed by mpmath:
+#     import mpmath as mp
+#     mp.mp.dps = 30
+#     q, nu = mp.mpf("0.98"), mp.mpf("0.6")
+#     lam = mp.mpf(r) / (1 - q) ** nu
+#     mp.fsum(lam**k / mp.qgamma(nu * k + beta, q) for k in range(500))
+# for beta = nu (homogeneous, y(b) = E_{nu,nu}[lam]) and beta = nu + 1
+# (forcing f = 1, y(b) = E_{nu,nu+1}[lam]); the sums take minutes, so they
+# are pinned here
+Q98_REFERENCE = {
+    ("homogeneous", 0.3): 3782.8812528929802,
+    ("homogeneous", -0.3): 0.02970407761681863,
+    ("forced", 0.3): 562.3908949720075,
+    ("forced", -0.3): 0.26985966932818023,
+}
+
+
+class TestLinearSolveNearQOne:
+    """At q = 0.98 the term ratio starts far above the certificate ratio r."""
+
+    @pytest.mark.parametrize("kind, r", sorted(Q98_REFERENCE))
+    def test_value_at_b_against_mpmath(self, kind, r):
+        p = QParams(0.98)
+        o = FracOrders(alpha=0.8, beta=0.6, mu=0.0, n=1)  # nu = gamma = 0.6
+        lam = r / (1.0 - p.q) ** o.nu
+        if kind == "homogeneous":
+            g, f, xi = grid(q=0.98, depth=200), 0.0, 1.0
+        else:
+            g, f, xi = grid(q=0.98, depth=2000), 1.0, 0.0
+        sol = linear_solve(make_linear_problem(p, o, lam, lambda x: f, (xi,)), g)
+        want = Q98_REFERENCE[(kind, r)]
+        # an alternating sum is only as exact as eps * sum|terms|, and
+        # sum|terms| is the r > 0 value (as verify's qml.series-oracle scales)
+        scale = max(abs(want), 1e-2 * Q98_REFERENCE[(kind, abs(r))])
+        assert abs(sol.y.values[0] - want) / scale < 1e-10
 
 
 class TestBundledProblems:
