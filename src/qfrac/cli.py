@@ -27,13 +27,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
-from .errors import (
-    ConfigError,
-    DivergenceError,
-    MaxIterError,
-    NoContractionError,
-    QFracError,
-)
+from .errors import ConfigError, MaxIterError, NoContractionError, QFracError
 from .qcore import QParams, masked_power_basis
 from .qfracops import (
     FracOrders,
@@ -105,11 +99,12 @@ _PROBLEM_KEYS = {"a", "xi", "lipschitz_a", "rhs"}
 _RHS_KEYS = {"lambda", "delta", "forcing"}  # polynomial adds c<ij> keys
 _SOLVER_KEYS = {"tol", "max_iter", "residual_tol", "method", "picard_seed"}
 _RHS_KINDS = ("linear", "example41", "example42", "polynomial")
+_INT_KEYS = {"depth", "n", "max_iter", "max_terms"}
 
 
 @dataclass(frozen=True)
 class ProblemConfig:
-    """Validated, normalized contents of a problem definition file."""
+    """Parsed, normalized contents of a problem definition file (see ``validate``)."""
 
     params: QParams
     b: float
@@ -157,32 +152,31 @@ class ProblemConfig:
                 raise ConfigError(f"missing required key {key!r} in [{section}]")
             return cp[section][key]
 
-        def fnum(section: str, key: str, default=None) -> float:
+        def fnum(section: str, key: str, default=None) -> float | int:
+            """The finite number a key spells; an int for the integer keys."""
             if default is not None and not cp.has_option(section, key):
                 return default
             try:
-                return _finite(need(section, key))
+                value = _finite(raw := need(section, key))
             except argparse.ArgumentTypeError as exc:
                 raise ConfigError(f"[{section}] {key}: {exc}") from exc
+            if key not in _INT_KEYS:
+                return value
+            if not value.is_integer():
+                raise ConfigError(f"[{section}] {key}: not an integer: {raw!r}")
+            return int(value)
 
-        def given(section: str, **convert) -> dict:
-            """The keys present in a section, converted; absent keys keep their defaults."""
-            return {key: conv(fnum(section, key)) for key, conv in convert.items()
-                    if cp.has_option(section, key)}
+        def given(section: str, *keys: str) -> dict:
+            """The keys present in a section; absent keys keep their defaults."""
+            return {key: fnum(section, key) for key in keys if cp.has_option(section, key)}
 
         try:
             params = QParams(q=fnum("grid", "q"),
-                             **given("grid", eps_product=float, eps_series=float, max_terms=int))
-            orders = FracOrders(
-                alpha=fnum("orders", "alpha"),
-                beta=fnum("orders", "beta"),
-                mu=fnum("orders", "mu"),
-                n=int(fnum("orders", "n")),
-            )
+                             **given("grid", "eps_product", "eps_series", "max_terms"))
+            orders = FracOrders(**{key: fnum("orders", key)
+                                   for key in ("alpha", "beta", "mu", "n")})
         except QFracError as exc:
             raise ConfigError(str(exc)) from exc
-        b = fnum("grid", "b")
-        depth = int(fnum("grid", "depth", 200))
         xi_raw = need("problem", "xi")
         try:
             xi = tuple(_finite(tok) for tok in xi_raw.split(","))
@@ -203,7 +197,7 @@ class ProblemConfig:
                     rhs_items[key] = fnum("rhs", key)
                 else:
                     raise ConfigError(f"unknown key in [rhs]: {key!r}")
-        solver = given("solver", tol=float, max_iter=int, residual_tol=float)
+        solver = given("solver", "tol", "max_iter", "residual_tol")
         if cp.has_option("solver", "method"):
             solver["method"] = cp["solver"]["method"].strip()
             if solver["method"] not in ("picard", "closed-form"):
@@ -211,12 +205,12 @@ class ProblemConfig:
                                   f"got {solver['method']!r}")
         cfg = cls(
             params=params,
-            b=b,
-            depth=depth,
+            b=fnum("grid", "b"),
+            depth=fnum("grid", "depth", 200),
             orders=orders,
             a=fnum("problem", "a", 0.0),
             xi=xi,
-            lipschitz_a=given("problem", lipschitz_a=float).get("lipschitz_a"),
+            lipschitz_a=given("problem", "lipschitz_a").get("lipschitz_a"),
             rhs_kind=rhs_kind,
             rhs_params=tuple(sorted(rhs_items.items())),
             picard_seed=cp.get("solver", "picard_seed", fallback="").strip() or None,
@@ -234,12 +228,8 @@ class ProblemConfig:
         return cls.from_text(text)
 
     def validate(self) -> None:
-        if not self.b > 0.0:
-            raise ConfigError(f"b must be positive, got {self.b}")
-        if self.a < 0.0 or self.a >= self.b:
-            raise ConfigError(f"need 0 <= a < b, got a={self.a}, b={self.b}")
-        if self.depth < 8:
-            raise ConfigError(f"depth must be at least 8, got {self.depth}")
+        """The rules no runtime object owns; the grid and problem constructors check
+        b, a, depth and the rest when ``qfrac solve`` builds them."""
         if self.rhs_kind == "linear":
             if self.rhs_param("lambda") is None:
                 raise ConfigError("[rhs] lambda is required for the linear rhs")
@@ -304,8 +294,7 @@ class ProblemConfig:
             return CauchyProblem(
                 orders=self.orders, a=self.a, b=self.b,
                 rhs=lambda x, y: lam * y + forcing(x),
-                xi=self.xi, lipschitz_A=lip if lip else max(abs(lam), 1e-30),
-                params=self.params,
+                xi=self.xi, lipschitz_A=lip, params=self.params,
             )
         if self.rhs_kind in ("example41", "example42"):
             maker = make_example41 if self.rhs_kind == "example41" else make_example42
@@ -315,9 +304,7 @@ class ProblemConfig:
                 delta=float(self.rhs_param("delta")),
                 orders=self.orders,
             )
-            prob = bundled.problem
-            return replace(prob, xi=self.xi,
-                           lipschitz_A=prob.lipschitz_A if lip is None else lip)
+            return replace(bundled.problem, xi=self.xi, lipschitz_A=lip)
         # polynomial: f(x, y) = sum c_ij x**i y**j
         coeffs = [(int(k[1]), int(k[2]), float(v)) for k, v in self.rhs_params
                   if k.startswith("c")]
@@ -329,16 +316,11 @@ class ProblemConfig:
                              xi=self.xi, lipschitz_A=lip, params=self.params)
 
     def build_linear(self) -> LinearProblem:
-        if self.rhs_kind != "linear":
-            raise ConfigError("closed-form method requires the linear rhs")
-        lam = float(self.rhs_param("lambda"))
         forcing = parse_fn_spec(str(self.rhs_param("forcing", "zero")),
                                 self.params, self.a)
-        try:
-            return LinearProblem(orders=self.orders, a=self.a, b=self.b, lam=lam,
-                                 forcing=forcing, xi=self.xi, params=self.params)
-        except DivergenceError as exc:
-            raise ConfigError(str(exc)) from exc
+        return LinearProblem(orders=self.orders, a=self.a, b=self.b,
+                             lam=float(self.rhs_param("lambda")),
+                             forcing=forcing, xi=self.xi, params=self.params)
 
 
 # --------------------------------------------------------------------------
@@ -347,27 +329,22 @@ class ProblemConfig:
 
 
 def _cmd_eval_op(args) -> int:
-    try:
-        params = QParams(q=args.q)
-        grid = LatticeGrid(b=args.b, depth=args.depth, params=params)
-        anchor = lattice_locate(grid, args.a)
-        fn = parse_fn_spec(args.fn, params, args.a)
-        u = sample(grid, fn)
-        if args.op == "rl-int":
-            out = rl_integral(u, anchor, args.alpha)
-        elif args.op == "rl-der":
-            out = rl_derivative(u, anchor, args.alpha)
-        elif args.op == "caputo":
-            out = caputo_derivative(u, anchor, args.alpha)
-        else:  # hilfer
-            if args.beta is None or args.mu is None:
-                raise ConfigError("--op hilfer requires --beta and --mu")
-            n = _ceil_order(args.alpha)
-            orders = FracOrders(alpha=args.alpha, beta=args.beta, mu=args.mu, n=n)
-            out = hilfer_derivative(u, anchor, orders)
-    except QFracError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    params = QParams(q=args.q)
+    grid = LatticeGrid(b=args.b, depth=args.depth, params=params)
+    anchor = lattice_locate(grid, args.a)
+    u = sample(grid, parse_fn_spec(args.fn, params, args.a))
+    if args.op == "rl-int":
+        out = rl_integral(u, anchor, args.alpha)
+    elif args.op == "rl-der":
+        out = rl_derivative(u, anchor, args.alpha)
+    elif args.op == "caputo":
+        out = caputo_derivative(u, anchor, args.alpha)
+    else:  # hilfer
+        if args.beta is None or args.mu is None:
+            raise ConfigError("--op hilfer requires --beta and --mu")
+        orders = FracOrders(alpha=args.alpha, beta=args.beta, mu=args.mu,
+                            n=_ceil_order(args.alpha))
+        out = hilfer_derivative(u, anchor, orders)
     out.to_csv(sys.stdout)
     return 0
 
@@ -388,33 +365,20 @@ def _write_solution(sol: Solution, prefix: Path) -> None:
 
 
 def _cmd_solve(args) -> int:
-    try:
-        cfg = ProblemConfig.from_file(args.config)
-        if args.method:
-            cfg = replace(cfg, method=args.method)
-            cfg.validate()
-        grid = cfg.build_grid()
-        if cfg.method == "closed-form":
-            sol = linear_solve(cfg.build_linear(), grid)
-        else:
-            prob = cfg.build_cauchy()
-            y_init = None
-            if cfg.picard_seed:
-                y_init = sample(grid, parse_fn_spec(cfg.picard_seed, cfg.params, cfg.a))
-            sol = picard_solve(prob, grid, tol=cfg.tol, max_iter=cfg.max_iter,
-                               y_init=y_init)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NoContractionError as exc:
-        print(f"error: no contraction: {exc}", file=sys.stderr)
-        return 3
-    except MaxIterError as exc:
-        print(f"error: max iterations: {exc}", file=sys.stderr)
-        return 4
-    except QFracError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cfg = ProblemConfig.from_file(args.config)
+    if args.method:
+        cfg = replace(cfg, method=args.method)
+        cfg.validate()
+    # the grid first: it owns the b and depth rules, the problem then owns a
+    grid = cfg.build_grid()
+    if cfg.method == "closed-form":
+        sol = linear_solve(cfg.build_linear(), grid)
+    else:
+        prob = cfg.build_cauchy()
+        y_init = None
+        if cfg.picard_seed:
+            y_init = sample(grid, parse_fn_spec(cfg.picard_seed, cfg.params, cfg.a))
+        sol = picard_solve(prob, grid, tol=cfg.tol, max_iter=cfg.max_iter, y_init=y_init)
     prefix = Path(args.out) if args.out else Path(args.config).with_suffix("")
     _write_solution(sol, prefix)
     ok = sol.residual_l1 < cfg.residual_tol
@@ -435,24 +399,20 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_ml_eval(args) -> int:
-    try:
-        params = QParams(q=args.q)
-        spec = MLSpec(alpha=args.alpha, beta=args.beta, lam=args.lam, params=params)
-        value = ml_eval(spec, args.x, args.a)
-    except DivergenceError:
-        print(
-            "error: divergence: |lambda| x**alpha (1-q)**alpha = "
-            f"{ml_bound_check(spec, args.x).ratio:.6g}"
-            " >= 1 violates the convergence condition of the linear solution theorem",
-            file=sys.stderr,
-        )
-        return 2
-    except QFracError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    spec = MLSpec(alpha=args.alpha, beta=args.beta, lam=args.lam, params=QParams(q=args.q))
+    value = ml_eval(spec, args.x, args.a)
     print(f"value={value:.17g}")
     print(f"ratio={ml_bound_check(spec, args.x).ratio:.17g}")
     return 0
+
+
+#: What each error that outside input can cause exits with, and its message
+#: prefix; the first matching row wins.  OSError covers an unwritable --out.
+_EXIT_CODES = (
+    (NoContractionError, 3, "no contraction: "),
+    (MaxIterError, 4, "max iterations: "),
+    ((QFracError, OSError), 2, ""),
+)
 
 
 def main(argv=None) -> int:
@@ -496,7 +456,13 @@ def main(argv=None) -> int:
     p_ml.set_defaults(func=_cmd_ml_eval)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (QFracError, OSError) as exc:
+        code, prefix = next((code, prefix) for kind, code, prefix in _EXIT_CODES
+                            if isinstance(exc, kind))
+        print(f"error: {prefix}{exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+from .errors import DomainError
 from .qcore import QParams, masked_power_basis, q_gamma, q_power_basis
 from .qfracops import FracOrders
 from .solver import CauchyProblem, LinearProblem
@@ -59,7 +60,7 @@ def make_example41(params: QParams, *, b: float = 1.0, anchor: float | None = No
     q = params.q
     nu, dl = orders.nu, delta
     if 2 * nu + dl >= 1.0:
-        raise ValueError(f"need 2*nu + delta < 1, got {2 * nu + dl}")
+        raise DomainError(f"need 2*nu + delta < 1, got {2 * nu + dl}")
     A = b * q**anchor_exp if anchor is None else anchor
     num_base = q ** (-nu - dl) * A
     den_base = q ** (-2 * nu - dl) * A

@@ -249,7 +249,8 @@ def q_power_basis(p: QParams, x: float, a: float, alpha: float) -> float:
     if abs(alpha - r) < _INT_WINDOW and r >= 0:
         if r == 0:
             return 1.0
-        return float(np.prod(x - a * p.q ** np.arange(r)))
+        with np.errstate(over="ignore"):  # past double range: inf, for the caller to name
+            return float(np.prod(x - a * p.q ** np.arange(r)))
     if x <= 0.0:
         raise DomainError(
             f"q-power basis with non-integer order {alpha!r} needs x > 0, got {x!r}"

@@ -137,15 +137,17 @@ def rl_integral(u: GridFunction, a: Anchor, alpha: float) -> GridFunction:
     x = g.points
     w = _weights_for(g, alpha)
     pref = x ** (alpha - 1.0) * (1.0 - g.q) / q_gamma(g.params, alpha)
-    s = x * u.values
     out = np.zeros(M + 1)
     stop = M + 1 if m_a is None else m_a  # sum over indices m..stop-1
     top = M + 1 if m_a is None else m_a + 1
-    if stop > 0:
-        sums = np.correlate(s[:stop], w[:stop], "full")[stop - 1:]
-        # numpy sums a full overlap of 2 to 11 terms in its own order, not np.dot's
-        sums[0] = np.dot(w[:stop], s[:stop])
-        out[:stop] = pref[:stop] * sums
+    # values past double range stay non-finite; GridFunction names the first index
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = x * u.values
+        if stop > 0:
+            sums = np.correlate(s[:stop], w[:stop], "full")[stop - 1:]
+            # numpy sums a full overlap of 2 to 11 terms in its own order, not np.dot's
+            sums[0] = np.dot(w[:stop], s[:stop])
+            out[:stop] = pref[:stop] * sums
     return GridFunction(g, out, domain_stop=min(top, u.domain_stop), guard=u.guard)
 
 

@@ -242,17 +242,21 @@ class GridFunction:
         return cls(grid, np.array(vs))
 
 
-def sample(g: LatticeGrid, f: Callable[[float], float]) -> GridFunction:
+def sample(g: LatticeGrid, f: Callable[[float], float], source: str = "sample") -> GridFunction:
     """Sample a scalar function at every lattice point.
 
-    Raises SampleError (carrying the offending index) if f returns a
-    non-finite value anywhere on the lattice.
+    Raises SampleError (carrying the offending index, and naming f by
+    ``source``) if f returns a non-finite value, or overflows a float power,
+    anywhere on the lattice.
     """
     vals = np.empty(g.depth + 1)
     for m, x in enumerate(g.points):
-        v = float(f(float(x)))
+        try:
+            v = float(f(float(x)))
+        except OverflowError:  # a float power past double range
+            v = math.inf
         if not np.isfinite(v):
-            raise SampleError(m, float(x), v)
+            raise SampleError(m, float(x), v, source)
         vals[m] = v
     return GridFunction(g, vals)
 

@@ -65,7 +65,10 @@ def ml_bound_check(spec: MLSpec, b: float) -> MLBound:
     if b <= 0.0:
         raise DomainError(f"bound point b must be positive, got {b!r}")
     q = spec.params.q
-    r = abs(spec.lam) * b**spec.alpha * (1.0 - q) ** spec.alpha
+    try:
+        r = abs(spec.lam) * b**spec.alpha * (1.0 - q) ** spec.alpha
+    except OverflowError:
+        raise DomainError(f"b**alpha leaves double range: b={b!r}, alpha={spec.alpha!r}") from None
     return MLBound(ratio=r, tail_bound=math.inf if r == 0.0 else 1.0 / (r * (1.0 - q)))
 
 
@@ -104,8 +107,8 @@ def ml_terms(spec: MLSpec, x: float, a: float = 0.0) -> tuple[float, list[float]
     r = ml_bound_check(spec, x).ratio
     if r >= 1.0:
         raise DivergenceError(
-            f"|lam| x**alpha (1-q)**alpha = {r:.6g} >= 1: outside the convergence region"
-        )
+            f"divergence: |lambda| x**alpha (1-q)**alpha = {r:.6g} >= 1 violates the "
+            "convergence condition of the linear solution theorem")
     c = a / x
     poch = 1.0  # (c; q)_{k alpha}
     total = 0.0

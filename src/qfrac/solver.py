@@ -60,6 +60,7 @@ from .qgrid import (
     lattice_locate,
     q_derivative_n,
     roundoff_window,
+    sample,
     tail_window,
 )
 
@@ -314,7 +315,10 @@ def _rhs_values(p: CauchyProblem, x: np.ndarray, y: np.ndarray, f_vals: np.ndarr
                 lo: int, hi: int) -> None:
     """Fill f_vals[lo:hi] with rhs(x_k, y_k); a non-finite value names the rhs."""
     for k in range(lo, hi):
-        f_vals[k] = p.rhs(float(x[k]), float(y[k]))
+        try:
+            f_vals[k] = p.rhs(float(x[k]), float(y[k]))
+        except OverflowError:  # a float power past double range
+            f_vals[k] = math.inf
     bad = np.flatnonzero(~np.isfinite(f_vals[lo:hi]))
     if bad.size:
         k = lo + int(bad[0])
@@ -432,12 +436,8 @@ def linear_solve(p: LinearProblem, g: LatticeGrid) -> Solution:
     # E_{nu,nu}.  By the splitting law the collapsed kernel (q**(j+1); q)_{nu-1}
     # (q**(nu+j); q)_{m nu} is the I^(nu(m+1)) weight table.  As I^s 1 = x**s / G_q(s+1),
     # term m is at most ||f|| b**nu |t_m| / [nu(m+1)]_q; the series stops on their sum
-    f_vals = np.array([p.forcing(float(t)) for t in x], dtype=float)
-    bad = np.flatnonzero(~np.isfinite(f_vals))
-    if bad.size:
-        k = int(bad[0])
-        name = getattr(p.forcing, "__qualname__", repr(p.forcing))
-        raise SampleError(k, float(x[k]), float(f_vals[k]), source=f"forcing {name}(x) value")
+    name = getattr(p.forcing, "__qualname__", repr(p.forcing))
+    f_vals = sample(g, p.forcing, source=f"forcing {name}(x) value").values
     if np.any(f_vals != 0.0):
         src = x * f_vals
         scale = float(np.max(np.abs(f_vals))) * g.b**nu

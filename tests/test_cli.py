@@ -57,6 +57,14 @@ def run_cli(args):
     return proc
 
 
+def _edit(text, *pairs):
+    """text with each (old, new) replaced; each old must occur."""
+    for old, new in pairs:
+        assert old in text
+        text = text.replace(old, new)
+    return text
+
+
 def parse_csv(text):
     rows = text.strip().splitlines()
     assert rows[0] == "m,x,value"
@@ -180,6 +188,107 @@ class TestNonFiniteNumbers:
         assert main(["solve", "--config", str(cfg), "--method", method]) == 2
         assert capsys.readouterr().err == (
             f"error: [rhs] lambda: not a finite number: {value!r}\n")
+
+
+class TestOutsideInputFailures:
+    """Every failure that outside input causes: one `error:` line and its exit code.
+
+    A case is (argv, problem file text or None, exit code, message fragment);
+    ``{config}`` and ``{out}`` in argv name a file and an output prefix under
+    tmp_path.  Grid depths stay small: LatticeGrid allocates before it checks.
+    """
+
+    LINEAR_INI = (REPO_ROOT / "configs" / "linear.ini").read_text(encoding="utf-8")
+    EXAMPLE42_INI = (REPO_ROOT / "configs" / "example42.ini").read_text(encoding="utf-8")
+    SOLVE = ["solve", "--config", "{config}", "--out", "{out}"]
+    RL_INT = ["eval-op", "--op", "rl-int", "--q", "0.5", "--alpha", "0.5"]
+    ML_EVAL = ["ml-eval", "--q", "0.5", "--alpha", "1", "--beta", "1"]
+
+    CASES = {
+        # large finite numbers from the command line
+        "ml-eval-x-overflows": (["ml-eval", "--q", "0.5", "--alpha", "2", "--beta", "1",
+                                 "--lambda", "1", "--x", "1e200"], None, 2, "double range"),
+        "eval-op-pow-overflows": (RL_INT + ["--b", "1e308", "--fn", "x^2"], None, 2,
+                                  "lattice index 0"),
+        "eval-op-powerbasis-overflows": (RL_INT + ["--b", "1e308", "--fn", "powerbasis:2"],
+                                         None, 2, "lattice index 0"),
+        "eval-op-integral-overflows": (RL_INT + ["--b", "1e300", "--fn", "const:1e300"],
+                                       None, 2, "lattice index 0"),
+        # problem files
+        "example41-delta-out-of-range": (SOLVE, _edit(EXAMPLE42_INI, ("rhs = example42",
+                                         "rhs = example41"), ("delta = 0.2", "delta = 0.5")),
+                                         2, "2*nu + delta < 1"),
+        "unwritable-out": (["solve", "--config", "{config}", "--out", "/nonexistent/dir/x"],
+                           LINEAR_INI, 2, "/nonexistent/dir/x"),
+        "n-not-integral": (SOLVE, _edit(LINEAR_INI, ("n = 1", "n = 1.5")), 2, "[orders] n"),
+        "max-iter-not-integral": (SOLVE, _edit(LINEAR_INI, ("max_iter = 400",
+                                  "max_iter = 400.7")), 2, "[solver] max_iter"),
+        "depth-not-integral": (SOLVE, _edit(LINEAR_INI, ("depth = 200", "depth = 200.9")), 2,
+                               "[grid] depth"),
+        "max-terms-not-integral": (SOLVE, _edit(LINEAR_INI, ("depth = 200",
+                                   "depth = 200\nmax_terms = 10000.5")), 2, "[grid] max_terms"),
+        "polynomial-rhs-overflows": (SOLVE, _edit(LINEAR_INI, ("rhs = linear",
+                                     "rhs = polynomial"), ("xi = 1.0", "xi = 1e200"),
+                                     ("lambda = 0.4\nforcing = const:1", "c02 = 0.1")),
+                                     2, "non-finite rhs"),
+        "closed-form-forcing-overflows": (SOLVE + ["--method", "closed-form"], _edit(
+            LINEAR_INI, ("b = 1.0", "b = 1e300"), ("depth = 200", "depth = 40"),
+            ("lambda = 0.4", "lambda = 1e-200"), ("forcing = const:1", "forcing = x^2")),
+            2, "non-finite forcing"),
+        "linear-lipschitz-zero": (SOLVE, _edit(LINEAR_INI, ("lipschitz_a = 0.4",
+                                  "lipschitz_a = 0")), 2, "lipschitz_A must be positive"),
+        "b-negative": (SOLVE, _edit(LINEAR_INI, ("b = 1.0", "b = -1")), 2,
+                       "grid anchor b must be positive, got -1.0"),
+        "a-above-b": (SOLVE, _edit(LINEAR_INI, ("a = 0.0", "a = 2")), 2,
+                      "need b > a, got a=2.0, b=1.0"),
+        "depth-too-small": (SOLVE, _edit(LINEAR_INI, ("depth = 200", "depth = 5")), 2,
+                            "grid depth must be at least 8, got 5"),
+        # the file's closed-form certificate fails, but --method picard comes first
+        "method-override-first": (SOLVE + ["--method", "picard"], _edit(
+            LINEAR_INI, ("lambda = 0.4", "lambda = 1.55"),
+            ("lipschitz_a = 0.4", "lipschitz_a = 1.55"),
+            ("method = picard", "method = closed-form")), 3, "no contraction: "),
+        # cases that already exited with one line
+        "missing-q": (["eval-op", "--op", "rl-int", "--alpha", "1", "--fn", "const:1",
+                       "--b", "1"], None, 2, "--q"),
+        "off-lattice-anchor": (RL_INT + ["--b", "1", "--a", "0.3", "--fn", "const:1"], None, 2,
+                               "lattice"),
+        "hilfer-without-mu": (["eval-op", "--op", "hilfer", "--q", "0.5", "--b", "1", "--alpha",
+                               "0.9", "--fn", "x^1"], None, 2, "--beta and --mu"),
+        "unknown-fn-spec": (RL_INT + ["--b", "1", "--fn", "sin"], None, 2, "'sin'"),
+        "option-nan": (RL_INT + ["--b", "nan", "--fn", "const:1"], None, 2, "finite"),
+        "ml-eval-divergent": (ML_EVAL + ["--lambda", "3", "--x", "1"], None, 2,
+                              "violates the convergence condition"),
+        "ml-eval-x-zero": (ML_EVAL + ["--lambda", "3", "--x", "0"], None, 2,
+                           "must be positive"),
+        "rhs-value-not-finite": (SOLVE, _edit(LINEAR_INI, ("lambda = 0.4", "lambda = abc")), 2,
+                                 "[rhs] lambda"),
+        "closed-form-divergent": (SOLVE + ["--method", "closed-form"], _edit(
+            LINEAR_INI, ("lambda = 0.4", "lambda = 3.0")), 2, ">= 1"),
+        "closed-form-needs-linear": (SOLVE + ["--method", "closed-form"], EXAMPLE42_INI, 2,
+                                     "requires the linear rhs"),
+        "no-contraction": (SOLVE, _edit(LINEAR_INI, ("lipschitz_a = 0.4", "lipschitz_a = 8.0")),
+                           3, "no contraction: "),
+        "max-iter-hit": (SOLVE, _edit(LINEAR_INI, ("max_iter = 400", "max_iter = 2")), 4,
+                         "max iterations: "),
+        "missing-config": (["solve", "--config", "/nonexistent/x.ini"], None, 2,
+                           "cannot read config"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_one_error_line_and_exit_code(self, case, tmp_path, capsys):
+        argv, config, code, fragment = self.CASES[case]
+        if config is not None:
+            (tmp_path / "p.ini").write_text(config, encoding="utf-8")
+        argv = [arg.format(config=tmp_path / "p.ini", out=tmp_path / "s") for arg in argv]
+        try:
+            got = main(argv)
+        except SystemExit as exc:  # argparse's usage errors exit from inside main
+            got = exc.code
+        err = capsys.readouterr().err
+        assert got == code
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert fragment in err
 
 
 class TestProblemConfig:
