@@ -10,10 +10,10 @@ Conventions used throughout the package:
 * q-power basis     (x - a)^s_q = x**s * (a/x; q)_s, the q-analogue of the
   shifted power (x - a)**s
 
-Infinite products are truncated at the first factor within ``eps_product``
-of 1; the dropped logarithmic tail is then dominated by a geometric series,
-so the relative truncation error stays below the tolerance for any q bounded
-away from 1.  All arithmetic is plain double precision.
+Infinite products are formed in log space by one kernel and truncated where
+the geometric bound on the dropped logarithmic tail falls below
+``eps_product``, so the relative truncation error stays below the tolerance
+for any q bounded away from 1.  All arithmetic is plain double precision.
 """
 
 from __future__ import annotations
@@ -104,33 +104,24 @@ def q_pochhammer_finite(p: QParams, a: float, n: int) -> float:
     return float(np.prod(1.0 - a * p.q ** np.arange(n)))
 
 
-def _product_length(p: QParams, a: float) -> int:
-    """Factors needed until the geometric tail bound drops below eps_product.
+def _capped_length(p: QParams, log_mag: float) -> int:
+    """Factors kept of (a; q)_inf with |a| = exp(log_mag), at most max_terms.
 
-    The relative size of the dropped tail of log(a;q)_inf after k factors is
-    ~ |a| q**k / (1-q); cutting when that bound (not the bare factor) clears
-    the tolerance keeps ratios of two such products consistent to a few
+    The relative size of the dropped tail of log(a;q)_inf after n factors is
+    ~ |a| q**n / (1-q); cutting when that bound (not the bare factor) clears
+    eps_product keeps ratios of two such products consistent to a few
     eps_product even for q near 1.
     """
-    mag = abs(a)
-    if mag == 0.0:
-        return 0
-    target = p.eps_product * (1.0 - p.q)
-    if mag < target:
-        return 1
-    return max(1, math.ceil(math.log(target / mag) / math.log(p.q)))
-
-
-def _capped_length(p: QParams, a: float) -> int:
-    n = _product_length(p, a)
+    lq = math.log(p.q)
+    n = max(0, math.ceil((math.log(p.eps_product * (1.0 - p.q)) - log_mag) / lq))
     if n > p.max_terms:
         n = p.max_terms
-        head = abs(a) * p.q**n
+        head = _safe_exp(log_mag + n * lq)
         tail_bound = head / ((1.0 - p.q) * max(1.0 - head, 1e-300))
         if tail_bound > p.eps_product:
             raise NonConvergenceError(
-                f"(a;q)_inf with a={a!r}, q={p.q!r}: tail bound {tail_bound:.3e} "
-                f"> eps_product after max_terms={p.max_terms} factors"
+                f"(a;q)_inf with |a|={_safe_exp(log_mag)!r}, q={p.q!r}: tail bound "
+                f"{tail_bound:.3e} > eps_product after max_terms={p.max_terms} factors"
             )
     return n
 
@@ -143,32 +134,45 @@ def q_pochhammer_infinite(p: QParams, a: float) -> float:
     is hit while the tail bound still exceeds the tolerance.  For q very
     close to 1 the true value can be smaller than the double range and the
     product underflows to 0; ratio-based callers go through the log-space
-    helpers instead.
+    kernel instead, which this direct product serves as a reference for.
     """
     if a == 0.0:
         return 1.0
-    n = _capped_length(p, a)
+    n = _capped_length(p, math.log(abs(a)))
     return float(np.prod(1.0 - a * p.q ** np.arange(n)))
 
 
-def _signed_log_poch(p: QParams, a: float) -> tuple[float, float]:
-    """(sign, log|value|) of (a; q)_inf; sign 0.0 marks an exact zero."""
+def _log_poch(p: QParams, a: float, s: float) -> tuple[float, float]:
+    """(sign, log|value|) of (a q**s; q)_inf; sign 0.0 marks an exact zero.
+
+    Factor k is 1 - a q**(k+s) = 1 - sign(a) e**t_k with t_k = log|a| + (k+s) log q,
+    built in place on one array: -expm1(t_k) for a > 0, which keeps its digits
+    next to a zero (k+s is exact there), and 1 + e**t_k for a < 0.
+    """
     if a == 0.0:
         return 1.0, 0.0
-    n = _capped_length(p, a)
-    factors = 1.0 - a * p.q ** np.arange(n)
-    if np.any(factors == 0.0):
+    log_a, lq = math.log(abs(a)), math.log(p.q)
+    head = log_a + s * lq
+    n = _capped_length(p, head)
+    if n == 0:  # |a q**s| below eps_product (1-q), underflow included: the product is 1
+        return 1.0, 0.0
+    t = np.arange(n, dtype=float)
+    t += s
+    t *= lq
+    t += log_a
+    if a < 0.0:
+        return 1.0, float(np.log1p(np.exp(t, out=t), out=t).sum())
+    # t falls with k, so only a q**s >= 1 leads to factors <= 0
+    if head >= 0.0 and not t.all():
         return 0.0, -math.inf
-    sign = -1.0 if (np.count_nonzero(factors < 0.0) % 2) else 1.0
-    return sign, float(np.sum(np.log(np.abs(factors))))
+    sign = -1.0 if head > 0.0 and np.count_nonzero(t > 0.0) % 2 else 1.0
+    return sign, float(np.log(np.abs(np.expm1(t, out=t), out=t), out=t).sum())
 
 
 @lru_cache(maxsize=512)
 def _log_euler(q: float, eps_product: float, max_terms: int) -> float:
     """log (q; q)_inf, cached per truncation profile (all factors positive)."""
-    p = QParams(q, eps_product=eps_product, max_terms=max_terms)
-    _, logval = _signed_log_poch(p, q)
-    return logval
+    return _log_poch(QParams(q, eps_product=eps_product, max_terms=max_terms), 1.0, 1.0)[1]
 
 
 def q_pochhammer_fractional(p: QParams, a: float, alpha: float) -> float:
@@ -179,19 +183,14 @@ def q_pochhammer_fractional(p: QParams, a: float, alpha: float) -> float:
     log space, which stays finite even where the individual products leave
     double range.
     """
+    s_den, l_den = _log_poch(p, a, alpha)
+    # factor 1 - shifted * q**k vanishes iff shifted = q**(-k) for some k >= 0,
+    # i.e. log_q(shifted) is a nonpositive integer (window-based)
     shifted = p.q**alpha * a
-    if shifted > 0.0:
-        # factor 1 - shifted * q**k vanishes iff shifted = q**(-k) for some
-        # k >= 0, i.e. log_q(shifted) is a nonpositive integer (window-based)
-        t = math.log(shifted) / math.log(p.q)
-        if t < _RATIO_POLE_WINDOW and abs(t - round(t)) < _RATIO_POLE_WINDOW:
-            raise PoleError(
-                f"(a;q)_alpha pole: a={a!r}, alpha={alpha!r} puts a q**alpha on q**(-k)"
-            )
-    s_den, l_den = _signed_log_poch(p, shifted)
-    if s_den == 0.0:
-        raise PoleError(f"(a;q)_alpha denominator vanished for a={a!r}, alpha={alpha!r}")
-    s_num, l_num = _signed_log_poch(p, a)
+    t = math.log(shifted) / math.log(p.q) if shifted > 0.0 else 1.0
+    if s_den == 0.0 or (t < _RATIO_POLE_WINDOW and abs(t - round(t)) < _RATIO_POLE_WINDOW):
+        raise PoleError(f"(a;q)_alpha pole: a={a!r}, alpha={alpha!r} puts a q**alpha on q**(-k)")
+    s_num, l_num = _log_poch(p, a, 0.0)
     if s_num == 0.0:
         return 0.0
     return s_num * s_den * _safe_exp(l_num - l_den)
@@ -206,9 +205,7 @@ def q_gamma(p: QParams, x: float) -> float:
     r = round(x)
     if r <= 0 and abs(x - r) < _POLE_WINDOW:
         raise PoleError(f"q-gamma pole at x={x!r}")
-    s_den, l_den = _signed_log_poch(p, p.q**x)
-    if s_den == 0.0:
-        raise PoleError(f"q-gamma pole at x={x!r}")
+    s_den, l_den = _log_poch(p, 1.0, x)  # no zero factor outside the pole window
     l_num = _log_euler(p.q, p.eps_product, p.max_terms)
     return s_den * _safe_exp(l_num - l_den + (1.0 - x) * math.log(1.0 - p.q))
 
@@ -217,24 +214,18 @@ def q_gamma_ratio(p: QParams, x: float, step: float) -> float:
     """Overflow-safe ratio G_q(x) / G_q(x + step).
 
     Evaluates (q**(x+step); q)_inf / (q**x; q)_inf * (1-q)**step in log
-    space, which stays O(1) even where the gammas themselves overflow.  Factors
-    1 - q**e are -expm1(e log q) (-e log q where that underflows) to stay exact.
+    space, which stays O(1) even where the gammas themselves overflow.
     """
-    n = _capped_length(p, p.q ** min(x, x + step))
     if x <= 0.0 and x == round(x):
         raise PoleError(f"q-gamma ratio pole at x={x!r}")
-    if x + step <= 0.0 and x + step == round(x + step):
-        return 0.0  # G_q(x + step) sits on a pole, so the ratio vanishes
-    if n == 0:  # q**x underflows: both products are 1
-        return _safe_exp(step * math.log(1.0 - p.q))
-    e = np.arange(n) + np.array([[x + step], [x]])
-    t = e * math.log(p.q)
-    tiny = np.abs(t) < 1e-300
-    logs = np.log(np.abs(np.expm1(np.where(tiny, -1.0, t))))
-    if tiny.any():
-        logs[tiny] = np.log(np.abs(e[tiny])) + math.log(-math.log(p.q))
-    sign = -1.0 if np.count_nonzero(e < 0.0) % 2 else 1.0
-    return sign * _safe_exp(logs[0].sum() - logs[1].sum() + step * math.log(1.0 - p.q))
+    s_den, l_den = _log_poch(p, 1.0, x)
+    if s_den == 0.0:
+        # x log q underflows: shifting both gammas by G_q(y+1) = [y]_q G_q(y) multiplies
+        # the ratio by [x+step]_q / [x]_q = expm1((x+step) log q) / (x log q)
+        y, lq = x + step, math.log(p.q)
+        return (math.expm1(y * lq) / lq if y * lq else y) / x * q_gamma_ratio(p, x + 1.0, step)
+    s_num, l_num = _log_poch(p, 1.0, x + step)  # sign 0 on a pole of G_q(x + step)
+    return s_num * s_den * _safe_exp(l_num - l_den + step * math.log(1.0 - p.q))
 
 
 def q_power_basis(p: QParams, x: float, a: float, alpha: float) -> float:

@@ -193,21 +193,24 @@ _ROUNDOFF_TARGET = 1e-9
 def derivative_stage_cut(u: GridFunction, a: Anchor, orders: FracOrders) -> int:
     """One past the deepest index of D^gamma u usable under an outer integral.
 
-    With a lattice lower limit only the derivative's edge indices are
-    excluded.  Anchored at 0 two effects bound the usable depth: the inner
-    integral carries a relative truncation tail ~ q**((M+1-m) d) with
-    d = gamma - n + 1 (the weakest decay of the power family the operator
-    is built for) that the n-fold q-derivative amplifies by q**(-m n); and
-    plain roundoff in the derivative stage grows like eps * q**(-m n)
-    against values ~ q**(m(n-1)), of which the outer kernel weight q**m
-    cancels only one power.  The cut keeps the first below the default
-    target of :func:`qfrac.qgrid.tail_window` and the second below 1e-9
-    (:func:`qfrac.qgrid.roundoff_window`); for n >= 2 this is a genuine
+    With a lattice lower limit, and anchored at 0 with integer gamma (the
+    stage is then D_q^n of samples and truncates nothing), only the
+    derivative's edge indices are excluded.  Otherwise two effects bound the
+    usable depth: the inner integral carries a relative truncation tail
+    ~ q**((M+1-m) d) with d = gamma - n + 1 (the weakest decay of the power
+    family the operator is built for) that the n-fold q-derivative amplifies
+    by q**(-m n); and plain roundoff in the derivative stage grows like
+    eps * q**(-m n) against values ~ q**(m(n-1)), of which the outer kernel
+    weight q**m cancels only one power.  The cut keeps the first below the
+    default target of :func:`qfrac.qgrid.tail_window` and the second below
+    1e-9 (:func:`qfrac.qgrid.roundoff_window`); for n >= 2 this is a genuine
     double-precision information floor of the 0-anchored composition.
     """
     m_a = anchor_index(a)
     if m_a is not None:
         return max(m_a + 1 - orders.n, 1)
+    if abs(orders.gamma - orders.n) < _INT_WINDOW:
+        return u.grid.depth + 1 - orders.n
     q = u.grid.q
     stop = tail_window(q, u.grid.depth, min(orders.gamma - orders.n + 1.0, 1.0), orders.n)
     if orders.n >= 2:

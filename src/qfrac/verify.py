@@ -21,6 +21,7 @@ to a window where that tail is provably below the tolerance.
 from __future__ import annotations
 
 import math
+import zlib
 from dataclasses import dataclass
 from typing import Callable
 
@@ -107,12 +108,16 @@ def check_names() -> list[str]:
 
 def run_checks(seed: int = 0, pattern: str | None = None,
                thorough: bool = False) -> list[CheckResult]:
-    """Run registered checks (optionally filtered by substring) with one seed."""
+    """Run registered checks (optionally filtered by substring) with one seed.
+
+    Each check draws from a stream keyed by the seed and its own name, so
+    adding or reordering checks leaves the others' draws unchanged.
+    """
     results = []
-    for index, (name, fn) in enumerate(_REGISTRY):
+    for name, fn in _REGISTRY:
         if pattern and pattern not in name:
             continue
-        rng = np.random.default_rng([seed, index])
+        rng = np.random.default_rng([seed, zlib.crc32(name.encode())])
         try:
             detail = fn(rng, thorough)
             results.append(CheckResult(name, True, detail or ""))

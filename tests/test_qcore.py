@@ -147,6 +147,20 @@ class TestQGamma:
         rhs = q_number(P5, x) * q_gamma(P5, x)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
+    @pytest.mark.parametrize("q,x,want", [
+        (0.5, 1e-8, "72134751.9911005972814760219175"),
+        (0.9, -0.999999, "-854210.416376792416810451417277"),
+    ])
+    def test_next_to_poles_against_mpmath(self, q, x, want):
+        # 30 digits from: mpmath.mp.dps = 40
+        #                 mpmath.nstr(mpmath.qgamma(mpmath.mpf(x), mpmath.mpf(q)), 30)
+        # forming 1 - q**(k+x) from the rounded power q**x loses up to 7.5e-9 here
+        assert q_gamma(QParams(q), x) == pytest.approx(float(want), rel=1e-13)
+
+    def test_ratio_at_smallest_subnormal_overflows(self):
+        # G_q(5e-324) ~ (1-q)/(-5e-324 log q) leaves double range; x log q underflows
+        assert q_gamma_ratio(QParams(0.75), 5e-324, 1.0) == math.inf
+
     def test_ratio_helper_matches_direct(self):
         for x, step in [(0.4, 0.7), (2.5, 1.3), (5.0, 0.25)]:
             want = q_gamma(P5, x) / q_gamma(P5, x + step)

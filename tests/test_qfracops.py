@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qfrac.errors import DepthError, DomainError, QFracError
 from qfrac.qcore import QParams, q_gamma, q_power_basis
-from qfrac.qgrid import ZERO, GridFunction, LatticeGrid, LatticePoint, sample
+from qfrac.qgrid import ZERO, GridFunction, LatticeGrid, LatticePoint, sample, tail_window
 from qfrac.qfracops import (
     FracOrders,
     _weights_for,
@@ -211,6 +211,29 @@ class TestCaputo:
         u = sample(grid(depth=20), lambda x: x)
         with pytest.raises(DomainError):
             caputo_derivative(u, ZERO, 1.5)
+
+
+@pytest.mark.parametrize("q,depth", [(0.5, 200), (0.5, 1000), (0.98, 4000)])
+@pytest.mark.parametrize("op", ["caputo", "hilfer-mu-one"])
+def test_integer_gamma_stage_is_not_cut(q, depth, op):
+    # 0-anchored with gamma = 1 the stage is D_q u of samples: nothing is
+    # truncated, so the power rule holds out to the outer integral's own
+    # tail window, and trusted_stop loses only the one edge index
+    g = grid(q=q, depth=depth)
+    for power in (0.4, 0.5, 0.6, 1.0, 1.6):
+        u = sample(g, lambda x: x**power)
+        stop_tail = tail_window(q, depth, power, 0.0, 1e-9)
+        for s in (0.3, 0.6, 0.9):
+            out = (caputo_derivative(u, ZERO, s) if op == "caputo"
+                   else hilfer_derivative(u, ZERO, FracOrders(s, 0.5, 1.0, 1)))
+            assert out.trusted_stop == depth
+            stop = min(out.trusted_stop, stop_tail)
+            x = g.points[:stop]
+            want = (q_gamma(g.params, power + 1.0) / q_gamma(g.params, power + 1.0 - s)
+                    * x ** (power - s))
+            keep = x ** (power + 2.0) >= 1e-290  # as verify skips underflowing rows
+            err = np.abs(out.values[:stop] - want)[keep] / np.abs(want[keep])
+            assert err.max() < 1e-9, (power, s, err.max())
 
 
 class TestHilfer:

@@ -32,3 +32,13 @@ def test_crashing_check_reported_and_later_checks_still_run(monkeypatch):
         "PASS demo.passes (fine)",
         "1/3 checks passed, 2 FAILED",
     ]
+
+
+def test_check_draws_do_not_depend_on_registry_position(monkeypatch):
+    # each check's random stream is keyed by its name, not by its position
+    name = "qcore.gamma-recurrence"
+    before = verify.run_checks(seed=3, pattern=name)
+    monkeypatch.setattr(verify, "_REGISTRY",
+                        [("demo.inserted", lambda rng, thorough: "x"), *verify._REGISTRY])
+    after = verify.run_checks(seed=3, pattern=name)
+    assert before[0].passed and after == before
