@@ -37,7 +37,7 @@ from .qfracops import (
     rl_derivative,
     rl_integral,
 )
-from .qgrid import LatticeGrid, lattice_locate, sample
+from .qgrid import LatticeGrid, _pointwise, lattice_locate, sample
 from .qml import MLSpec, ml_bound_check, ml_eval
 from .solver import LinearProblem, Solution, linear_solve, picard_solve
 from .problems import make_example41, make_example42
@@ -289,8 +289,8 @@ class ProblemConfig:
         lip = self.lipschitz_a
         if self.rhs_kind == "linear":
             lam = float(self.rhs_param("lambda"))
-            forcing = parse_fn_spec(str(self.rhs_param("forcing", "zero")),
-                                    self.params, self.a)
+            forcing = _pointwise(parse_fn_spec(str(self.rhs_param("forcing", "zero")),
+                                               self.params, self.a))
             return CauchyProblem(
                 orders=self.orders, a=self.a, b=self.b,
                 rhs=lambda x, y: lam * y + forcing(x),
@@ -305,12 +305,13 @@ class ProblemConfig:
                 orders=self.orders,
             )
             return replace(bundled.problem, xi=self.xi, lipschitz_A=lip)
-        # polynomial: f(x, y) = sum c_ij x**i y**j
-        coeffs = [(int(k[1]), int(k[2]), float(v)) for k, v in self.rhs_params
-                  if k.startswith("c")]
+        # polynomial: f(x, y) = sum c_ij x**i y**j, with y**j as j products: numpy and
+        # Python floats raise to a power differently, products round alike in both
+        terms = [(float(v), _pointwise(lambda x, i=int(k[1]): x**i), int(k[2]))
+                 for k, v in self.rhs_params if k.startswith("c")]
 
-        def rhs(x: float, y: float) -> float:
-            return sum(c * x**i * y**j for i, j, c in coeffs)
+        def rhs(x, y):
+            return sum(math.prod((c, x_pow(x)) + (y,) * j) for c, x_pow, j in terms)
 
         return CauchyProblem(orders=self.orders, a=self.a, b=self.b, rhs=rhs,
                              xi=self.xi, lipschitz_A=lip, params=self.params)

@@ -13,6 +13,9 @@ a lattice point A > 0, so every operator evaluation is an exact finite sum):
   (lam * Gr)**2 * (x - A)^(2v+2d)_q.  The bundled problem carries such a
   seed value.
 
+Both rhs are elementwise over arrays of x and y; their x-only weights come from the
+scalar q-power bases, once per grid.
+
 ``make_linear_problem`` builds the q-Mittag-Leffler-solvable linear case.
 """
 
@@ -21,9 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .errors import DomainError
 from .qcore import QParams, masked_power_basis, q_gamma, q_power_basis
 from .qfracops import FracOrders
+from .qgrid import _pointwise
 from .solver import CauchyProblem, LinearProblem
 
 __all__ = [
@@ -66,12 +72,16 @@ def make_example41(params: QParams, *, b: float = 1.0, anchor: float | None = No
     den_base = q ** (-2 * nu - dl) * A
     R = q_gamma(params, 1.0 - nu - dl) / q_gamma(params, 1.0 - 2.0 * nu - dl)
 
-    def rhs(x: float, y: float) -> float:
+    @_pointwise
+    def weight(x: float) -> float:
         if x <= A * (1.0 + 1e-12):  # 0*inf limit of the weight at the anchor
             return 0.0
         num = q_power_basis(params, x, num_base, nu + dl)
         den = q_power_basis(params, x, den_base, nu)
-        return lam * num / den * y * y
+        return lam * num / den
+
+    def rhs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return weight(x) * y * y
 
     exact = lambda x: (1.0 / lam) * R * masked_power_basis(params, x, A, -nu - dl)
     problem = CauchyProblem(
@@ -98,12 +108,16 @@ def make_example42(params: QParams, *, b: float = 1.0, anchor: float | None = No
     Gr = q_gamma(params, nu + 2 * dl + 1.0) / q_gamma(params, 2 * nu + 2 * dl + 1.0)
     amp = (lam * Gr) ** 2
 
-    def rhs(x: float, y: float) -> float:
+    @_pointwise
+    def weight(x: float) -> float:
         if x < A * (1.0 - 1e-12):
             return 0.0
         num = q_power_basis(params, x, A, 2 * nu + 2 * dl)
         den = q_power_basis(params, x, den_base, nu)
-        return lam * max(num, 0.0) ** 0.5 / den * max(y, 0.0) ** 0.5
+        return lam * max(num, 0.0) ** 0.5 / den
+
+    def rhs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return weight(x) * np.sqrt(np.maximum(y, 0.0))
 
     exact = lambda x: amp * masked_power_basis(params, x, A, 2 * nu + 2 * dl)
     seed = 1.5 * amp * q_power_basis(params, b, A, 2 * nu + 2 * dl) + 0.1

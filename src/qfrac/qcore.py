@@ -45,6 +45,8 @@ _POLE_WINDOW = 1e-12
 _RATIO_POLE_WINDOW = 1e-9
 # Window for snapping nearly-integral orders to exact integers.
 _INT_WINDOW = 1e-12
+# Largest exponent t kept in _log_poch's factors 1 -+ e**t (e**709 is finite).
+_EXP_SAFE = 709.0
 
 
 def _safe_exp(x: float) -> float:
@@ -147,12 +149,19 @@ def _log_poch(p: QParams, a: float, s: float) -> tuple[float, float]:
 
     Factor k is 1 - a q**(k+s) = 1 - sign(a) e**t_k with t_k = log|a| + (k+s) log q,
     built in place on one array: -expm1(t_k) for a > 0, which keeps its digits
-    next to a zero (k+s is exact there), and 1 + e**t_k for a < 0.
+    next to a zero (k+s is exact there), and 1 + e**t_k for a < 0.  The j
+    leading factors with t_k > 709, where e**t_k would overflow, have
+    log|factor| = t_k to double precision; they are summed in closed form.
     """
     if a == 0.0:
         return 1.0, 0.0
     log_a, lq = math.log(abs(a)), math.log(p.q)
     head = log_a + s * lq
+    if head > _EXP_SAFE:
+        j = math.ceil((head - _EXP_SAFE) / -lq)
+        sign, rest = _log_poch(p, a, s + j)
+        lead = j * head + lq * (j * (j - 1) / 2)  # sum of t_k over k < j
+        return (-sign if a > 0.0 and j % 2 else sign), lead + rest
     n = _capped_length(p, head)
     if n == 0:  # |a q**s| below eps_product (1-q), underflow included: the product is 1
         return 1.0, 0.0

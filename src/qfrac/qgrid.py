@@ -251,14 +251,44 @@ def sample(g: LatticeGrid, f: Callable[[float], float], source: str = "sample") 
     """
     vals = np.empty(g.depth + 1)
     for m, x in enumerate(g.points):
-        try:
-            v = float(f(float(x)))
-        except OverflowError:  # a float power past double range
-            v = math.inf
+        v = _value_at(f, float(x))
         if not np.isfinite(v):
             raise SampleError(m, float(x), v, source)
         vals[m] = v
     return GridFunction(g, vals)
+
+
+def _value_at(f: Callable[[float], float], x: float) -> float:
+    """float(f(x)), with a float power past double range read as inf."""
+    try:
+        return float(f(x))
+    except OverflowError:
+        return math.inf
+
+
+def _pointwise(f: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
+    """f applied to each element of an array of x, reused while the same read-only array
+    comes back.
+
+    The solvers pass the grid's read-only ``points`` on every sweep, so an x-only factor
+    of a right-hand side is computed once per grid.  f is called on Python floats, so the
+    values carry the bits of the scalar f; an overflow reads as inf, as in ``sample``.
+    """
+    last: tuple = (None, None)
+
+    def values(x) -> np.ndarray:
+        nonlocal last
+        seen, vals = last
+        if x is seen and not x.flags.writeable:
+            return vals
+        xs = np.asarray(x, dtype=float)
+        vals = np.array([_value_at(f, t) for t in xs.ravel().tolist()]).reshape(xs.shape)
+        vals.setflags(write=False)
+        if isinstance(x, np.ndarray) and not x.flags.writeable:
+            last = (x, vals)
+        return vals
+
+    return values
 
 
 def q_derivative(u: GridFunction) -> GridFunction:

@@ -77,10 +77,15 @@ def _ml_series(p: QParams, alpha: float, beta: float, lam: float,
     """Yield the terms t_k = lam**k s**(alpha k) / G_q(alpha k + beta) with rho_k.
 
     rho_k is infinite while alpha k + beta <= 0, where G_q is not log-convex.
-    NonConvergenceError when the caller asks for more than max_terms terms.
+    DomainError when 1/G_q(beta) leaves double range; NonConvergenceError when
+    the caller asks for more than max_terms terms.
     """
     z = lam * s**alpha
-    t = 1.0 / q_gamma(p, beta)
+    g0 = q_gamma(p, beta)
+    t = 1.0 / g0 if g0 else math.inf
+    if math.isinf(t):
+        raise DomainError(f"q-Mittag-Leffler series E_{{{alpha:.6g},{beta:.6g}}}: "
+                          f"1/G_q({beta!r}) leaves double range")
     for k in range(p.max_terms):
         y = alpha * k + beta
         g = q_gamma_ratio(p, y, alpha)

@@ -44,6 +44,7 @@ from .errors import (
     MaxIterError,
     NoContractionError,
     PoleError,
+    QFracError,
     SampleError,
 )
 from .qcore import (_INT_WINDOW, QParams, masked_power_basis, q_gamma, q_number,
@@ -55,6 +56,7 @@ from .qgrid import (
     Anchor,
     GridFunction,
     LatticeGrid,
+    _pointwise,
     _sum_range,
     anchor_index,
     lattice_locate,
@@ -104,6 +106,12 @@ def _check_grid(p, g: LatticeGrid) -> None:
 class CauchyProblem:
     """Nonlinear Cauchy-type problem: orders, interval, rhs and initial data.
 
+    ``rhs`` is elementwise over arrays: ``rhs(x, y)`` takes equal-shape float
+    arrays and returns an array of that shape, or a scalar, which broadcasts.
+    The solvers call it once per Picard sweep on the grid's read-only points
+    and the whole iterate, so plain arithmetic such as
+    ``lambda x, y: 0.4 * y + 1.0`` works as it stands; a callable that fails
+    on arrays or returns another shape raises a DomainError that names it.
     ``lipschitz_A`` is the user-supplied Lipschitz constant of the rhs in y;
     it drives subinterval splitting only, never correctness decisions
     (automatic global estimation is unsound for rhs that are merely locally
@@ -113,7 +121,7 @@ class CauchyProblem:
     orders: FracOrders
     a: float
     b: float
-    rhs: Callable[[float, float], float]
+    rhs: Callable[[np.ndarray, np.ndarray], np.ndarray]
     xi: tuple[float, ...]
     lipschitz_A: float
     params: QParams
@@ -158,9 +166,9 @@ class LinearProblem:
 
 def as_cauchy(p: LinearProblem) -> CauchyProblem:
     """View a linear problem as a general Cauchy problem (for Picard)."""
-    lam, forcing = p.lam, p.forcing
+    lam, forcing = p.lam, _pointwise(p.forcing)
 
-    def rhs(x: float, y: float) -> float:
+    def rhs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return lam * y + forcing(x)
 
     return CauchyProblem(
@@ -247,9 +255,13 @@ def contraction_constant(p: CauchyProblem, sub_lo: float, sub_hi: float) -> floa
             f"need a <= sub_lo < sub_hi <= b, got [{sub_lo!r}, {sub_hi!r}] in "
             f"[{p.a!r}, {p.b!r}]"
         )
-    v = p.orders.nu
-    span = q_power_basis(p.params, sub_hi, p.params.q * sub_lo, v)
-    return p.lipschitz_A * span / q_gamma(p.params, v + 1.0)
+    return _omega(p, sub_lo, sub_hi, q_gamma(p.params, p.orders.nu + 1.0))
+
+
+def _omega(p: CauchyProblem, sub_lo: float, sub_hi: float, gamma_nu1: float) -> float:
+    """contraction_constant with G_q(v + 1) given and the interval unchecked."""
+    span = q_power_basis(p.params, sub_hi, p.params.q * sub_lo, p.orders.nu)
+    return p.lipschitz_A * span / gamma_nu1
 
 
 def _split_subintervals(p: CauchyProblem, g: LatticeGrid,
@@ -261,20 +273,21 @@ def _split_subintervals(p: CauchyProblem, g: LatticeGrid,
     a single step with omega >= 1 raises NoContractionError.
     """
     blocks: list[tuple[int, float]] = []
+    gamma_nu1 = q_gamma(p.params, p.orders.nu + 1.0)
     lo_val = p.a
     cand = g.depth if m_a is None else m_a - 1
     if cand < 0:
         raise DomainError("lower limit sits at the top of the grid; nothing to solve")
     while cand >= 0:
         m = cand
-        omega = contraction_constant(p, lo_val, g.point(m))
+        omega = _omega(p, lo_val, g.point(m), gamma_nu1)
         if omega >= 1.0:
             raise NoContractionError(
                 f"omega={omega:.4g} >= 1 on the single lattice step up from "
                 f"{lo_val!r}; no admissible split exists"
             )
         while m > 0:
-            w_next = contraction_constant(p, lo_val, g.point(m - 1))
+            w_next = _omega(p, lo_val, g.point(m - 1), gamma_nu1)
             if w_next >= _OMEGA_MARGIN:
                 break
             m -= 1
@@ -311,20 +324,36 @@ def _ode_residual(orders: FracOrders, y: GridFunction, anchor: Anchor,
     return _sum_range(g, diff, 0, stop), linf, stop
 
 
-def _rhs_values(p: CauchyProblem, x: np.ndarray, y: np.ndarray, f_vals: np.ndarray,
-                lo: int, hi: int) -> None:
-    """Fill f_vals[lo:hi] with rhs(x_k, y_k); a non-finite value names the rhs."""
-    for k in range(lo, hi):
+def _rhs_name(p: CauchyProblem) -> str:
+    return getattr(p.rhs, "__qualname__", repr(p.rhs))
+
+
+def _call_rhs(p: CauchyProblem, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """rhs(x, y) as an array of x's shape; a failing call or another shape names the rhs."""
+    with np.errstate(all="ignore"):  # non-finite values are named by the caller
         try:
-            f_vals[k] = p.rhs(float(x[k]), float(y[k]))
-        except OverflowError:  # a float power past double range
-            f_vals[k] = math.inf
+            vals = np.asarray(p.rhs(x, y), dtype=float)
+        except QFracError:
+            raise
+        except (TypeError, ValueError, ArithmeticError) as exc:
+            raise DomainError(f"rhs {_rhs_name(p)} failed on arrays of x and y "
+                              f"(it must be elementwise): {exc}") from None
+    if vals.shape not in ((), x.shape):
+        raise DomainError(f"rhs {_rhs_name(p)} returned shape {vals.shape}, "
+                          f"expected {x.shape} or a scalar")
+    return np.broadcast_to(vals, x.shape)
+
+
+def _rhs_values(p: CauchyProblem, g: LatticeGrid, y: np.ndarray, f_vals: np.ndarray,
+                lo: int, hi: int) -> None:
+    """Fill f_vals[lo:hi] from one rhs call on the lattice; a non-finite value names the rhs."""
+    x = g.points
+    f_vals[lo:hi] = _call_rhs(p, x, y)[lo:hi]
     bad = np.flatnonzero(~np.isfinite(f_vals[lo:hi]))
     if bad.size:
         k = lo + int(bad[0])
-        name = getattr(p.rhs, "__qualname__", repr(p.rhs))
         raise SampleError(k, float(x[k]), float(f_vals[k]),
-                          source=f"rhs {name}(x, y={float(y[k])!r}) value")
+                          source=f"rhs {_rhs_name(p)}(x, y={float(y[k])!r}) value")
 
 
 def picard_solve(p: CauchyProblem, g: LatticeGrid, tol: float = 1e-10,
@@ -350,7 +379,6 @@ def picard_solve(p: CauchyProblem, g: LatticeGrid, tol: float = 1e-10,
     if m_a is not None:
         y[m_a] = y0.values[m_a]  # Volterra value at the lower limit itself
         y[m_a + 1:] = 0.0
-    x = g.points
 
     iterations: list[int] = []
     diff_hist: list[tuple[float, ...]] = []
@@ -362,7 +390,7 @@ def picard_solve(p: CauchyProblem, g: LatticeGrid, tol: float = 1e-10,
         it = 0
         while True:
             it += 1
-            _rhs_values(p, x, y, f_vals, upper, domain_lo)
+            _rhs_values(p, g, y, f_vals, upper, domain_lo)
             f_gf = GridFunction(g, f_vals, domain_stop=y0.domain_stop)
             integ = rl_integral(f_gf, anchor, nu).values
             y_new = y.copy()
@@ -385,7 +413,7 @@ def picard_solve(p: CauchyProblem, g: LatticeGrid, tol: float = 1e-10,
         frozen_hi = upper
 
     sol_gf = GridFunction(g, y, domain_stop=y0.domain_stop)
-    _rhs_values(p, x, y, f_vals, 0, domain_lo)
+    _rhs_values(p, g, y, f_vals, 0, domain_lo)
     res_l1, res_linf, res_stop = _ode_residual(p.orders, sol_gf, anchor, f_vals)
     return Solution(
         y=sol_gf,
@@ -483,9 +511,8 @@ def verify_equivalence(p: CauchyProblem, y: GridFunction, tol: float) -> Equival
         anchor = lattice_locate(g, p.a)
         m_a = anchor_index(anchor)
         domain_lo = g.depth + 1 if m_a is None else m_a
-        x = g.points
         f_vals = np.zeros(g.depth + 1)
-        _rhs_values(p, x, y.values, f_vals, 0, domain_lo)
+        _rhs_values(p, g, y.values, f_vals, 0, domain_lo)
 
         y0 = initial_term(p, g)
         f_gf = GridFunction(g, f_vals, domain_stop=y0.domain_stop)
@@ -541,13 +568,11 @@ def estimate_lipschitz(p: CauchyProblem, g: LatticeGrid, y_lo: float, y_hi: floa
     rng = np.random.default_rng(0) if rng is None else rng
     m_a = anchor_index(lattice_locate(g, p.a))
     hi = g.depth + 1 if m_a is None else m_a + 1
-    best = 0.0
-    for _ in range(n_samples):
-        m = int(rng.integers(0, hi))
-        y1, y2 = rng.uniform(y_lo, y_hi, size=2)
-        if y1 == y2:
-            continue
-        xv = float(g.points[m])
-        quot = abs(p.rhs(xv, float(y1)) - p.rhs(xv, float(y2))) / abs(y1 - y2)
-        best = max(best, quot)
-    return best
+    m = rng.integers(0, hi, size=n_samples)
+    y1, y2 = rng.uniform(y_lo, y_hi, size=(2, n_samples))
+    keep = y1 != y2
+    x = g.points[m[keep]]
+    x.setflags(write=False)  # both calls share the rhs's x-only factors
+    y1, y2 = y1[keep], y2[keep]
+    quot = np.abs(_call_rhs(p, x, y1) - _call_rhs(p, x, y2)) / np.abs(y1 - y2)
+    return float(np.max(quot, initial=0.0))

@@ -261,6 +261,13 @@ class TestOutsideInputFailures:
                               "violates the convergence condition"),
         "ml-eval-x-zero": (ML_EVAL + ["--lambda", "3", "--x", "0"], None, 2,
                            "must be positive"),
+        # G_q(beta) underflows; at -1100.5 the leading q-Pochhammer factors pass e**709 too
+        "ml-eval-gamma-underflows": (["ml-eval", "--q", "0.5", "--alpha", "0.5", "--beta",
+                                      "-800.5", "--lambda", "0.2", "--x", "1"], None, 2,
+                                     "1/G_q(-800.5) leaves double range"),
+        "ml-eval-poch-factors-overflow": (["ml-eval", "--q", "0.5", "--alpha", "0.5", "--beta",
+                                           "-1100.5", "--lambda", "0.2", "--x", "1"], None, 2,
+                                          "1/G_q(-1100.5) leaves double range"),
         "rhs-value-not-finite": (SOLVE, _edit(LINEAR_INI, ("lambda = 0.4", "lambda = abc")), 2,
                                  "[rhs] lambda"),
         "closed-form-divergent": (SOLVE + ["--method", "closed-form"], _edit(
@@ -344,6 +351,49 @@ class TestProblemConfig:
         cfg = ProblemConfig.from_text(text)
         prob = cfg.build_cauchy()
         assert prob.rhs(2.0, 3.0) == pytest.approx(1.0 + 0.5 * 2.0 * 3.0)
+
+
+class TestArrayRhs:
+    """Every CLI rhs, called once on the lattice, gives its per-point scalar values."""
+
+    EXAMPLE42_INI = TestOutsideInputFailures.EXAMPLE42_INI
+    ANCHOR = ("a = 0.0", "a = 0.0009765625")  # b q**10, a lattice point of depth 120
+
+    CASES = {
+        "linear-zero": _edit(CONFIG_LINEAR, ("forcing = const:1", "forcing = zero")),
+        "linear-const": _edit(CONFIG_LINEAR, ("forcing = const:1", "forcing = const:-1.7")),
+        "linear-pow": _edit(CONFIG_LINEAR, ("forcing = const:1", "forcing = pow:-0.35")),
+        "linear-x^": _edit(CONFIG_LINEAR, ("forcing = const:1", "forcing = x^2.3")),
+        "linear-powerbasis": _edit(CONFIG_LINEAR, ANCHOR,
+                                   ("forcing = const:1", "forcing = powerbasis:0.6")),
+        "polynomial": _edit(CONFIG_LINEAR, ("rhs = linear", "rhs = polynomial"), (
+            "lambda = 0.4\nforcing = const:1",
+            "c00 = 1.0\nc11 = 0.5\nc23 = -0.25\nc32 = 0.125\nc02 = 0.3")),
+        "example41": _edit(EXAMPLE42_INI, ("depth = 40", "depth = 60"),
+                           ("rhs = example42", "rhs = example41")),
+        "example42": _edit(EXAMPLE42_INI, ("depth = 40", "depth = 60")),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_array_call_matches_scalar_calls(self, case):
+        cfg = ProblemConfig.from_text(self.CASES[case])
+        rhs, x = cfg.build_cauchy().rhs, cfg.build_grid().points
+        y = np.random.default_rng(7).uniform(-2.0, 3.0, size=x.shape)
+        got = np.broadcast_to(rhs(x, y), x.shape)
+        want = np.array([rhs(float(xk), float(yk)) for xk, yk in zip(x, y)])
+        assert np.any(got != 0.0)
+        assert np.array_equal(got, want)
+        assert np.array_equal(rhs(x, y), got)  # the second call reuses the x-only factors
+
+    def test_example42_within_one_ulp_of_scalar_formula(self):
+        # the former per-point rhs took the square root as a float power
+        cfg = ProblemConfig.from_text(self.CASES["example42"])
+        rhs, x = cfg.build_cauchy().rhs, cfg.build_grid().points
+        y = np.random.default_rng(7).uniform(-2.0, 3.0, size=x.shape)
+        weight = rhs(x, np.ones_like(x))
+        want = np.array([w * max(yk, 0.0) ** 0.5 for w, yk in zip(weight, y)])
+        got = rhs(x, y)
+        assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
 
 
 class TestSolveCommand:

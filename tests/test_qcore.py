@@ -161,6 +161,12 @@ class TestQGamma:
         # G_q(5e-324) ~ (1-q)/(-5e-324 log q) leaves double range; x log q underflows
         assert q_gamma_ratio(QParams(0.75), 5e-324, 1.0) == math.inf
 
+    def test_ratio_with_factors_past_exp_range(self):
+        # the leading factors 1 - q**(x+k) of both products pass e**709; reference from
+        # 40-digit mpmath sums of log|1 - q**(x+k)|, k < 5000, for each product
+        assert q_gamma_ratio(P5, -1100.5, 0.25) == pytest.approx(
+            8.41643907713637897611397379105e-84, rel=1e-9)
+
     def test_ratio_helper_matches_direct(self):
         for x, step in [(0.4, 0.7), (2.5, 1.3), (5.0, 0.25)]:
             want = q_gamma(P5, x) / q_gamma(P5, x + step)

@@ -20,6 +20,7 @@ from qfrac.qgrid import (
     GridFunction,
     LatticeGrid,
     LatticePoint,
+    _pointwise,
     jackson_integral,
     l1q_norm,
     lattice_locate,
@@ -108,6 +109,33 @@ class TestSample:
         with pytest.raises(SampleError) as err:
             sample(g, lambda x: float("nan") if x < 0.2 else x)
         assert err.value.index == 3  # first lattice point below 0.2 is 0.125
+
+
+class TestPointwise:
+    def test_reused_for_the_same_read_only_points(self):
+        seen = []
+        g = grid(depth=10)
+        f = _pointwise(lambda x: seen.append(x) or x**1.5)
+        first = f(g.points)
+        assert f(g.points) is first and len(seen) == 11
+        assert np.array_equal(first, sample(g, lambda x: x**1.5).values)
+        assert not first.flags.writeable
+
+    def test_writable_and_other_arrays_recomputed(self):
+        seen = []
+        g = grid(depth=10)
+        f = _pointwise(lambda x: seen.append(x) or 2.0 * x)
+        f(g.points)
+        copy = g.points.copy()
+        f(copy)
+        f(copy)
+        f(grid(depth=12).points)
+        assert len(seen) == 11 * 3 + 13
+
+    def test_scalar_and_overflow(self):
+        f = _pointwise(lambda x: x**400.0)
+        assert f(0.5) == 0.5**400.0 and f(0.5).shape == ()
+        assert f(np.array([1e300])) == math.inf
 
 
 class TestGridFunction:

@@ -146,7 +146,7 @@ class TestPicard:
 
     def test_non_finite_rhs_named(self):
         def nan_below_half(x, y):
-            return float("nan") if x < 0.5 else 0.4 * y + 1.0
+            return np.where(x < 0.5, np.nan, 0.4 * y + 1.0)
 
         g = grid()
         p = make_problem(rhs=nan_below_half, A=0.4)
@@ -154,6 +154,32 @@ class TestPicard:
             picard_solve(p, g, tol=1e-12)
         assert err.value.x < 0.5
         assert err.value.x == g.points[err.value.index]
+
+    def test_rhs_called_once_per_sweep(self):
+        shapes = []
+
+        def counted(x, y):
+            shapes.append((x.shape, y.shape))
+            return 0.9 * y + 1.0
+
+        g = grid()
+        sol = picard_solve(make_problem(rhs=counted, A=0.9), g, tol=1e-12)
+        assert len(sol.iterations_per_interval) > 1
+        assert len(shapes) == sum(sol.iterations_per_interval) + 1  # + the residual
+        assert set(shapes) == {((g.depth + 1,), (g.depth + 1,))}
+
+    def test_scalar_rhs_and_wrong_shape_named(self):
+        def branches_on_x(x, y):
+            return 0.0 if x < 0.5 else 0.4 * y + 1.0
+
+        def drops_a_point(x, y):
+            return (0.4 * y + 1.0)[1:]
+
+        for rhs, what in ((branches_on_x, "failed on arrays"),
+                          (drops_a_point, r"returned shape \(200,\)")):
+            with pytest.raises(DomainError, match=rf"rhs .*{rhs.__name__} {what}") as err:
+                picard_solve(make_problem(rhs=rhs, A=0.4), grid(), tol=1e-12)
+            assert len(str(err.value).splitlines()) == 1
 
     def test_grid_mismatch_rejected(self):
         p = make_problem()
