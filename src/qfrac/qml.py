@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import DivergenceError, DomainError, NonConvergenceError
-from .qcore import QParams, q_gamma, q_gamma_ratio, q_pochhammer_fractional
+from .qcore import _POLE_WINDOW, QParams, q_gamma, q_gamma_ratio, q_pochhammer_fractional
 
 __all__ = ["MLSpec", "MLBound", "ml_eval", "ml_bound_check", "ml_terms"]
 
@@ -77,17 +77,26 @@ def _ml_series(p: QParams, alpha: float, beta: float, lam: float,
     """Yield the terms t_k = lam**k s**(alpha k) / G_q(alpha k + beta) with rho_k.
 
     rho_k is infinite while alpha k + beta <= 0, where G_q is not log-convex.
-    DomainError when 1/G_q(beta) leaves double range; NonConvergenceError when
-    the caller asks for more than max_terms terms.
+    On a pole of G_q the term is 0, as 1/G_q vanishes there; the next term is
+    formed afresh, since the ratio recurrence would carry the 0 on.
+    DomainError when a freshly formed 1/G_q leaves double range;
+    NonConvergenceError when the caller asks for more than max_terms terms.
     """
     z = lam * s**alpha
-    g0 = q_gamma(p, beta)
-    t = 1.0 / g0 if g0 else math.inf
-    if math.isinf(t):
-        raise DomainError(f"q-Mittag-Leffler series E_{{{alpha:.6g},{beta:.6g}}}: "
-                          f"1/G_q({beta!r}) leaves double range")
+    t = None  # formed afresh at k = 0 and after a pole
     for k in range(p.max_terms):
         y = alpha * k + beta
+        r = round(y)
+        if r <= 0 and abs(y - r) < _POLE_WINDOW:
+            t, rho = None, math.inf
+            yield 0.0, rho
+            continue
+        if t is None:
+            g0 = q_gamma(p, y)
+            t = z**k / g0 if g0 else math.inf
+            if math.isinf(t):
+                raise DomainError(f"q-Mittag-Leffler series E_{{{alpha:.6g},{beta:.6g}}}: "
+                                  f"1/G_q({y!r}) leaves double range")
         g = q_gamma_ratio(p, y, alpha)
         rho = abs(z * g) if y > 0.0 else math.inf
         yield t, rho

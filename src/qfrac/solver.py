@@ -9,8 +9,8 @@ through its equivalent Volterra q-integral equation of the second kind
 iteration y <- y0 + I^v f(., y) is run subinterval by subinterval from a
 towards b; on each subinterval the already-solved deeper part enters the
 iteration as a known function, exactly as in the contraction construction.
-Subintervals are chosen greedily: extend one lattice index at a time while
-the contraction constant
+Subintervals are chosen greedily: each is the longest run of lattice indices
+on which the contraction constant
 
     omega = A * (hi - q lo)^v_q / G_q(v + 1)
 
@@ -47,8 +47,7 @@ from .errors import (
     QFracError,
     SampleError,
 )
-from .qcore import (_INT_WINDOW, QParams, masked_power_basis, q_gamma, q_number,
-                    q_power_basis)
+from .qcore import _INT_WINDOW, QParams, q_gamma, q_number, q_power_basis
 from .qfracops import FracOrders, _weights_for, hilfer_derivative, rl_integral
 from .qml import MLSpec, _ml_series, _tail_within, ml_bound_check
 from .qgrid import (
@@ -226,9 +225,7 @@ class EquivalenceReport:
 
 def initial_term(p: CauchyProblem, g: LatticeGrid) -> GridFunction:
     """Leading Volterra term sum_k xi_k/G_q(g-k+1) (x - a)^(g-k)_q on the grid."""
-    anchor = lattice_locate(g, p.a)
-    m_a = anchor_index(anchor)
-    stop = g.depth + 1 if m_a is None else m_a + 1
+    m_a = anchor_index(lattice_locate(g, p.a))
     gamma = p.orders.gamma
     vals = np.zeros(g.depth + 1)
     for k in range(1, p.orders.n + 1):
@@ -239,9 +236,23 @@ def initial_term(p: CauchyProblem, g: LatticeGrid) -> GridFunction:
             coef = xi_k / q_gamma(p.params, gamma - k + 1.0)
         except PoleError as exc:
             raise PoleError(f"initial term k={k}: G_q({gamma - k + 1.0!r}) is a pole") from exc
-        for m in range(stop):
-            vals[m] += coef * masked_power_basis(p.params, g.point(m), p.a, gamma - k)
-    return GridFunction(g, vals, domain_stop=stop)
+        vals += coef * _lattice_power(g, m_a, gamma - k)
+    return GridFunction(g, vals, domain_stop=g.depth + 1 if m_a is None else m_a + 1)
+
+
+def _lattice_power(g: LatticeGrid, m_base: int | None, s: float) -> np.ndarray:
+    """(x_m - x_base)^s_q for m = 0..M, 0 below the base x_(m_base) (None: the origin).
+
+    Above the base it is x_m**s (q**(m_base-m); q)_s = x_m**s w_(m_base-1-m) by the
+    splitting law, w the kernel weights of order s + 1; at the base it is (1; q)_s,
+    1 for s = 0 and 0 else.  m_base may be M + 1, the point just below the grid.
+    """
+    if m_base is None:
+        return g.points**s
+    out = np.zeros(g.depth + 1)
+    out[:m_base] = g.points[:m_base] ** s * _weights_for(g, s + 1.0)[:m_base][::-1]
+    out[m_base:m_base + 1] = 1.0 if abs(s) < _INT_WINDOW else 0.0
+    return out
 
 
 def contraction_constant(p: CauchyProblem, sub_lo: float, sub_hi: float) -> float:
@@ -255,13 +266,8 @@ def contraction_constant(p: CauchyProblem, sub_lo: float, sub_hi: float) -> floa
             f"need a <= sub_lo < sub_hi <= b, got [{sub_lo!r}, {sub_hi!r}] in "
             f"[{p.a!r}, {p.b!r}]"
         )
-    return _omega(p, sub_lo, sub_hi, q_gamma(p.params, p.orders.nu + 1.0))
-
-
-def _omega(p: CauchyProblem, sub_lo: float, sub_hi: float, gamma_nu1: float) -> float:
-    """contraction_constant with G_q(v + 1) given and the interval unchecked."""
     span = q_power_basis(p.params, sub_hi, p.params.q * sub_lo, p.orders.nu)
-    return p.lipschitz_A * span / gamma_nu1
+    return p.lipschitz_A * span / q_gamma(p.params, p.orders.nu + 1.0)
 
 
 def _split_subintervals(p: CauchyProblem, g: LatticeGrid,
@@ -270,31 +276,27 @@ def _split_subintervals(p: CauchyProblem, g: LatticeGrid,
 
     Blocks run from the deep end towards index 0.  Each block is the longest
     lattice extension with omega < 0.9, but never shorter than one step;
-    a single step with omega >= 1 raises NoContractionError.
+    a single step with omega >= 1 raises NoContractionError.  omega comes as
+    one array per block, a power of base q x_lo = x_(lo+1) for lower end x_lo.
     """
     blocks: list[tuple[int, float]] = []
     gamma_nu1 = q_gamma(p.params, p.orders.nu + 1.0)
     lo_val = p.a
-    cand = g.depth if m_a is None else m_a - 1
+    base, cand = (None, g.depth) if m_a is None else (m_a + 1, m_a - 1)
     if cand < 0:
         raise DomainError("lower limit sits at the top of the grid; nothing to solve")
     while cand >= 0:
-        m = cand
-        omega = _omega(p, lo_val, g.point(m), gamma_nu1)
-        if omega >= 1.0:
+        omega = p.lipschitz_A * _lattice_power(g, base, p.orders.nu)[:cand + 1] / gamma_nu1
+        if omega[cand] >= 1.0:
             raise NoContractionError(
-                f"omega={omega:.4g} >= 1 on the single lattice step up from "
+                f"omega={omega[cand]:.4g} >= 1 on the single lattice step up from "
                 f"{lo_val!r}; no admissible split exists"
             )
-        while m > 0:
-            w_next = _omega(p, lo_val, g.point(m - 1), gamma_nu1)
-            if w_next >= _OMEGA_MARGIN:
-                break
-            m -= 1
-            omega = w_next
-        blocks.append((m, omega))
+        over = np.flatnonzero(omega[:cand] >= _OMEGA_MARGIN)  # the nearest above cand ends it
+        m = int(over[-1]) + 1 if over.size else 0
+        blocks.append((m, float(omega[m])))
         lo_val = g.point(m)
-        cand = m - 1
+        base, cand = m + 1, m - 1
     return blocks
 
 

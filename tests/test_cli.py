@@ -155,6 +155,21 @@ class TestMlEvalCommand:
         assert float(lines["value"]) == pytest.approx(want, rel=1e-10)
         assert float(lines["ratio"]) == ml_bound_check(MLSpec(alpha, beta, lam, p), x).ratio
 
+    @pytest.mark.parametrize("beta", ["-20.5", "0"])
+    def test_term_on_a_gamma_pole_is_zero(self, beta, capsys):
+        # at alpha k + beta = 0, -1, ... the term 1/G_q is 0; the series goes on past it
+        import mpmath as mp
+
+        with mp.workdps(40):
+            q, z = mp.mpf("0.5"), mp.mpf("0.2")
+            ys = (mp.mpf("0.5") * k + mp.mpf(beta) for k in range(300))
+            want = float(mp.fsum(z**k / mp.qgamma(y, q) for k, y in enumerate(ys)
+                                 if not (y <= 0 and y == mp.floor(y))))
+        assert main(["ml-eval", "--q", "0.5", "--alpha", "0.5", "--beta", beta,
+                     "--lambda", "0.2", "--x", "1"]) == 0
+        lines = dict(line.split("=") for line in capsys.readouterr().out.splitlines())
+        assert float(lines["value"]) == pytest.approx(want, rel=1e-12)
+
     def test_nonpositive_x_keeps_ml_eval_message(self, capsys):
         assert main(["ml-eval", "--q", "0.5", "--alpha", "1", "--beta", "1",
                      "--lambda", "3", "--x", "0"]) == 2

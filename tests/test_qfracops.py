@@ -245,12 +245,15 @@ class TestHilfer:
         want = rl_derivative(u, ZERO, 0.6)
         assert np.array_equal(got.values, want.values)
 
-    def test_mu_one_is_caputo_of_alpha(self):
-        g = grid()
+    @pytest.mark.parametrize("q,depth", [(0.5, 200), (0.5, 1000), (0.98, 4000)])
+    @pytest.mark.parametrize("anchor", ["zero", "lattice"])
+    def test_mu_one_is_caputo_of_alpha(self, anchor, q, depth):
+        g = grid(q=q, depth=depth)
+        a = ZERO if anchor == "zero" else LatticePoint(int(0.85 * depth))
         o = FracOrders(alpha=0.7, beta=0.4, mu=1.0, n=1)
         u = sample(g, lambda x: x**1.5)
-        got = hilfer_derivative(u, ZERO, o)
-        want = caputo_derivative(u, ZERO, 0.7)
+        got = hilfer_derivative(u, a, o)
+        want = caputo_derivative(u, a, 0.7)
         assert np.array_equal(got.values, want.values)
 
     def test_kernel_annihilation_origin(self):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qfrac.errors import DivergenceError, DomainError, NonConvergenceError, PoleError
+from qfrac.errors import DivergenceError, DomainError, NonConvergenceError
 from qfrac.qcore import QParams, q_gamma, q_pochhammer_fractional
 from qfrac.qml import MLSpec, ml_bound_check, ml_eval, ml_terms
 
@@ -35,10 +35,14 @@ class TestMLSpec:
         with pytest.raises(DomainError):
             MLSpec(alpha=0.0, beta=1.0, lam=0.1, params=P5)
 
-    def test_beta_pole_surfaces_at_eval(self):
+    def test_beta_pole_term_is_zero(self):
+        # 1/G_q(-1) = 0: the series starts at k = 1 with lam x**alpha / G_q(-0.5)
         spec = MLSpec(alpha=0.5, beta=-1.0, lam=0.1, params=P5)
-        with pytest.raises(PoleError):
-            ml_eval(spec, 0.5)
+        total, terms = ml_terms(spec, 0.5)
+        assert terms[0] == 0.0 and terms[2] == 0.0
+        want = sum(0.1**k * 0.5 ** (0.5 * k) / q_gamma(P5, 0.5 * k - 1.0)
+                   for k in range(1, 60) if k != 2)
+        assert total == pytest.approx(want, rel=1e-13)
 
 
 class TestMLEval:

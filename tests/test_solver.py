@@ -11,7 +11,7 @@ from qfrac.errors import (
     NonConvergenceError,
     SampleError,
 )
-from qfrac.qcore import QParams, q_gamma, q_power_basis
+from qfrac.qcore import QParams, masked_power_basis, q_gamma, q_power_basis
 from qfrac.qgrid import GridFunction, LatticeGrid, LatticePoint, sample
 from qfrac.qfracops import FracOrders, hilfer_derivative
 from qfrac.solver import (
@@ -26,6 +26,7 @@ from qfrac.solver import (
     picard_solve,
     verify_equivalence,
 )
+from qfrac import solver
 from qfrac.problems import make_example41, make_example42, make_linear_problem
 
 P5 = QParams(0.5)
@@ -103,6 +104,74 @@ class TestInitialTerm:
             )
             assert y.values[m] == pytest.approx(want, abs=1e-10)
         assert np.all(y.values[m_a + 1:] == 0.0)
+
+
+@pytest.mark.parametrize("q,depth", [(0.5, 200), (0.9, 800), (0.98, 4000)])
+@pytest.mark.parametrize("base", ["origin", "interior", "below-grid"])
+def test_lattice_power_matches_scalar_basis(q, depth, base):
+    g = grid(q=q, depth=depth)
+    m_base = {"origin": None, "interior": int(0.85 * depth), "below-grid": depth + 1}[base]
+    x_base = 0.0 if m_base is None else g.b * g.q ** float(m_base)
+    for s in (-0.4, 0.0, 0.6, 1.0, 1.3):
+        got = solver._lattice_power(g, m_base, s)
+        want = np.array([masked_power_basis(g.params, x, x_base, s) for x in g.points])
+        assert np.array_equal(got == 0.0, want == 0.0), s
+        nz = want != 0.0
+        err = np.abs(got[nz] - want[nz]) / np.abs(want[nz])
+        assert err.max() <= 1e-13, (s, err.max())
+
+
+def scalar_split(p, g, m_a):
+    """The greedy split one lattice step at a time, on contraction_constant."""
+    blocks, lo = [], p.a
+    cand = g.depth if m_a is None else m_a - 1
+    while cand >= 0:
+        m = cand
+        omega = contraction_constant(p, lo, g.point(m))
+        if omega >= 1.0:
+            raise NoContractionError(f"omega={omega}")
+        while m > 0 and (w := contraction_constant(p, lo, g.point(m - 1))) < 0.9:
+            m, omega = m - 1, w
+        blocks.append((m, omega))
+        lo, cand = g.point(m), m - 1
+    return blocks
+
+
+def test_split_and_initial_term_match_scalar_reference():
+    rng = np.random.default_rng(11)
+    for case in range(60):
+        q = float(rng.uniform(0.3, 0.95))
+        g = grid(q=q, depth=int(rng.integers(40, 300)))
+        n = int(rng.integers(1, 3))
+        alpha, beta = n - 1 + rng.uniform(0.05, 1.0, size=2)
+        orders = FracOrders(float(alpha), float(beta), float(rng.uniform()), n)
+        m_a = None if case % 2 else int(rng.integers(g.depth // 4, g.depth))
+        p = make_problem(orders=orders, a=0.0 if m_a is None else g.point(m_a),
+                         xi=tuple(rng.uniform(-2.0, 2.0, size=n)),
+                         A=float(rng.uniform(0.2, 1.6)), params=g.params)
+        try:
+            want = scalar_split(p, g, m_a)
+        except NoContractionError:
+            with pytest.raises(NoContractionError):
+                solver._split_subintervals(p, g, m_a)
+            continue
+        got = solver._split_subintervals(p, g, m_a)
+        assert [m for m, _ in got] == [m for m, _ in want], case
+        w_got, w_want = np.array([w for _, w in got]), np.array([w for _, w in want])
+        assert np.all(np.abs(w_got - w_want) <= 1e-13 * w_want), case
+
+        base = 0.0 if m_a is None else g.point(m_a)
+        stop = g.depth + 1 if m_a is None else m_a + 1
+        y0 = np.zeros(g.depth + 1)
+        scale = np.zeros(g.depth + 1)
+        for k in range(1, n + 1):
+            basis = np.array([masked_power_basis(g.params, x, base, orders.gamma - k)
+                              for x in g.points[:stop]])
+            coef = p.xi[k - 1] / q_gamma(g.params, orders.gamma - k + 1.0)
+            y0[:stop] += coef * basis
+            scale[:stop] += abs(coef) * np.abs(basis)
+        got_y0 = initial_term(p, g).values
+        assert np.all(np.abs(got_y0 - y0) <= 1e-13 * scale), case
 
 
 class TestContractionConstant:
