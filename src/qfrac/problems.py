@@ -55,11 +55,11 @@ class BundledProblem:
 
 
 def make_example41(params: QParams, *, b: float = 1.0, anchor: float | None = None,
-                   anchor_exp: int = 10, lam: float = 1.0, delta: float = 0.2,
+                   lam: float = 1.0, delta: float = 0.2,
                    orders: FracOrders = DEFAULT_ORDERS) -> BundledProblem:
     """Quadratic-rhs problem with the singular exact solution.
 
-    Anchored at A (default b q**anchor_exp); requires 2 nu + delta < 1.  The
+    Anchored at A (default b q**10); requires 2 nu + delta < 1.  The
     rhs is lam * (x - q**(-v-d) A)^(v+d)_q / (x - q**(-2v-d) A)^v_q * y**2,
     which at x = A is the 0 * inf limit of the closed form and evaluates to 0.
     """
@@ -67,7 +67,7 @@ def make_example41(params: QParams, *, b: float = 1.0, anchor: float | None = No
     nu, dl = orders.nu, delta
     if 2 * nu + dl >= 1.0:
         raise DomainError(f"need 2*nu + delta < 1, got {2 * nu + dl}")
-    A = b * q**anchor_exp if anchor is None else anchor
+    A = b * q**10 if anchor is None else anchor
     num_base = q ** (-nu - dl) * A
     den_base = q ** (-2 * nu - dl) * A
     R = q_gamma(params, 1.0 - nu - dl) / q_gamma(params, 1.0 - 2.0 * nu - dl)
@@ -92,7 +92,7 @@ def make_example41(params: QParams, *, b: float = 1.0, anchor: float | None = No
 
 
 def make_example42(params: QParams, *, b: float = 1.0, anchor: float | None = None,
-                   anchor_exp: int = 20, lam: float = 1.0, delta: float = 0.2,
+                   lam: float = 1.0, delta: float = 0.2,
                    orders: FracOrders = DEFAULT_ORDERS) -> BundledProblem:
     """Square-root-rhs problem with exact solution (lam Gr)^2 (x-A)^(2v+2d)_q.
 
@@ -103,7 +103,7 @@ def make_example42(params: QParams, *, b: float = 1.0, anchor: float | None = No
     """
     q = params.q
     nu, dl = orders.nu, delta
-    A = b * q**anchor_exp if anchor is None else anchor
+    A = b * q**20 if anchor is None else anchor
     den_base = q ** (nu + 2 * dl) * A
     Gr = q_gamma(params, nu + 2 * dl + 1.0) / q_gamma(params, 2 * nu + 2 * dl + 1.0)
     amp = (lam * Gr) ** 2

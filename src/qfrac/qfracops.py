@@ -118,6 +118,20 @@ def _weights_for(grid, alpha: float) -> np.ndarray:
     return _kernel_weights(p.q, p.eps_product, p.max_terms, alpha, grid.depth + 1)
 
 
+def _lattice_sums(s: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Row sums sum_j w_j s_(m+j) of a 0-anchored lattice integral, for every row m of s.
+
+    One correlation, bit-identical to one np.dot per row: row 0, the one full
+    overlap, is an explicit np.dot, because numpy sums a full overlap of 2 to
+    11 terms in its own order.  w must hold at least len(s) weights; s must
+    not be empty.
+    """
+    n = len(s)
+    sums = np.correlate(s, w[:n], "full")[n - 1:]
+    sums[0] = np.dot(w[:n], s)
+    return sums
+
+
 def rl_integral(u: GridFunction, a: Anchor, alpha: float) -> GridFunction:
     """Riemann-Liouville fractional q-integral of order alpha > 0 from a.
 
@@ -125,10 +139,10 @@ def rl_integral(u: GridFunction, a: Anchor, alpha: float) -> GridFunction:
     domain.  With a lattice lower limit every value is an exact finite sum;
     anchored at 0 the sums truncate at the grid depth.
 
-    The sums are one correlation of s_k = x_k u_k with the offset-only
-    weights w_j, bit-identical to per-row np.dot sums; the prefactor
-    x_m**(alpha-1) (1-q)/G_q(alpha) multiplies the finished sums, because
-    folded into the weights it under- and overflows at deep indices.  No
+    The sums are :func:`_lattice_sums` of s_k = x_k u_k with the offset-only
+    weights w_j; the prefactor x_m**(alpha-1) (1-q)/G_q(alpha) multiplies the
+    finished sums, because folded into the weights it under- and overflows at
+    deep indices.  No
     FFT: its absolute error swamps the geometrically decaying deep values.
     No dense operator matrix: it costs (M+1)**2 memory.
     """
@@ -147,10 +161,7 @@ def rl_integral(u: GridFunction, a: Anchor, alpha: float) -> GridFunction:
     with np.errstate(over="ignore", invalid="ignore"):
         s = x * u.values
         if stop > 0:
-            sums = np.correlate(s[:stop], w[:stop], "full")[stop - 1:]
-            # numpy sums a full overlap of 2 to 11 terms in its own order, not np.dot's
-            sums[0] = np.dot(w[:stop], s[:stop])
-            out[:stop] = pref[:stop] * sums
+            out[:stop] = pref[:stop] * _lattice_sums(s[:stop], w)
     return GridFunction(g, out, domain_stop=min(top, u.domain_stop), guard=u.guard)
 
 

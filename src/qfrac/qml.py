@@ -47,14 +47,9 @@ class MLSpec:
 
 @dataclass(frozen=True)
 class MLBound:
-    """Convergence certificate: the term ratio falls to `ratio`, which must be < 1.
-
-    ``tail_bound`` is the uniform bound 1 / (ratio (1-q)) on the absolute
-    sum (infinite for lam = 0).
-    """
+    """Convergence certificate: the term ratio falls to `ratio`, which must be < 1."""
 
     ratio: float
-    tail_bound: float
 
 
 def ml_bound_check(spec: MLSpec, b: float) -> MLBound:
@@ -69,7 +64,7 @@ def ml_bound_check(spec: MLSpec, b: float) -> MLBound:
         r = abs(spec.lam) * b**spec.alpha * (1.0 - q) ** spec.alpha
     except OverflowError:
         raise DomainError(f"b**alpha leaves double range: b={b!r}, alpha={spec.alpha!r}") from None
-    return MLBound(ratio=r, tail_bound=math.inf if r == 0.0 else 1.0 / (r * (1.0 - q)))
+    return MLBound(ratio=r)
 
 
 def _ml_series(p: QParams, alpha: float, beta: float, lam: float,

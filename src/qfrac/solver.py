@@ -48,7 +48,7 @@ from .errors import (
     SampleError,
 )
 from .qcore import _INT_WINDOW, QParams, q_gamma, q_number, q_power_basis
-from .qfracops import FracOrders, _weights_for, hilfer_derivative, rl_integral
+from .qfracops import FracOrders, _lattice_sums, _weights_for, hilfer_derivative, rl_integral
 from .qml import MLSpec, _ml_series, _tail_within, ml_bound_check
 from .qgrid import (
     ZERO,
@@ -464,8 +464,9 @@ def linear_solve(p: LinearProblem, g: LatticeGrid) -> Solution:
 
     # forcing part: the Neumann series sum_m lam**m I^(nu(m+1)) f, t_m the term of
     # E_{nu,nu}.  By the splitting law the collapsed kernel (q**(j+1); q)_{nu-1}
-    # (q**(nu+j); q)_{m nu} is the I^(nu(m+1)) weight table.  As I^s 1 = x**s / G_q(s+1),
-    # term m is at most ||f|| b**nu |t_m| / [nu(m+1)]_q; the series stops on their sum
+    # (q**(nu+j); q)_{m nu} is the I^(nu(m+1)) weight table, so each term's row sums
+    # come from rl_integral's kernel _lattice_sums.  As I^s 1 = x**s / G_q(s+1), term m
+    # is at most ||f|| b**nu |t_m| / [nu(m+1)]_q; the series stops on their sum
     name = getattr(p.forcing, "__qualname__", repr(p.forcing))
     f_vals = sample(g, p.forcing, source=f"forcing {name}(x) value").values
     if np.any(f_vals != 0.0):
@@ -474,8 +475,7 @@ def linear_solve(p: LinearProblem, g: LatticeGrid) -> Solution:
         acc = np.zeros(M + 1)
         majorant = 0.0
         for m, (t, rho) in enumerate(_ml_series(params, nu, nu, lam, g.b)):
-            kernel = np.correlate(src, _weights_for(g, nu * (m + 1)), "full")[M:]
-            acc += t * xnu ** float(m) * kernel
+            acc += t * xnu ** float(m) * _lattice_sums(src, _weights_for(g, nu * (m + 1)))
             size = scale * abs(t) / q_number(params, nu * (m + 1))
             majorant += size
             if _tail_within(params, size, rho, majorant):

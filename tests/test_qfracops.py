@@ -12,6 +12,7 @@ from qfrac.qcore import QParams, q_gamma, q_power_basis
 from qfrac.qgrid import ZERO, GridFunction, LatticeGrid, LatticePoint, sample, tail_window
 from qfrac.qfracops import (
     FracOrders,
+    _lattice_sums,
     _weights_for,
     caputo_derivative,
     derivative_stage_cut,
@@ -151,6 +152,18 @@ class TestRLIntegralMatchesPerRowSum:
             assert (out.domain_stop, out.guard) == (domain_stop, guard)
             if a == LatticePoint(0):
                 assert not np.any(out.values)  # empty sums
+
+
+class TestLatticeSums:
+    # numpy sums a full overlap of 2 to 11 terms in its own order; row 0 must not
+    @pytest.mark.parametrize("n", [*range(2, 14), 200, 1001])
+    @pytest.mark.parametrize("extra", [0, 3])
+    def test_bit_identical_to_per_row_dot(self, n, extra):
+        rng = np.random.default_rng(n + 7 * extra)
+        s = rng.uniform(-1.0, 1.0, size=n) * 10.0 ** rng.uniform(-8, 8, size=n)
+        w = rng.uniform(0.0, 1.0, size=n + extra)
+        want = np.array([np.dot(w[: n - m], s[m:]) for m in range(n)])
+        assert np.array_equal(_lattice_sums(s, w), want)
 
 
 class TestRLDerivative:

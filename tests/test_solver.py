@@ -12,8 +12,8 @@ from qfrac.errors import (
     SampleError,
 )
 from qfrac.qcore import QParams, masked_power_basis, q_gamma, q_power_basis
-from qfrac.qgrid import GridFunction, LatticeGrid, LatticePoint, sample
-from qfrac.qfracops import FracOrders, hilfer_derivative
+from qfrac.qgrid import ZERO, GridFunction, LatticeGrid, LatticePoint, sample
+from qfrac.qfracops import FracOrders, hilfer_derivative, rl_integral
 from qfrac.solver import (
     CauchyProblem,
     LinearProblem,
@@ -319,6 +319,21 @@ class TestLinearSolve:
         sp = picard_solve(as_cauchy(lin), g, tol=1e-13, max_iter=300)
         assert l1(g, sc.y.values - sp.y.values) < 1e-7 * l1(g, sc.y.values)
 
+    @pytest.mark.parametrize("q, depth, lam, f", [
+        (0.5, 200, 0.4, lambda x: 1.0),
+        (0.9, 800, -2.0, lambda x: x),
+        (0.5, 8, 0.4, lambda x: 1.0 + x),
+    ])
+    def test_forcing_part_is_neumann_series_of_rl_integral(self, q, depth, lam, f):
+        # the forcing part is sum_(m<K) lam**m I^(nu(m+1)) f, K its series length
+        g = grid(q=q, depth=depth)
+        o = FracOrders(alpha=0.8, beta=0.6, mu=0.0, n=1)  # nu = 0.6
+        sol = linear_solve(make_linear_problem(g.params, o, lam, f, (0.0,)), g)
+        u = sample(g, f)
+        want = sum(lam**m * rl_integral(u, ZERO, o.nu * (m + 1)).values
+                   for m in range(sol.iterations_per_interval[0]))
+        assert np.all(np.abs(sol.y.values - want) <= 1e-13 * np.abs(want))
+
     def test_superposition(self):
         g = grid()
         o = FracOrders(alpha=0.9, beta=0.7, mu=0.0, n=1)
@@ -421,7 +436,7 @@ class TestLinearSolveNearQOne:
 class TestBundledProblems:
     def test_singular_example_operator_identity(self):
         p = QParams(0.5)
-        bp = make_example41(p, anchor_exp=10)
+        bp = make_example41(p)
         g = LatticeGrid(b=1.0, depth=60, params=p)
         y = sample(g, bp.exact)
         h = hilfer_derivative(y, LatticePoint(10), bp.problem.orders)
@@ -433,14 +448,14 @@ class TestBundledProblems:
     def test_sqrt_example_needs_seed(self):
         # from the zero initial term the iteration fixes the trivial branch
         p = QParams(0.5)
-        bp = make_example42(p, anchor_exp=20)
+        bp = make_example42(p)
         g = LatticeGrid(b=1.0, depth=40, params=p)
         sol = picard_solve(bp.problem, g, tol=1e-11, max_iter=500)
         assert np.all(sol.y.values == 0.0)
 
     def test_sqrt_example_reaches_closed_form_with_seed(self):
         p = QParams(0.5)
-        bp = make_example42(p, anchor_exp=20)
+        bp = make_example42(p)
         g = LatticeGrid(b=1.0, depth=40, params=p)
         seed = sample(g, lambda x: bp.seed_value)
         sol = picard_solve(bp.problem, g, tol=1e-11, max_iter=500, y_init=seed)
@@ -449,7 +464,7 @@ class TestBundledProblems:
 
     def test_equivalence_both_directions(self):
         p = QParams(0.5)
-        bp = make_example42(p, anchor_exp=20)
+        bp = make_example42(p)
         g = LatticeGrid(b=1.0, depth=40, params=p)
         exact = sample(g, bp.exact)
         rep = verify_equivalence(bp.problem, exact, 1e-5)
@@ -458,7 +473,7 @@ class TestBundledProblems:
 
     def test_perturbed_solution_flagged(self):
         p = QParams(0.5)
-        bp = make_example42(p, anchor_exp=20)
+        bp = make_example42(p)
         g = LatticeGrid(b=1.0, depth=40, params=p)
         vals = sample(g, bp.exact).values.copy()
         vals[1] += 0.1
@@ -468,7 +483,7 @@ class TestBundledProblems:
 
     def test_report_never_raises(self):
         p = QParams(0.5)
-        bp = make_example42(p, anchor_exp=20)
+        bp = make_example42(p)
         g_wrong = LatticeGrid(b=2.0, depth=20, params=p)  # anchor off-lattice
         rep = verify_equivalence(bp.problem, sample(g_wrong, lambda x: x), 1e-5)
         assert not rep.passed and rep.detail

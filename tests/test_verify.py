@@ -1,6 +1,9 @@
 """The verify check registry: check names and crash reporting."""
 
 from qfrac import verify
+from qfrac.qcore import QParams
+from qfrac.qfracops import rl_integral
+from qfrac.qgrid import ZERO, LatticeGrid, sample
 
 
 def test_check_names_unique_and_not_substrings_of_each_other():
@@ -42,3 +45,10 @@ def test_check_draws_do_not_depend_on_registry_position(monkeypatch):
                         [("demo.inserted", lambda rng, thorough: "x"), *verify._REGISTRY])
     after = verify.run_checks(seed=3, pattern=name)
     assert before[0].passed and after == before
+
+
+def test_classical_limit_row_is_rl_integral_row_zero():
+    # the q -> 1 check evaluates only row 0; it must stay rl_integral's bits
+    g = LatticeGrid(b=1.0, depth=3000, params=QParams(0.999, max_terms=200_000))
+    u = sample(g, lambda t: t)
+    assert verify._rl_integral_at_b(u, 0.5) == rl_integral(u, ZERO, 0.5).values[0]
