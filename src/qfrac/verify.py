@@ -1087,7 +1087,12 @@ def _chk_contraction_practice(rng, thorough):
 
 
 def _rl_integral_at_b(u: GridFunction, alpha: float) -> float:
-    """(I^alpha u)(b) from 0: row 0 of :func:`qfrac.qfracops.rl_integral` alone, same bits."""
+    """(I^alpha u)(b) from 0: row 0 of :func:`qfrac.qfracops.rl_integral` alone.
+
+    One dot product over the full row: the bits of rl_integral's row 0 when it
+    sums full rows, as it does at q near 1, where the summands do not decay
+    below roundoff within the grid.
+    """
     g = u.grid
     pref = g.b ** (alpha - 1.0) * (1.0 - g.q) / q_gamma(g.params, alpha)
     return pref * np.dot(_weights_for(g, alpha), g.points * u.values)

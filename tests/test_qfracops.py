@@ -12,6 +12,7 @@ from qfrac.qcore import QParams, q_gamma, q_power_basis
 from qfrac.qgrid import ZERO, GridFunction, LatticeGrid, LatticePoint, sample, tail_window
 from qfrac.qfracops import (
     FracOrders,
+    _band_width,
     _lattice_sums,
     _weights_for,
     caputo_derivative,
@@ -20,6 +21,7 @@ from qfrac.qfracops import (
     rl_derivative,
     rl_integral,
 )
+from qfrac.solver import _lattice_power
 from qfrac.verify import hilfer_derivative_raw
 
 P5 = QParams(0.5)
@@ -134,6 +136,25 @@ def per_row_rl_integral(u, a, alpha):
     return out, min(top, u.domain_stop), u.guard
 
 
+EPS = 2.0**-53
+
+
+def per_row_sums(s, w):
+    """Reference row sums, one np.dot per row, and their scales sum_j w_j |s_(m+j)|."""
+    n = len(s)
+    want = np.array([np.dot(w[: n - m], s[m:]) for m in range(n)])
+    mag = np.array([np.dot(w[: n - m], np.abs(s[m:])) for m in range(n)])
+    return want, mag
+
+
+def assert_rows_close(got, want, mag, n):
+    """Relative 1e-14 on every row whose |sum| is above the roundoff n eps sum|w s|."""
+    rows = np.abs(want) > n * EPS * mag
+    assert np.all(np.abs(got - want)[rows] <= 1e-14 * np.abs(want)[rows])
+
+
+# The test ids below predate the band: the kernel's contract is the tolerance
+# of assert_rows_close against per-row dot products, not bit-identity.
 class TestRLIntegralMatchesPerRowSum:
     @pytest.mark.parametrize("q", [0.5, 0.98])
     @pytest.mark.parametrize("depth", [8, 200, 1000])
@@ -145,25 +166,118 @@ class TestRLIntegralMatchesPerRowSum:
         u = GridFunction(g, vals, guard=2)
         a = {"zero": ZERO, 0: LatticePoint(0), 1: LatticePoint(1),
              "0.85M": LatticePoint(round(0.85 * depth)), "M": LatticePoint(depth)}[anchor]
+        stop = depth + 1 if a is ZERO else a.index
         for alpha in (0.35, 0.75, 1.5):
             out = rl_integral(u, a, alpha)
             want, domain_stop, guard = per_row_rl_integral(u, a, alpha)
-            assert np.array_equal(out.values, want)
             assert (out.domain_stop, out.guard) == (domain_stop, guard)
             if a == LatticePoint(0):
                 assert not np.any(out.values)  # empty sums
+                continue
+            pref = g.points[:stop] ** (alpha - 1.0) * (1.0 - q) / q_gamma(g.params, alpha)
+            _, mag = per_row_sums(g.points[:stop] * vals[:stop], _weights_for(g, alpha))
+            assert_rows_close(out.values[:stop], want[:stop], pref * mag, stop)
+            assert not np.any(out.values[stop:])
 
 
 class TestLatticeSums:
-    # numpy sums a full overlap of 2 to 11 terms in its own order; row 0 must not
     @pytest.mark.parametrize("n", [*range(2, 14), 200, 1001])
     @pytest.mark.parametrize("extra", [0, 3])
     def test_bit_identical_to_per_row_dot(self, n, extra):
         rng = np.random.default_rng(n + 7 * extra)
         s = rng.uniform(-1.0, 1.0, size=n) * 10.0 ** rng.uniform(-8, 8, size=n)
-        w = rng.uniform(0.0, 1.0, size=n + extra)
-        want = np.array([np.dot(w[: n - m], s[m:]) for m in range(n)])
-        assert np.array_equal(_lattice_sums(s, w), want)
+        w = np.sort(rng.uniform(0.0, 1.0, size=n + extra))  # positive, monotone
+        assert_rows_close(_lattice_sums(s, w), *per_row_sums(s, w), n)
+
+
+def full_sums(s, w):
+    n = len(s)
+    return np.correlate(s, w[:n], "full")[n - 1:]
+
+
+class TestBandCertificate:
+    """The banded sums against the full correlation on the short-memory probe family."""
+
+    @staticmethod
+    def summands(q, depth, anchor, p):
+        g = grid(q=q, depth=depth)
+        m_a = None if anchor == "zero" else round(0.85 * depth)
+        stop = depth + 1 if m_a is None else m_a
+        return g, g.points[:stop] * _lattice_power(g, m_a, p)[:stop]
+
+    @staticmethod
+    def assert_within_bound(s, w):
+        # the dropped part is at most 2**-53 |full|; 16 eps sum w|s| covers summation order
+        got, want = _lattice_sums(s, w), full_sums(s, w)
+        slack = 16.0 * EPS * full_sums(np.abs(s), w)
+        assert np.all(np.abs(got - want) <= EPS * np.abs(want) + slack)
+        return got, want
+
+    @pytest.mark.parametrize("q, depth", [(0.5, 1000), (0.98, 4000)])
+    @pytest.mark.parametrize("anchor", ["zero", "0.85M"])
+    @pytest.mark.parametrize("p", [0.4, -0.3, 1.6])
+    def test_power_inputs(self, q, depth, anchor, p):
+        g, s = self.summands(q, depth, anchor, p)
+        for alpha in (0.3, 0.75, 1.0, 1.4):
+            w = _weights_for(g, alpha)
+            L, _ = _band_width(s, w)
+            got, want = self.assert_within_bound(s, w)
+            # s ~ q**(k(p+1)): the band is taken unless that decay is too slow for half the row
+            if q == 0.98 and p < 0.0:
+                assert 2 * L > len(s) and np.array_equal(got, want)
+            else:
+                assert 2 * L <= len(s)
+
+    @pytest.mark.parametrize("q, depth", [(0.5, 1000), (0.98, 4000)])
+    @pytest.mark.parametrize("sign", ["alternating", "cos3k"])
+    def test_sign_changing_inputs(self, q, depth, sign):
+        g, s = self.summands(q, depth, "zero", 0.4)
+        k = np.arange(len(s))
+        s = s * ((-1.0) ** k if sign == "alternating" else np.cos(3.0 * k))
+        for alpha in (0.3, 0.75, 1.4):
+            self.assert_within_bound(s, _weights_for(g, alpha))
+
+    def test_cancelled_row_falls_back_to_full_sums(self):
+        g, s = self.summands(0.5, 1000, "zero", 0.4)
+        w = _weights_for(g, 0.75)
+        L, _ = _band_width(s, w)
+        s[100:100 + L] = 0.0  # row 100's band sums to 0 while its tail does not
+        assert _band_width(s, w)[0] == L
+        got = _lattice_sums(s, w)
+        assert np.array_equal(got, full_sums(s, w)) and got[100] > 0.0
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_deep_summand_gives_full_sums(self, bad):
+        g, s = self.summands(0.5, 1000, "zero", 0.4)
+        s[700] = bad
+        w = _weights_for(g, 0.75)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _band_width(s, w) == (len(s), None)  # no band is tried
+        got, want = _lattice_sums(s, w), full_sums(s, w)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.flatnonzero(~np.isfinite(got)).tolist() == list(range(701))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_overflowing_suffix_sum_is_quiet_and_full(self, sign):
+        s = 1e306 * sign ** np.arange(1001)  # finite, but sum|s| overflows
+        w = _weights_for(grid(depth=1000), 0.75)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _lattice_sums(s, w)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.array_equal(got, full_sums(s, w), equal_nan=True)
+
+    def test_non_finite_sum_names_the_same_index(self):
+        # x u overflows at index 30 of a b = 1e10 grid; GridFunction names the first bad row
+        g = grid(depth=1000, b=1e10)
+        vals = g.points**0.4
+        vals[30] = 1e308
+        u = GridFunction(g, vals)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = per_row_rl_integral(u, ZERO, 0.75)[0]
+        first = int(np.flatnonzero(~np.isfinite(want))[0])
+        with pytest.raises(DomainError, match=f"non-finite value at lattice index {first}$"):
+            rl_integral(u, ZERO, 0.75)
 
 
 class TestRLDerivative:

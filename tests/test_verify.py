@@ -48,7 +48,7 @@ def test_check_draws_do_not_depend_on_registry_position(monkeypatch):
 
 
 def test_classical_limit_row_is_rl_integral_row_zero():
-    # the q -> 1 check evaluates only row 0; it must stay rl_integral's bits
+    # the q -> 1 check evaluates only row 0; near q = 1 rl_integral sums full rows, same bits
     g = LatticeGrid(b=1.0, depth=3000, params=QParams(0.999, max_terms=200_000))
     u = sample(g, lambda t: t)
     assert verify._rl_integral_at_b(u, 0.5) == rl_integral(u, ZERO, 0.5).values[0]
