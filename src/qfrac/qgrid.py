@@ -193,12 +193,12 @@ class GridFunction:
 
     def to_csv(self, target) -> None:
         """Write `m,x,value` rows; floats carry 17 significant digits."""
+        rows = zip(self.grid.points.tolist(), self.values.tolist())
+        body = "".join([f"{m},{x:.17g},{v:.17g}\n" for m, (x, v) in enumerate(rows)])
         own = isinstance(target, (str, bytes))
         fh = open(target, "w", encoding="utf-8") if own else target
         try:
-            fh.write("m,x,value\n")
-            for m, (x, v) in enumerate(zip(self.grid.points, self.values)):
-                fh.write(f"{m},{x:.17g},{v:.17g}\n")
+            fh.write("m,x,value\n" + body)
         finally:
             if own:
                 fh.close()

@@ -250,6 +250,10 @@ class TestOutsideInputFailures:
             LINEAR_INI, ("b = 1.0", "b = 1e300"), ("depth = 200", "depth = 40"),
             ("lambda = 0.4", "lambda = 1e-200"), ("forcing = const:1", "forcing = x^2")),
             2, "non-finite forcing"),
+        "picard-integral-overflows": (SOLVE, _edit(LINEAR_INI, ("forcing = const:1",
+                                      "forcing = const:1e308")), 2,
+                                      "Picard integral I^0.6 f(., y) is not finite at lattice "
+                                      "index 0 (x=1.0)"),
         "linear-lipschitz-zero": (SOLVE, _edit(LINEAR_INI, ("lipschitz_a = 0.4",
                                   "lipschitz_a = 0")), 2, "lipschitz_A must be positive"),
         "b-negative": (SOLVE, _edit(LINEAR_INI, ("b = 1.0", "b = -1")), 2,

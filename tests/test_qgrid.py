@@ -165,6 +165,15 @@ class TestGridFunction:
         assert np.array_equal(back.values, u.values)
         assert back.grid.depth == g.depth and back.grid.b == g.b
 
+    def test_csv_text_matches_per_row_format(self):
+        g = grid(depth=30)
+        vals = np.random.default_rng(4).standard_normal(31) * 1e3
+        vals[:6] = [-2.5, 0.0, -0.0, 5e-324, -2.2e-310, 1e300]
+        u = GridFunction(g, vals)
+        want = "m,x,value\n" + "".join(f"{m},{x:.17g},{v:.17g}\n"
+                                       for m, (x, v) in enumerate(zip(g.points, u.values)))
+        assert u.to_csv_text() == want
+
     def test_csv_header_checked(self):
         with pytest.raises(DomainError):
             GridFunction.from_csv(io.StringIO("x,y\n0,1\n"), P5)

@@ -12,7 +12,16 @@ from qfrac.errors import (
     SampleError,
 )
 from qfrac.qcore import QParams, masked_power_basis, q_gamma, q_power_basis
-from qfrac.qgrid import ZERO, GridFunction, LatticeGrid, LatticePoint, sample
+from qfrac.qgrid import (
+    ZERO,
+    GridFunction,
+    LatticeGrid,
+    LatticePoint,
+    _sum_range,
+    anchor_index,
+    lattice_locate,
+    sample,
+)
 from qfrac.qfracops import FracOrders, hilfer_derivative, rl_integral
 from qfrac.solver import (
     CauchyProblem,
@@ -26,7 +35,7 @@ from qfrac.solver import (
     picard_solve,
     verify_equivalence,
 )
-from qfrac import solver
+from qfrac import qfracops, solver
 from qfrac.problems import make_example41, make_example42, make_linear_problem
 
 P5 = QParams(0.5)
@@ -281,6 +290,81 @@ class TestPicard:
             for i in range(1, len(diffs) - 1):
                 if diffs[i] > 1e-13:
                     assert diffs[i + 1] <= (omega + 0.05) * diffs[i]
+
+
+def reference_picard(p, g, tol, max_iter, y_init=None):
+    """The sweep before the frozen-history split: rl_integral on the whole iterate."""
+    anchor = lattice_locate(g, p.a)
+    m_a = anchor_index(anchor)
+    y0 = initial_term(p, g)
+    blocks = solver._split_subintervals(p, g, m_a)
+    domain_lo = g.depth + 1 if m_a is None else m_a
+    y = (y0.values if y_init is None else y_init.values).copy()
+    if m_a is not None:
+        y[m_a] = y0.values[m_a]
+        y[m_a + 1:] = 0.0
+    f_vals = np.zeros(g.depth + 1)
+    frozen_hi, iterations = domain_lo, []
+    for upper, _ in blocks:
+        it = 0
+        while True:
+            it += 1
+            solver._rhs_values(p, g, y, f_vals, upper, domain_lo)
+            f_gf = GridFunction(g, f_vals, domain_stop=y0.domain_stop)
+            integ = rl_integral(f_gf, anchor, p.orders.nu).values
+            y_new = y.copy()
+            y_new[upper:frozen_hi] = y0.values[upper:frozen_hi] + integ[upper:frozen_hi]
+            d = _sum_range(g, np.abs(y_new - y), upper, frozen_hi)
+            y = y_new
+            if d < tol:
+                break
+            assert it < max_iter
+        iterations.append(it)
+        frozen_hi = upper
+    return y, tuple(iterations), blocks
+
+
+def _picard_cases():
+    p9 = QParams(0.9)
+    o = FracOrders(alpha=0.8, beta=0.6, mu=0.0, n=1)
+    linear = make_problem(orders=o, rhs=lambda x, y: 1.5 * y + 1.0, A=1.5, params=p9)
+    bp = make_example42(P5)
+    g42 = LatticeGrid(b=1.0, depth=40, params=P5)
+    lin2 = make_linear_problem(P5, FracOrders(alpha=1.9, beta=1.3, mu=0.4, n=2), lam=0.3,
+                               forcing=lambda x: 1.0 + x, xi=(0.8, -0.5))
+    return {
+        "origin-four-blocks": (linear, grid(q=0.9, depth=800), None, 4),
+        "example42-seeded": (bp.problem, g42, sample(g42, lambda x: bp.seed_value), 2),
+        "two-data-orders": (as_cauchy(lin2), grid(), None, None),
+    }
+
+
+@pytest.mark.parametrize("case", ["origin-four-blocks", "example42-seeded", "two-data-orders"])
+def test_sweep_matches_whole_iterate_reference(case, monkeypatch):
+    p, g, y_init, n_blocks = _picard_cases()[case]
+    tol, max_iter = 1e-12, 500
+    want, want_its, want_blocks = reference_picard(p, g, tol, max_iter, y_init)
+    lengths = []
+
+    def recorded(s, w):
+        lengths.append(len(s))
+        return qfracops._lattice_sums(s, w)
+
+    monkeypatch.setattr(solver, "_lattice_sums", recorded)
+    sol = picard_solve(p, g, tol=tol, max_iter=max_iter, y_init=y_init)
+    assert sol.iterations_per_interval == want_its
+    assert sol.subinterval_boundaries == tuple(m for m, _ in want_blocks)
+    assert sol.omega_per_interval == tuple(w for _, w in want_blocks)
+    assert n_blocks is None or len(want_blocks) == n_blocks
+    assert np.all(np.abs(sol.y.values - want) <= 1e-14 * np.abs(want))
+    # each block sums its frozen history once, then only its own B entries per sweep
+    m_a = anchor_index(lattice_locate(g, p.a))
+    domain_lo = g.depth + 1 if m_a is None else m_a
+    expect, frozen_hi = [], domain_lo
+    for upper, its in zip(sol.subinterval_boundaries, sol.iterations_per_interval):
+        expect += [domain_lo - upper] * (frozen_hi < domain_lo) + [frozen_hi - upper] * its
+        frozen_hi = upper
+    assert lengths == expect
 
 
 class TestLinearSolve:
