@@ -128,7 +128,7 @@ def _capped_length(p: QParams, log_mag: float) -> int:
     return n
 
 
-def q_pochhammer_infinite(p: QParams, a: float) -> float:
+def q_pochhammer_infinite(p: QParams, a: float | np.ndarray) -> float | np.ndarray:
     """Truncated infinite product (a; q)_inf = prod_{k>=0} (1 - a q**k).
 
     Truncation stops once the geometric tail bound falls below eps_product
@@ -137,11 +137,17 @@ def q_pochhammer_infinite(p: QParams, a: float) -> float:
     close to 1 the true value can be smaller than the double range and the
     product underflows to 0; ratio-based callers go through the log-space
     kernel instead, which this direct product serves as a reference for.
+
+    An array of a gives one product per entry, every entry truncated at the
+    length the largest |a| needs; a float gives a float.
     """
-    if a == 0.0:
-        return 1.0
-    n = _capped_length(p, math.log(abs(a)))
-    return float(np.prod(1.0 - a * p.q ** np.arange(n)))
+    a = np.asarray(a, dtype=float)
+    top = float(np.max(np.abs(a), initial=0.0))
+    if top == 0.0:
+        return 1.0 if a.ndim == 0 else np.ones(a.shape)
+    n = _capped_length(p, math.log(top))
+    out = np.prod(1.0 - np.multiply.outer(a, p.q ** np.arange(n)), axis=-1)
+    return float(out) if a.ndim == 0 else out
 
 
 def _log_poch(p: QParams, a: float, s: float) -> tuple[float, float]:

@@ -247,14 +247,14 @@ def sample(g: LatticeGrid, f: Callable[[float], float], source: str = "sample") 
 
     Raises SampleError (carrying the offending index, and naming f by
     ``source``) if f returns a non-finite value, or overflows a float power,
-    anywhere on the lattice.
+    anywhere on the lattice.  f runs on every point before the values are
+    checked; the error names the first bad index.
     """
-    vals = np.empty(g.depth + 1)
-    for m, x in enumerate(g.points):
-        v = _value_at(f, float(x))
-        if not np.isfinite(v):
-            raise SampleError(m, float(x), v, source)
-        vals[m] = v
+    vals = np.array([_value_at(f, x) for x in g.points.tolist()])
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        m = int(bad[0])
+        raise SampleError(m, float(g.points[m]), float(vals[m]), source)
     return GridFunction(g, vals)
 
 

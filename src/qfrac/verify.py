@@ -31,10 +31,8 @@ from .errors import DepthError, DivergenceError, NonConvergenceError
 from .qcore import (
     _INT_WINDOW,
     QParams,
-    masked_power_basis,
     q_factorial,
     q_gamma,
-    q_gamma_ratio,
     q_number,
     q_pochhammer_finite,
     q_pochhammer_fractional,
@@ -66,6 +64,7 @@ from .qgrid import (
 from .qml import MLSpec, ml_bound_check, ml_eval, ml_terms
 from .solver import (
     CauchyProblem,
+    _lattice_power,
     as_cauchy,
     contraction_constant,
     initial_term,
@@ -348,7 +347,7 @@ def _chk_integral_identity(rng, thorough):
         p = g.params
         for alpha, lam in _identity_draws(rng, thorough):
             for m_a, anchor, base in _anchors(g, 4):
-                u = sample(g, lambda x: masked_power_basis(p, x, base, lam))
+                u = GridFunction(g, _lattice_power(g, m_a, lam))
                 got = rl_integral(u, anchor, alpha)
                 coef = q_gamma(p, lam + 1.0) / q_gamma(p, alpha + lam + 1.0)
                 if m_a is None:
@@ -381,7 +380,7 @@ def _chk_derivative_identity(rng, thorough):
             alpha = float(rng.uniform(0.02, min(lam, 2.0))) if lam > 0.04 else 0.02
             n = math.ceil(alpha)
             for m_a, anchor, base in _anchors(g, 4):
-                u = sample(g, lambda x: masked_power_basis(p, x, base, lam))
+                u = GridFunction(g, _lattice_power(g, m_a, lam))
                 got = rl_derivative(u, anchor, alpha)
                 coef = q_gamma(p, lam + 1.0) / q_gamma(p, lam + 1.0 - alpha)
                 if m_a is None:
@@ -403,7 +402,6 @@ def _chk_annihilation(rng, thorough):
     worst = 0.0
     for q in Q_SET:
         g = _grid(q)
-        p = g.params
         for _ in range(count):
             lam = float(rng.uniform(-0.5, 1.0))
             k = int(rng.integers(1, 3))
@@ -411,8 +409,8 @@ def _chk_annihilation(rng, thorough):
             if alpha <= 0.02 or alpha > 2.0:
                 continue
             n = math.ceil(alpha)
-            for m_a, anchor, base in _anchors(g, 4):
-                u = sample(g, lambda x: masked_power_basis(p, x, base, lam))
+            for m_a, anchor, _ in _anchors(g, 4):
+                u = GridFunction(g, _lattice_power(g, m_a, lam))
                 got = rl_derivative(u, anchor, alpha)
                 stop = (m_a - n) if m_a is not None else min(
                     tail_window(q, g.depth, lam + 1.0, alpha - lam),
@@ -494,15 +492,13 @@ def _chk_decomposition(rng, thorough):
     worst = 0.0
     for q in Q_SET:
         g = _grid(q)
-        p = g.params
         for _ in range(count):
             al = float(rng.uniform(0.1, 1.8))
             lam = float(rng.uniform(al + 0.1, al + 1.5))
             n = math.ceil(al)
             m_a = 6
-            base = g.point(m_a)
             anchor = LatticePoint(m_a)
-            u = sample(g, lambda x: masked_power_basis(p, x, base, lam))
+            u = GridFunction(g, _lattice_power(g, m_a, lam))
             recon = rl_integral(rl_derivative(u, anchor, al), anchor, al)
             # boundary terms of the decomposition: D^(al-k) u at a; asserted
             # numerically rather than assumed to vanish
@@ -550,12 +546,12 @@ def _chk_boundedness(rng, thorough):
 # --------------------------------------------------------------------------
 
 
-def _reduction_family(g, base):
+def _reduction_family(g, m_a):
     return [
         sample(g, lambda x: 1.0),
         sample(g, lambda x: x),
         sample(g, lambda x: x**1.5),
-        sample(g, lambda x: masked_power_basis(g.params, x, base, 1.25)),
+        GridFunction(g, _lattice_power(g, m_a, 1.25)),
     ]
 
 
@@ -569,10 +565,10 @@ def _reduction(rng, label: str, draw) -> str:
     for q in Q_SET:
         g = _grid(q)
         ords, reference = draw(rng)
-        for m_a, anchor, base in _anchors(g, 6):
+        for m_a, anchor, _ in _anchors(g, 6):
             stop = (m_a - 1 if m_a is not None
                     else tail_window(q, g.depth, 1.0, 0.0, target=1e-11))
-            for u in _reduction_family(g, base):
+            for u in _reduction_family(g, m_a):
                 h, d = hilfer_derivative(u, anchor, ords).values, reference(u, anchor).values
                 worst = max(worst, _rel_l1(h - d, d, g, stop))
     assert worst < 1e-7, f"{label} reduction rel err {worst:.3e} >= 1e-7"
@@ -629,7 +625,7 @@ def _chk_hilfer_raw(rng, thorough):
             beta = float(rng.uniform(n - 1 + 0.1, n))
             mu = float(rng.uniform(0.0, 1.0))
             ords = FracOrders(alpha=alpha, beta=beta, mu=mu, n=n)
-            for u in _reduction_family(g, g.point(6)):
+            for u in _reduction_family(g, 6):
                 a_form = hilfer_derivative(u, LatticePoint(6), ords).values
                 b_form = hilfer_derivative_raw(u, LatticePoint(6), ords).values
                 worst = max(worst, _rel_l1(a_form - b_form, a_form, g, 6 - n))
@@ -646,17 +642,16 @@ def _chk_kernel_annihilation(rng, thorough):
     worst = 0.0
     for q in Q_SET:
         g = _grid(q)
-        p = g.params
         for n in (1, 2):
             alpha = float(rng.uniform(n - 1 + 0.15, n))
             beta = float(rng.uniform(n - 1 + 0.15, n))
             mu = float(rng.uniform(0.0, 1.0))
             ords = FracOrders(alpha=alpha, beta=beta, mu=mu, n=n)
             gamma = ords.gamma
-            for m_a, anchor, base in _anchors(g, 6):
+            for m_a, anchor, _ in _anchors(g, 6):
                 k_max = n if m_a is None else n - 1
                 for k in range(1, k_max + 1):
-                    u = sample(g, lambda x: masked_power_basis(p, x, base, gamma - k))
+                    u = GridFunction(g, _lattice_power(g, m_a, gamma - k))
                     h = hilfer_derivative(u, anchor, ords)
                     stop = ((m_a - n) if m_a is not None
                             else min(tail_window(q, g.depth, gamma - n + 1.0, k),
@@ -692,39 +687,26 @@ def _chk_hilfer_linearity(rng, thorough):
 
 def _ml_oracle(spec: MLSpec, x: float, a: float,
                n_terms: int = 500) -> tuple[float, float]:
-    """Independent brute-force partial sum: per-term log-space evaluation.
+    """Independent brute-force partial sum from arrays of direct products.
 
-    Each term is computed from scratch (fresh full products, log-magnitude
-    arithmetic), sharing nothing with the production ratio recurrence.
-    Returns (sum, sum of |terms|); the latter is the conditioning scale of
-    the alternating series.
+    The G_q and (c; q)_(k alpha) factors of all terms (c = a/x, 0 <= a < x,
+    so every factor is positive) are fresh direct products from
+    :func:`qfrac.qcore.q_pochhammer_infinite`, one array each, combined in log
+    magnitude; nothing is shared with ``qml``'s ratio recurrence or with the
+    log-space product kernel.  Returns (sum, sum of |terms|); the latter is
+    the conditioning scale of the alternating series.
     """
     p = spec.params
-    euler = math.log(q_pochhammer_infinite(p, p.q))
-    log1q = math.log(1.0 - p.q)
-    c = a / x
-    total = 0.0
-    total_abs = 0.0
-    for k in range(n_terms):
-        y = spec.alpha * k + spec.beta
-        log_gamma = euler - math.log(q_pochhammer_infinite(p, p.q**y)) + (1.0 - y) * log1q
-        if k == 0:
-            term = math.exp(-log_gamma)
-            total += term
-            total_abs += abs(term)
-            if spec.lam == 0.0:
-                break
-            continue
-        poch = q_pochhammer_fractional(p, c, k * spec.alpha) if c else 1.0
-        if poch == 0.0:
-            continue
-        mag = (k * math.log(abs(spec.lam)) + k * spec.alpha * math.log(x)
-               + math.log(abs(poch)))
-        sign = (1.0 if spec.lam > 0.0 else -1.0) ** k * (1.0 if poch > 0.0 else -1.0)
-        term = sign * math.exp(mag - log_gamma)
-        total += term
-        total_abs += abs(term)
-    return total, total_abs
+    k = np.arange(n_terms if spec.lam else 1)
+    y = spec.alpha * k + spec.beta
+    log_gamma = (math.log(q_pochhammer_infinite(p, p.q)) - np.log(q_pochhammer_infinite(p, p.q**y))
+                 + (1.0 - y) * math.log(1.0 - p.q))
+    shifted = q_pochhammer_infinite(p, a / x * p.q ** (spec.alpha * k))  # (c q**(k alpha); q)_inf
+    mag = np.log(shifted[0] / shifted) - log_gamma
+    if spec.lam:
+        mag += k * (math.log(abs(spec.lam)) + spec.alpha * math.log(x))
+    terms = (-1.0 if spec.lam < 0.0 else 1.0) ** k * np.exp(mag)
+    return float(terms.sum()), float(np.abs(terms).sum())
 
 
 @_register("qml.series-oracle")
@@ -788,10 +770,11 @@ def _chk_ml_term_ratio(rng, thorough):
         a = 0.0 if rng.random() < 0.5 else x * q ** int(rng.integers(1, 5))
         spec = MLSpec(alpha=alpha, beta=beta, lam=lam, params=p)
         _, terms = ml_terms(spec, x, a)
-        cap = max(
-            q_gamma_ratio(p, alpha * k + beta, alpha) * (1.0 - q) ** (-alpha)
-            for k in range(len(terms))
-        )
+        # G_q(y_k) / G_q(y_k + alpha) (1-q)**(-alpha) over y_k = alpha k + beta, as
+        # direct products: (q**(y_k + alpha); q)_inf / (q**y_k; q)_inf
+        y = alpha * np.arange(len(terms)) + beta
+        cap = float(np.max(q_pochhammer_infinite(p, q ** (y + alpha))
+                           / q_pochhammer_infinite(p, q**y)))
         for k in range(len(terms) - 1):
             if abs(terms[k]) > 1e-290:
                 ratio = abs(terms[k + 1] / terms[k])

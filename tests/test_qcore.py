@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -84,6 +85,23 @@ class TestPochhammerInfinite:
         p = QParams(0.9999, max_terms=50)
         with pytest.raises(NonConvergenceError):
             q_pochhammer_infinite(p, 0.5)
+
+    @pytest.mark.parametrize("p", [P3, P5, QParams(0.7), P9])
+    def test_array_matches_scalar_entry_by_entry(self, p):
+        # every entry is truncated at the length the largest |a| needs, so the
+        # smaller entries carry extra factors below eps_product
+        a = np.array([0.0, 0.97, -0.6, 0.3, 1e-9, 0.0, -1.4, p.q**7.3, 1.0])
+        got = q_pochhammer_infinite(p, a)
+        want = np.array([q_pochhammer_infinite(p, float(v)) for v in a])
+        assert got.shape == a.shape and got[a == 0.0].tolist() == [1.0, 1.0]
+        assert got[-1] == 0.0 and want[-1] == 0.0
+        nz = want != 0.0
+        assert np.all(np.abs(got[nz] - want[nz]) <= 4 * p.eps_product * np.abs(want[nz]))
+
+    def test_array_of_zeros_and_float_argument(self):
+        assert np.array_equal(q_pochhammer_infinite(P5, np.zeros(4)), np.ones(4))
+        assert type(q_pochhammer_infinite(P5, 0.5)) is float
+        assert type(q_pochhammer_infinite(P5, 0.0)) is float
 
 
 class TestPochhammerFractional:

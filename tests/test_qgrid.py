@@ -109,6 +109,13 @@ class TestSample:
         with pytest.raises(SampleError) as err:
             sample(g, lambda x: float("nan") if x < 0.2 else x)
         assert err.value.index == 3  # first lattice point below 0.2 is 0.125
+        # f runs on every point first; the first bad index still wins
+        with pytest.raises(SampleError) as err:
+            sample(g, lambda x: math.inf if x == 0.25 else float("nan") if x < 0.1 else x)
+        assert (err.value.index, err.value.value) == (2, math.inf)
+        with pytest.raises(SampleError) as err:  # 0.125**-400 = 2**1200 overflows
+            sample(g, lambda x: x**-400 if x > 0.05 else float("nan"))
+        assert (err.value.index, err.value.value) == (3, math.inf)
 
 
 class TestPointwise:

@@ -35,7 +35,7 @@ from qfrac.solver import (
     picard_solve,
     verify_equivalence,
 )
-from qfrac import qfracops, solver
+from qfrac import qfracops, solver, verify
 from qfrac.problems import make_example41, make_example42, make_linear_problem
 
 P5 = QParams(0.5)
@@ -115,17 +115,20 @@ class TestInitialTerm:
         assert np.all(y.values[m_a + 1:] == 0.0)
 
 
-@pytest.mark.parametrize("q,depth", [(0.5, 200), (0.9, 800), (0.98, 4000)])
-@pytest.mark.parametrize("base", ["origin", "interior", "below-grid"])
+@pytest.mark.parametrize("q,depth", [*verify.DEPTH.items(), (0.98, 4000)])
+@pytest.mark.parametrize("base", ["origin", "interior", "below-grid", "m4", "m6"])
 def test_lattice_power_matches_scalar_basis(q, depth, base):
+    # verify's power-basis inputs read this table on its grids, at m = 4 and 6
     g = grid(q=q, depth=depth)
-    m_base = {"origin": None, "interior": int(0.85 * depth), "below-grid": depth + 1}[base]
-    x_base = 0.0 if m_base is None else g.b * g.q ** float(m_base)
-    for s in (-0.4, 0.0, 0.6, 1.0, 1.3):
+    m_base = {"origin": None, "interior": int(0.85 * depth), "below-grid": depth + 1,
+              "m4": 4, "m6": 6}[base]
+    x_base = (0.0 if m_base is None else g.point(m_base) if m_base <= depth
+              else g.b * g.q ** float(m_base))
+    for s in (-0.85, -0.5, -0.4, 0.0, 0.6, 1.0, 1.3, 2.0, 2.9, 3.0):
         got = solver._lattice_power(g, m_base, s)
         want = np.array([masked_power_basis(g.params, x, x_base, s) for x in g.points])
         assert np.array_equal(got == 0.0, want == 0.0), s
-        nz = want != 0.0
+        nz = np.abs(want) > 1e-290  # deeper, x**s is subnormal on both sides
         err = np.abs(got[nz] - want[nz]) / np.abs(want[nz])
         assert err.max() <= 1e-13, (s, err.max())
 
