@@ -1,4 +1,4 @@
-"""The verify check registry: check names and crash reporting."""
+"""The verify check registry, crash reporting and the helpers checks compare against."""
 
 import math
 
