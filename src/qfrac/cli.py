@@ -8,8 +8,9 @@ Subcommands::
     qfrac verify   [--seed N] [--filter SUBSTRING] [--thorough]
     qfrac ml-eval  --q Q --alpha A --beta B --lambda L --x X [--a LOWER]
 
-Exit codes: 0 success, 1 verification/residual failure, 2 configuration or
-validation error, 3 no contraction split exists, 4 iteration cap hit.
+Exit codes: 0 success, 1 verification failure or relative residual not below
+``residual_tol``, 2 configuration or validation error, 3 no contraction split
+exists, 4 iteration cap hit.
 
 Grid functions print/serialize as CSV with header ``m,x,value`` and floats
 at 17 significant digits (bit-exact round trips).  Problems are defined in
@@ -359,6 +360,7 @@ def _write_solution(sol: Solution, prefix: Path) -> None:
         fh.write("iterations=" + ",".join(str(i) for i in sol.iterations_per_interval) + "\n")
         fh.write("omega=" + ",".join(f"{w:.17g}" for w in sol.omega_per_interval) + "\n")
         fh.write(f"residual_l1={sol.residual_l1:.17g}\n")
+        fh.write(f"residual_rel={sol.residual_rel:.17g}\n")
         fh.write(f"residual_linf={sol.residual_linf:.17g}\n")
         fh.write(f"residual_window_stop={sol.residual_stop}\n")
         fh.write("subinterval_boundaries="
@@ -382,8 +384,9 @@ def _cmd_solve(args) -> int:
         sol = picard_solve(prob, grid, tol=cfg.tol, max_iter=cfg.max_iter, y_init=y_init)
     prefix = Path(args.out) if args.out else Path(args.config).with_suffix("")
     _write_solution(sol, prefix)
-    ok = sol.residual_l1 < cfg.residual_tol
+    ok = sol.residual_rel < cfg.residual_tol
     print(f"method={sol.method} residual_l1={sol.residual_l1:.6e} "
+          f"residual_rel={sol.residual_rel:.6e} "
           f"residual_tol={cfg.residual_tol:.1e} "
           f"intervals={len(sol.subinterval_boundaries)} "
           f"status={'ok' if ok else 'residual-exceeded'}")

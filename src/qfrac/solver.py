@@ -30,6 +30,10 @@ which requires the convergence certificate |lam| b**v (1-q)**v < 1.  With
 g = v the initial-value sum is literally the two-parameter Mittag-Leffler
 solution formula; for g > v it is the continuation carrying the same
 initial data (the pure-v form would attach the data to the wrong powers).
+The forcing integral is summed as its Neumann series sum_m lam**m I^(v(m+1)) f,
+each term lam I^v of the one before: on the lattice the semigroup law
+I^v I^(vm) = I^(v(m+1)) is a finite q-beta identity, so the one order-v
+integral serves every term.
 """
 
 from __future__ import annotations
@@ -189,7 +193,10 @@ class Solution:
 
     ``residual_l1`` is the absolute L^1_q norm of D^{(alpha,beta)mu} y -
     f(., y) over the trusted index window [0, residual_stop); the max-norm
-    counterpart is reported alongside.  ``subinterval_boundaries`` lists the
+    counterpart is reported alongside.  ``residual_rel`` is ``residual_l1``
+    over L^1_q(|f(., y)|) on the same window, a normwise backward error that
+    does not grow with the solution's size (``residual_l1`` itself where that
+    norm is 0); the CLI's status reads it.  ``subinterval_boundaries`` lists the
     upper lattice index of each Picard subinterval in processing order
     (deep to shallow); the closed-form path reports a single interval with
     the term count of its longer certified series in ``iterations_per_interval``
@@ -202,6 +209,7 @@ class Solution:
     residual_l1: float
     subinterval_boundaries: tuple[int, ...]
     residual_linf: float = 0.0
+    residual_rel: float = 0.0
     residual_stop: int = 0
     method: str = "picard"
     diff_norms_per_interval: tuple[tuple[float, ...], ...] = field(default=())
@@ -209,8 +217,8 @@ class Solution:
     def __post_init__(self):
         if any(w >= 1.0 for w in self.omega_per_interval):
             raise DomainError("recorded contraction constants must all be < 1")
-        if self.residual_l1 < 0.0:
-            raise DomainError("residual must be nonnegative")
+        if self.residual_l1 < 0.0 or self.residual_rel < 0.0:
+            raise DomainError("residuals must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -318,14 +326,22 @@ def _trust_stop(g: LatticeGrid, orders: FracOrders, m_a: int | None) -> int:
 
 
 def _ode_residual(orders: FracOrders, y: GridFunction, anchor: Anchor,
-                  f_of_y: np.ndarray) -> tuple[float, float, int]:
-    """(L^1_q, max) norms of D^{(a,b)mu} y - f over the trusted window."""
+                  f_of_y: np.ndarray) -> dict[str, float | int]:
+    """Solution's residual fields for D^{(a,b)mu} y - f over the trusted window.
+
+    The L^1_q and max norms of the difference, its L^1_q norm relative to
+    L^1_q(|f|) over the same window (the absolute norm when that is 0), and
+    the window's stop.
+    """
     g = y.grid
     H = hilfer_derivative(y, anchor, orders)
     stop = min(_trust_stop(g, orders, anchor_index(anchor)), H.trusted_stop)
     diff = np.abs(H.values[:stop] - f_of_y[:stop])
-    linf = float(np.max(diff)) if stop > 0 else 0.0
-    return _sum_range(g, diff, 0, stop), linf, stop
+    l1 = _sum_range(g, diff, 0, stop)
+    size = _sum_range(g, np.abs(f_of_y), 0, stop)
+    return dict(residual_l1=l1, residual_rel=l1 / size if size > 0.0 else l1,
+                residual_linf=float(np.max(diff)) if stop > 0 else 0.0,
+                residual_stop=stop)
 
 
 def _rhs_name(p: CauchyProblem) -> str:
@@ -438,17 +454,14 @@ def picard_solve(p: CauchyProblem, g: LatticeGrid, tol: float = 1e-10,
 
     sol_gf = GridFunction(g, y, domain_stop=y0.domain_stop)
     _rhs_values(p, g, y, f_vals, 0, domain_lo)
-    res_l1, res_linf, res_stop = _ode_residual(p.orders, sol_gf, anchor, f_vals)
     return Solution(
         y=sol_gf,
         iterations_per_interval=tuple(iterations),
         omega_per_interval=tuple(w for _, w in blocks),
-        residual_l1=res_l1,
         subinterval_boundaries=tuple(u for u, _ in blocks),
-        residual_linf=res_linf,
-        residual_stop=res_stop,
         method="picard",
         diff_norms_per_interval=tuple(diff_hist),
+        **_ode_residual(p.orders, sol_gf, anchor, f_vals),
     )
 
 
@@ -456,8 +469,13 @@ def linear_solve(p: LinearProblem, g: LatticeGrid) -> Solution:
     """Closed-form solution of the linear problem via q-Mittag-Leffler kernels.
 
     Requires lower limit 0 (the closed form integrates from the origin);
-    problems anchored elsewhere route through picard_solve.  Both series stop
-    by :mod:`qfrac.qml`'s rule at s = b, the homogeneous one against max |sum|.
+    problems anchored elsewhere route through picard_solve.  The forcing part
+    is the Neumann series sum_m lam**m I^(nu(m+1)) f, its first term
+    :func:`qfrac.qfracops.rl_integral` of order nu of f and each later one lam
+    times that integral of the term before, so a solve reads one weight table.
+    Both series stop by :mod:`qfrac.qml`'s rule at s = b, the homogeneous one
+    against max |sum|, the forcing one against the sum of its constant-forcing
+    majorants.
     """
     if p.a != 0.0:
         raise DomainError("closed-form linear solve requires lower limit a = 0")
@@ -484,38 +502,33 @@ def linear_solve(p: LinearProblem, g: LatticeGrid) -> Solution:
         terms_used = max(terms_used, m + 1)
         y += xi_k * x ** (gamma - k) * acc
 
-    # forcing part: the Neumann series sum_m lam**m I^(nu(m+1)) f, t_m the term of
-    # E_{nu,nu}.  By the splitting law the collapsed kernel (q**(j+1); q)_{nu-1}
-    # (q**(nu+j); q)_{m nu} is the I^(nu(m+1)) weight table, so each term's row sums
-    # come from rl_integral's kernel _lattice_sums.  As I^s 1 = x**s / G_q(s+1), term m
-    # is at most ||f|| b**nu |t_m| / [nu(m+1)]_q; the series stops on their sum
+    # forcing part: the Neumann series sum_m lam**m I^(nu(m+1)) f, term m + 1 being
+    # lam I^nu (term m) by the semigroup law, t_m the term of E_{nu,nu}.  As
+    # I^s 1 = x**s / G_q(s+1), term m is at most ||f|| b**nu |t_m| / [nu(m+1)]_q;
+    # the series stops on their sum
     name = getattr(p.forcing, "__qualname__", repr(p.forcing))
     f_vals = sample(g, p.forcing, source=f"forcing {name}(x) value").values
     if np.any(f_vals != 0.0):
-        src = x * f_vals
+        term = f_vals
         scale = float(np.max(np.abs(f_vals))) * g.b**nu
-        acc = np.zeros(M + 1)
         majorant = 0.0
         for m, (t, rho) in enumerate(_ml_series(params, nu, nu, lam, g.b)):
-            acc += t * xnu ** float(m) * _lattice_sums(src, _weights_for(g, nu * (m + 1)))
+            term = (lam if m else 1.0) * rl_integral(GridFunction(g, term), ZERO, nu).values
+            y += term
             size = scale * abs(t) / q_number(params, nu * (m + 1))
             majorant += size
             if _tail_within(params, size, rho, majorant):
                 break
         terms_used = max(terms_used, m + 1)
-        y += (1.0 - params.q) * x ** (nu - 1.0) * acc
 
     y_gf = GridFunction(g, y)
-    res_l1, res_linf, res_stop = _ode_residual(p.orders, y_gf, ZERO, lam * y + f_vals)
     return Solution(
         y=y_gf,
         iterations_per_interval=(terms_used,),
         omega_per_interval=(p.ratio,),
-        residual_l1=res_l1,
         subinterval_boundaries=(0,),
-        residual_linf=res_linf,
-        residual_stop=res_stop,
         method="closed-form",
+        **_ode_residual(p.orders, y_gf, ZERO, lam * y + f_vals),
     )
 
 
@@ -546,7 +559,7 @@ def verify_equivalence(p: CauchyProblem, y: GridFunction, tol: float) -> Equival
         r1 = _sum_range(g, np.abs(volterra), 0, stop)
 
         y_gf = GridFunction(g, y.values, domain_stop=y0.domain_stop)
-        r2, _, _ = _ode_residual(p.orders, y_gf, anchor, f_vals)
+        r2 = _ode_residual(p.orders, y_gf, anchor, f_vals)["residual_l1"]
 
         # initial-condition limits at the deepest trusted points above a;
         # each q-derivative divides roundoff by x, so the evaluation point

@@ -482,6 +482,35 @@ class TestSolveCommand:
         )["residual_l1"])
         assert residual < ProblemConfig.from_file(config).residual_tol
 
+    LINEAR_INI = (REPO_ROOT / "configs" / "linear.ini").read_text(encoding="utf-8")
+
+    def _solve(self, text, tmp_path, *extra):
+        """Exit code and diagnostics of ``qfrac solve`` on a problem file's text."""
+        cfg, out = tmp_path / "p.ini", tmp_path / "s"
+        cfg.write_text(text)
+        code = main(["solve", "--config", str(cfg), "--out", str(out), *extra])
+        diag = out.with_suffix(".diagnostics.txt").read_text()
+        return code, {k: float(v) for k, v in (line.split("=") for line in diag.splitlines())
+                      if k.startswith("residual_")}
+
+    def test_large_correct_solution_passes_on_relative_residual(self, tmp_path, capsys):
+        # y(b) is about 1.1e18 (certificate 0.765): residual_l1 reads about 4.6e4,
+        # while the residual relative to L^1_q(|f(., y)|) is about 1.7e-13
+        text = _edit(self.LINEAR_INI, ("q = 0.5", "q = 0.98"), ("depth = 200", "depth = 4000"),
+                     ("lambda = 0.4", "lambda = 8"), ("lipschitz_a = 0.4", "lipschitz_a = 8"))
+        code, diag = self._solve(text, tmp_path, "--method", "closed-form")
+        assert code == 0
+        assert "status=ok" in capsys.readouterr().out
+        assert diag["residual_l1"] > 1e3 and diag["residual_rel"] < 1e-11
+
+    def test_loose_picard_fails_on_relative_residual(self, tmp_path, capsys):
+        # Picard stopped at tol = 1e-4 leaves a relative residual near 7.7e-6
+        code, diag = self._solve(_edit(self.LINEAR_INI, ("tol = 1e-11", "tol = 1e-4")),
+                                 tmp_path)
+        assert code == 1
+        assert "status=residual-exceeded" in capsys.readouterr().out
+        assert 1e-6 < diag["residual_rel"] < 1e-4
+
     def test_bundled_linear_closed_form_matches_picard(self, tmp_path):
         config = REPO_ROOT / "configs" / "linear.ini"
         for method in ("picard", "closed-form"):

@@ -85,6 +85,9 @@ class TestProblemTypes:
         with pytest.raises(DomainError):
             Solution(y=y, iterations_per_interval=(1,), omega_per_interval=(0.5,),
                      residual_l1=-1.0, subinterval_boundaries=(0,))
+        with pytest.raises(DomainError):
+            Solution(y=y, iterations_per_interval=(1,), omega_per_interval=(0.5,),
+                     residual_l1=0.0, subinterval_boundaries=(0,), residual_rel=-1.0)
 
 
 class TestInitialTerm:
@@ -406,20 +409,66 @@ class TestLinearSolve:
         sp = picard_solve(as_cauchy(lin), g, tol=1e-13, max_iter=300)
         assert l1(g, sc.y.values - sp.y.values) < 1e-7 * l1(g, sc.y.values)
 
+    @staticmethod
+    def _neumann_reference(g, lam, f):
+        """The forcing-only solve, sum_(m<K) lam**m I^(nu(m+1)) f and sum_m |its terms|.
+
+        K is the solve's series length; each term reads its own order-nu(m+1)
+        table, where the solve applies the order-nu integral m + 1 times.
+        """
+        o = FracOrders(alpha=0.8, beta=0.6, mu=0.0, n=1)  # nu = 0.6
+        sol = linear_solve(make_linear_problem(g.params, o, lam, f, (0.0,)), g)
+        u = sample(g, f)
+        terms = [lam**m * rl_integral(u, ZERO, o.nu * (m + 1)).values
+                 for m in range(sol.iterations_per_interval[0])]
+        return sol.y.values, sum(terms), sum(np.abs(t) for t in terms)
+
     @pytest.mark.parametrize("q, depth, lam, f", [
         (0.5, 200, 0.4, lambda x: 1.0),
         (0.9, 800, -2.0, lambda x: x),
         (0.5, 8, 0.4, lambda x: 1.0 + x),
+        (0.98, 2000, 8.0, lambda x: 1.0 + x),  # ratio 0.765, 242 terms
     ])
     def test_forcing_part_is_neumann_series_of_rl_integral(self, q, depth, lam, f):
-        # the forcing part is sum_(m<K) lam**m I^(nu(m+1)) f, K its series length
-        g = grid(q=q, depth=depth)
-        o = FracOrders(alpha=0.8, beta=0.6, mu=0.0, n=1)  # nu = 0.6
-        sol = linear_solve(make_linear_problem(g.params, o, lam, f, (0.0,)), g)
-        u = sample(g, f)
-        want = sum(lam**m * rl_integral(u, ZERO, o.nu * (m + 1)).values
-                   for m in range(sol.iterations_per_interval[0]))
-        assert np.all(np.abs(sol.y.values - want) <= 1e-13 * np.abs(want))
+        got, want, _ = self._neumann_reference(grid(q=q, depth=depth), lam, f)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+    def test_alternating_deep_forcing_series_within_roundoff_of_reference(self):
+        # lam = -8 at q = 0.98 (ratio 0.765): the terms cancel, sum |terms| is
+        # about 3e14 on the shallow rows where the sum is 0.1 to 4e3, so both sums
+        # are exact only to eps * sum |terms| there and a bound relative to the
+        # sum cannot hold; the relative residual rejects this solve
+        got, want, size = self._neumann_reference(grid(q=0.98, depth=2000), -8.0,
+                                                  lambda x: 1.0 + x)
+        assert np.all(np.abs(got - want) <= 1e-13 * size)
+
+    def test_one_weight_table_per_solve(self):
+        # the forcing series applies the one order-nu integral once per term, so a
+        # series three times longer builds no more tables
+        g = grid(q=0.9, depth=800)
+        o = FracOrders(alpha=0.8, beta=0.6, mu=0.0, n=1)
+        misses, terms = [], []
+        for lam in (0.2, 3.0):
+            qfracops._kernel_weights.cache_clear()
+            sol = linear_solve(make_linear_problem(g.params, o, lam, lambda x: 1.0 + x,
+                                                   (0.0,)), g)
+            misses.append(qfracops._kernel_weights.cache_info().misses)
+            terms.append(sol.iterations_per_interval[0])
+        assert terms[1] >= 3 * terms[0]
+        assert misses[0] == misses[1]
+
+    def test_relative_residual(self):
+        # residual_l1 over L^1_q(|lam y + f|) on the residual window
+        g = grid()
+        o = FracOrders(alpha=0.8, beta=0.6, mu=0.0, n=1)
+        lin = make_linear_problem(P5, o, 0.4, lambda x: 1.0, (1.0,))
+        for sol in (linear_solve(lin, g), picard_solve(as_cauchy(lin), g, tol=1e-11)):
+            f_of_y = np.abs(0.4 * sol.y.values + 1.0)
+            size = _sum_range(g, f_of_y, 0, sol.residual_stop)
+            assert sol.residual_rel == pytest.approx(sol.residual_l1 / size, rel=1e-14)
+        # f(., y) = 0: the absolute norm
+        free = linear_solve(make_linear_problem(P5, o, 0.0, lambda x: 0.0, (1.0,)), g)
+        assert free.residual_rel == free.residual_l1
 
     def test_superposition(self):
         g = grid()
