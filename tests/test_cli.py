@@ -482,7 +482,7 @@ class TestSolveCommand:
         )["residual_l1"])
         assert residual < ProblemConfig.from_file(config).residual_tol
 
-    LINEAR_INI = (REPO_ROOT / "configs" / "linear.ini").read_text(encoding="utf-8")
+    LINEAR_INI = TestOutsideInputFailures.LINEAR_INI
 
     def _solve(self, text, tmp_path, *extra):
         """Exit code and diagnostics of ``qfrac solve`` on a problem file's text."""
