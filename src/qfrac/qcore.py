@@ -106,18 +106,24 @@ def q_pochhammer_finite(p: QParams, a: float, n: int) -> float:
     return float(np.prod(1.0 - a * p.q ** np.arange(n)))
 
 
-def _capped_length(p: QParams, log_mag: float) -> int:
-    """Factors kept of (a; q)_inf with |a| = exp(log_mag), at most max_terms.
+def _length_bound(p: QParams, log_mag: float | np.ndarray) -> float | np.ndarray:
+    """Factors of (a; q)_inf with |a| = exp(log_mag) that _capped_length rounds up.
 
     The relative size of the dropped tail of log(a;q)_inf after n factors is
     ~ |a| q**n / (1-q); cutting when that bound (not the bare factor) clears
     eps_product keeps ratios of two such products consistent to a few
-    eps_product even for q near 1.
+    eps_product even for q near 1.  Elementwise on an array of log_mag.
     """
-    lq = math.log(p.q)
-    n = max(0, math.ceil((math.log(p.eps_product * (1.0 - p.q)) - log_mag) / lq))
+    return (math.log(p.eps_product * (1.0 - p.q)) - log_mag) / math.log(p.q)
+
+
+def _capped_length(p: QParams, log_mag: float) -> int:
+    """Factors kept of (a; q)_inf with |a| = exp(log_mag), at most max_terms;
+    NonConvergenceError when the tail after max_terms factors still exceeds
+    eps_product."""
+    n = max(0, math.ceil(_length_bound(p, log_mag)))
     if n > p.max_terms:
-        n = p.max_terms
+        n, lq = p.max_terms, math.log(p.q)
         head = _safe_exp(log_mag + n * lq)
         tail_bound = head / ((1.0 - p.q) * max(1.0 - head, 1e-300))
         if tail_bound > p.eps_product:
@@ -150,7 +156,7 @@ def q_pochhammer_infinite(p: QParams, a: float | np.ndarray) -> float | np.ndarr
     return float(out) if a.ndim == 0 else out
 
 
-def _log_poch(p: QParams, a: float, s: float) -> tuple[float, float]:
+def _log_poch(p: QParams, a: float, s: float | np.ndarray) -> tuple:
     """(sign, log|value|) of (a q**s; q)_inf; sign 0.0 marks an exact zero.
 
     Factor k is 1 - a q**(k+s) = 1 - sign(a) e**t_k with t_k = log|a| + (k+s) log q,
@@ -158,30 +164,52 @@ def _log_poch(p: QParams, a: float, s: float) -> tuple[float, float]:
     next to a zero (k+s is exact there), and 1 + e**t_k for a < 0.  The j
     leading factors with t_k > 709, where e**t_k would overflow, have
     log|factor| = t_k to double precision; they are summed in closed form.
+
+    A 1-D array of shifts s gives one product per shift, as arrays of signs and
+    logs: row i of the factor array keeps the _capped_length its own shift
+    gives, and its factors past that length are exactly 1.  Every factor of
+    every row must be positive (a < 0, or a > 0 with a q**s < 1 on each row);
+    the overflowing head, zero and negative factors are served for a float s.
     """
+    rows = isinstance(s, np.ndarray)
     if a == 0.0:
-        return 1.0, 0.0
+        return (np.ones(len(s)), np.zeros(len(s))) if rows else (1.0, 0.0)
     log_a, lq = math.log(abs(a)), math.log(p.q)
     head = log_a + s * lq
-    if head > _EXP_SAFE:
-        j = math.ceil((head - _EXP_SAFE) / -lq)
-        sign, rest = _log_poch(p, a, s + j)
-        lead = j * head + lq * (j * (j - 1) / 2)  # sum of t_k over k < j
-        return (-sign if a > 0.0 and j % 2 else sign), lead + rest
-    n = _capped_length(p, head)
-    if n == 0:  # |a q**s| below eps_product (1-q), underflow included: the product is 1
-        return 1.0, 0.0
-    t = np.arange(n, dtype=float)
-    t += s
+    if rows:
+        if np.any(head >= 0.0 if a > 0.0 else head > _EXP_SAFE):
+            raise DomainError(f"array rows of (a q**s; q)_inf need positive factors: a={a!r}")
+        # each row's _capped_length: its own bound, clipped at the largest row's length
+        top = _capped_length(p, float(head.max())) if len(s) else 0
+        n = np.clip(np.ceil(_length_bound(p, head)), 0, top).astype(int)
+        k = np.arange(n.max(initial=0), dtype=float)
+        t = np.add.outer(s, k)
+    else:
+        if head > _EXP_SAFE:
+            j = math.ceil((head - _EXP_SAFE) / -lq)
+            sign, rest = _log_poch(p, a, s + j)
+            lead = j * head + lq * (j * (j - 1) / 2)  # sum of t_k over k < j
+            return (-sign if a > 0.0 and j % 2 else sign), lead + rest
+        n = _capped_length(p, head)
+        if n == 0:  # |a q**s| below eps_product (1-q), underflow included: the product is 1
+            return 1.0, 0.0
+        t = np.arange(n, dtype=float)
+        t += s
     t *= lq
     t += log_a
+    if rows:
+        t[k >= n[:, None]] = -math.inf  # a factor of exactly 1 past the row's length
+    sign = 1.0
     if a < 0.0:
-        return 1.0, float(np.log1p(np.exp(t, out=t), out=t).sum())
-    # t falls with k, so only a q**s >= 1 leads to factors <= 0
-    if head >= 0.0 and not t.all():
-        return 0.0, -math.inf
-    sign = -1.0 if head > 0.0 and np.count_nonzero(t > 0.0) % 2 else 1.0
-    return sign, float(np.log(np.abs(np.expm1(t, out=t), out=t), out=t).sum())
+        log = np.log1p(np.exp(t, out=t), out=t).sum(axis=-1)
+    else:
+        # t falls with k, so only a q**s >= 1 leads to factors <= 0
+        if not rows and head >= 0.0:
+            if not t.all():
+                return 0.0, -math.inf
+            sign = -1.0 if head > 0.0 and np.count_nonzero(t > 0.0) % 2 else 1.0
+        log = np.log(np.abs(np.expm1(t, out=t), out=t), out=t).sum(axis=-1)
+    return (np.ones(len(s)), log) if rows else (sign, float(log))
 
 
 @lru_cache(maxsize=512)

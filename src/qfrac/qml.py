@@ -6,10 +6,13 @@ The series evaluated here is
 
 the q-analogue of the Mittag-Leffler function in the argument structure
 lam * (x - a)^A_q.  It converges where r = |lam| x**A (1-q)**A < 1; outside
-that region evaluation is a hard error.  Terms are built by ratio recurrences
-that keep every factor in double range: the Pochhammer grows by the splitting
-law (c; q)_{(k+1)A} = (c; q)_{kA} (q**(kA) c; q)_A, a step of at most 1, the
-gamma factor by the ratio G_q(y)/G_q(y+A).
+that region evaluation is a hard error.  Terms are formed in blocks, each by
+one array call of the log-space product kernel ``qcore._log_poch``: term
+k+1 is term k times z G_q(y_k)/G_q(y_k+A), z = lam s**A, y_k = Ak + B, so
+a block of C terms reads C + 1 rows (q**y_k; q)_inf, and the Pochhammer
+factors of a block are (c; q)_{kA} = (c; q)_inf / (q**(kA) c; q)_inf from one
+more call.  A term formed afresh (the first, and the one after a pole of
+G_q) is formed in log space.
 
 Every q-Mittag-Leffler series of the package (here and in the closed-form
 linear solve) stops by one rule.  Term k+1 is at most rho_k = |lam| s**A
@@ -25,8 +28,13 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
+import numpy as np
+
 from .errors import DivergenceError, DomainError, NonConvergenceError
-from .qcore import _POLE_WINDOW, QParams, q_gamma, q_gamma_ratio, q_pochhammer_fractional
+from .qcore import _POLE_WINDOW, QParams, _length_bound, _log_euler, _log_poch, q_gamma_ratio
+
+# Largest factor array of one block's product-kernel call: 2**16 doubles, 512 KiB.
+_BLOCK_ENTRIES = 1 << 16
 
 __all__ = ["MLSpec", "MLBound", "ml_eval", "ml_bound_check", "ml_terms"]
 
@@ -67,47 +75,109 @@ def ml_bound_check(spec: MLSpec, b: float) -> MLBound:
     return MLBound(ratio=r)
 
 
-def _ml_series(p: QParams, alpha: float, beta: float, lam: float,
-               s: float) -> Iterator[tuple[float, float]]:
-    """Yield the terms t_k = lam**k s**(alpha k) / G_q(alpha k + beta) with rho_k.
+def _fresh_term(p: QParams, alpha: float, beta: float, z: float, k: int,
+                sign: float, l_den: float) -> float:
+    """z**k / G_q(y) at y = alpha k + beta, given (sign, log) of (q**y; q)_inf.
 
-    rho_k is infinite while alpha k + beta <= 0, where G_q is not log-convex.
-    On a pole of G_q the term is 0, as 1/G_q vanishes there; the next term is
-    formed afresh, since the ratio recurrence would carry the 0 on.
-    DomainError when a freshly formed 1/G_q leaves double range;
+    Formed as sign * exp(k log|z| - log|G_q(y)|), so a term in double range is
+    found even where z**k or 1/G_q(y) alone leaves it; DomainError when the
+    term itself does.
+    """
+    y = alpha * k + beta
+    if sign == 0.0 or (k and z == 0.0):  # 1/G_q(y) vanishes, or z**k does
+        return 0.0
+    l_g = _log_euler(p.q, p.eps_product, p.max_terms) - l_den + (1.0 - y) * math.log(1.0 - p.q)
+    try:
+        t = math.exp((k * math.log(abs(z)) if k else 0.0) - l_g)
+    except OverflowError:
+        raise DomainError(f"q-Mittag-Leffler series E_{{{alpha:.6g},{beta:.6g}}}: "
+                          f"1/G_q({y!r}) leaves double range") from None
+    return -t if (sign < 0.0) != (z < 0.0 and k % 2 == 1) else t
+
+
+def _ml_series(p: QParams, alpha: float, beta: float, lam: float,
+               s: float) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Yield blocks (k0, t, rho) of the terms t_k = lam**k s**(alpha k) / G_q(alpha k + beta).
+
+    t[i] and rho[i] belong to k = k0 + i; term k+1 is at most rho_k |t_k|.
+    While alpha k + beta is within the pole window of 0 or below it, where G_q
+    is not log-convex and rho_k is infinite, the blocks hold one term each and
+    come from the per-term ratio recurrence: on a pole of G_q the term is 0, as
+    1/G_q vanishes there, and the next term is formed afresh, since the
+    recurrence would carry the 0 on.  From there on, block lengths double from
+    8, and a block of C terms takes its gamma ratios G_q(y_k)/G_q(y_k+alpha)
+    from one array call of the product kernel over y_k = alpha k + beta for
+    k0..k0+C, row k+1 serving as term k's numerator and term k+1's
+    denominator.  DomainError when a freshly formed term leaves double range;
     NonConvergenceError when the caller asks for more than max_terms terms.
     """
     z = lam * s**alpha
     t = None  # formed afresh at k = 0 and after a pole
-    for k in range(p.max_terms):
+    rho = math.inf
+    k = 0
+    while k < p.max_terms and alpha * k + beta < _POLE_WINDOW:
         y = alpha * k + beta
         r = round(y)
         if r <= 0 and abs(y - r) < _POLE_WINDOW:
-            t, rho = None, math.inf
-            yield 0.0, rho
-            continue
+            t = None
+            yield k, np.zeros(1), np.full(1, rho)  # rho stays infinite below the blocks
+        else:
+            if t is None:
+                t = _fresh_term(p, alpha, beta, z, k, *_log_poch(p, 1.0, y))
+            yield k, np.full(1, t), np.full(1, rho)
+            t *= z * q_gamma_ratio(p, y, alpha)
+        k += 1
+    # a row with |a q**s| <= 1 keeps at most `width` factors; C + 1 rows fill _BLOCK_ENTRIES
+    width = min(p.max_terms, max(1, math.ceil(_length_bound(p, 0.0))))
+    most = max(1, _BLOCK_ENTRIES // width - 1)
+    step = alpha * math.log(1.0 - p.q)
+    size = 8
+    while k < p.max_terms:
+        n = min(size, most, p.max_terms - k)
+        _, lg = _log_poch(p, 1.0, alpha * np.arange(k, k + n + 1) + beta)
         if t is None:
-            g0 = q_gamma(p, y)
-            t = z**k / g0 if g0 else math.inf
-            if math.isinf(t):
-                raise DomainError(f"q-Mittag-Leffler series E_{{{alpha:.6g},{beta:.6g}}}: "
-                                  f"1/G_q({y!r}) leaves double range")
-        g = q_gamma_ratio(p, y, alpha)
-        rho = abs(z * g) if y > 0.0 else math.inf
-        yield t, rho
-        t *= z * g
+            t = _fresh_term(p, alpha, beta, z, k, 1.0, float(lg[0]))
+        v = np.empty(n + 1)
+        v[0] = t
+        np.exp(lg[1:] - lg[:-1] + step, out=v[1:])
+        v[1:] *= z  # z G_q(y_k)/G_q(y_k + alpha), the ratio of term k+1 to term k
+        rhos = np.abs(v[1:])
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan as float arithmetic
+            np.cumprod(v, out=v)
+        yield k, v[:n], rhos
+        t, rho = float(v[n]), float(rhos[-1])
+        k += n
+        size *= 2
     raise NonConvergenceError(
         f"q-Mittag-Leffler series E_{{{alpha:.6g},{beta:.6g}}}[{z:.6g}]: term ratio {rho:.6g}, "
         f"tail above eps_series={p.eps_series:.1e} after max_terms={p.max_terms} terms")
 
 
-def _tail_within(p: QParams, size: float, rho: float, total: float) -> bool:
-    """The stopping rule: size * rho / (1 - rho) <= eps_series * |total| with rho < 1."""
-    return rho < 1.0 and size * rho <= p.eps_series * abs(total) * (1.0 - rho)
+def _term_by_term(blocks: Iterator[tuple[int, np.ndarray, np.ndarray]]
+                  ) -> Iterator[tuple[int, float, float]]:
+    """The blocks of :func:`_ml_series` as (k, t_k, rho_k), one term at a time."""
+    for k0, t, rho in blocks:
+        yield from zip(range(k0, k0 + len(t)), t.tolist(), rho.tolist())
+
+
+def _tail_within(p: QParams, size: float | np.ndarray, rho: float | np.ndarray,
+                 total: float | np.ndarray) -> bool | np.ndarray:
+    """The stopping rule: size * rho / (1 - rho) <= eps_series * |total| with rho < 1.
+
+    Elementwise on arrays; an infinite rho is never within.
+    """
+    with np.errstate(invalid="ignore"):  # 0 * inf where rho is infinite
+        return (rho < 1.0) & (size * rho <= p.eps_series * np.abs(total) * (1.0 - rho))
 
 
 def ml_terms(spec: MLSpec, x: float, a: float = 0.0) -> tuple[float, list[float]]:
-    """Partial sum and the individual terms of the series at (x, a), s = x."""
+    """Partial sum and the individual terms of the series at (x, a), s = x.
+
+    The Pochhammer factors of a block come from one array call of the product
+    kernel, (c; q)_(k alpha) = (c; q)_inf / (c q**(k alpha); q)_inf with c = a/x
+    (Gasper & Rahman, Basic Hypergeometric Series, 2nd ed., 2004, sec. 1.2); at
+    c = 1 every term after the first is 0.  The running sum adds in term order.
+    """
     p = spec.params
     if x <= 0.0:
         raise DomainError(f"evaluation point x must be positive, got {x!r}")
@@ -119,17 +189,24 @@ def ml_terms(spec: MLSpec, x: float, a: float = 0.0) -> tuple[float, list[float]
             f"divergence: |lambda| x**alpha (1-q)**alpha = {r:.6g} >= 1 violates the "
             "convergence condition of the linear solution theorem")
     c = a / x
-    poch = 1.0  # (c; q)_{k alpha}
+    l_c = _log_poch(p, c, 0.0)[1] if 0.0 < c < 1.0 else 0.0  # log (c; q)_inf
     total = 0.0
-    terms = []
-    for k, (t, rho) in enumerate(_ml_series(p, spec.alpha, spec.beta, spec.lam, x)):
-        term = t * poch
-        total += term
-        terms.append(term)
-        if _tail_within(p, abs(term), rho, total):
+    terms: list[float] = []
+    for k0, t, rho in _ml_series(p, spec.alpha, spec.beta, spec.lam, x):
+        if c == 1.0:
+            t = np.where(np.arange(k0, k0 + len(t)) == 0, t, 0.0)
+        elif c != 0.0:
+            _, l_k = _log_poch(p, c, spec.alpha * np.arange(k0, k0 + len(t), dtype=float))
+            t = t * np.exp(l_c - l_k)
+        acc = t.copy()
+        acc[0] += total
+        np.cumsum(acc, out=acc)
+        stop = np.flatnonzero(_tail_within(p, np.abs(t), rho, acc))
+        n = int(stop[0]) + 1 if stop.size else len(t)
+        terms.extend(t[:n].tolist())
+        total = float(acc[n - 1])
+        if stop.size:
             break
-        if c != 0.0:
-            poch *= q_pochhammer_fractional(p, p.q ** (k * spec.alpha) * c, spec.alpha)
     return total, terms
 
 

@@ -55,7 +55,7 @@ from .errors import (
 )
 from .qcore import _INT_WINDOW, QParams, q_gamma, q_number, q_power_basis
 from .qfracops import FracOrders, _lattice_sums, _weights_for, hilfer_derivative, rl_integral
-from .qml import MLSpec, _ml_series, _tail_within, ml_bound_check
+from .qml import MLSpec, _ml_series, _tail_within, _term_by_term, ml_bound_check
 from .qgrid import (
     ZERO,
     Anchor,
@@ -475,7 +475,10 @@ def linear_solve(p: LinearProblem, g: LatticeGrid) -> Solution:
     times that integral of the term before, so a solve reads one weight table.
     Both series stop by :mod:`qfrac.qml`'s rule at s = b, the homogeneous one
     against max |sum|, the forcing one against the sum of its constant-forcing
-    majorants.
+    majorants.  For lambda < 0 the forcing series can cancel until shallow
+    rows keep no correct digit (q = 0.98, M = 4000, lambda = -8); the rule
+    certifies only the truncation, and the returned ``residual_rel`` (about
+    2.2 there) is how a caller sees it.
     """
     if p.a != 0.0:
         raise DomainError("closed-form linear solve requires lower limit a = 0")
@@ -495,7 +498,7 @@ def linear_solve(p: LinearProblem, g: LatticeGrid) -> Solution:
         if xi_k == 0.0:
             continue
         acc = np.zeros(M + 1)
-        for m, (t, rho) in enumerate(_ml_series(params, nu, gamma - k + 1.0, lam, g.b)):
+        for m, t, rho in _term_by_term(_ml_series(params, nu, gamma - k + 1.0, lam, g.b)):
             acc += t * xnu ** float(m)
             if _tail_within(params, abs(t), rho, np.max(np.abs(acc))):
                 break
@@ -512,7 +515,7 @@ def linear_solve(p: LinearProblem, g: LatticeGrid) -> Solution:
         term = f_vals
         scale = float(np.max(np.abs(f_vals))) * g.b**nu
         majorant = 0.0
-        for m, (t, rho) in enumerate(_ml_series(params, nu, nu, lam, g.b)):
+        for m, t, rho in _term_by_term(_ml_series(params, nu, nu, lam, g.b)):
             term = (lam if m else 1.0) * rl_integral(GridFunction(g, term), ZERO, nu).values
             y += term
             size = scale * abs(t) / q_number(params, nu * (m + 1))

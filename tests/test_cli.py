@@ -170,6 +170,19 @@ class TestMlEvalCommand:
         lines = dict(line.split("=") for line in capsys.readouterr().out.splitlines())
         assert float(lines["value"]) == pytest.approx(want, rel=1e-12)
 
+    def test_term_formed_past_poles_in_double_range(self, capsys):
+        # terms 0-20 sit on poles of G_q; z**21 = 1e315 overflows, the term 6.1e300 does not
+        import mpmath as mp
+
+        with mp.workdps(30):
+            want = float(mp.fsum(mp.mpf(10) ** (15 * k) / mp.qgamma(50 * k - 1000, mp.mpf("0.5"))
+                                 for k in range(21, 400)))
+        assert main(["ml-eval", "--q", "0.5", "--alpha", "50", "--beta", "-1000",
+                     "--lambda", "1e15", "--x", "1"]) == 0
+        lines = dict(line.split("=") for line in capsys.readouterr().out.splitlines())
+        assert float(lines["value"]) == pytest.approx(want, rel=1e-10)
+        assert float(lines["ratio"]) == pytest.approx(0.888, abs=1e-3)
+
     def test_nonpositive_x_keeps_ml_eval_message(self, capsys):
         assert main(["ml-eval", "--q", "0.5", "--alpha", "1", "--beta", "1",
                      "--lambda", "3", "--x", "0"]) == 2

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from qfrac.errors import DomainError, NonConvergenceError, PoleError
 from qfrac.qcore import (
     QParams,
+    _capped_length,
+    _log_poch,
     q_factorial,
     q_gamma,
     q_gamma_ratio,
@@ -102,6 +104,55 @@ class TestPochhammerInfinite:
         assert np.array_equal(q_pochhammer_infinite(P5, np.zeros(4)), np.ones(4))
         assert type(q_pochhammer_infinite(P5, 0.5)) is float
         assert type(q_pochhammer_infinite(P5, 0.0)) is float
+
+
+class TestLogPochRows:
+    """The product kernel on a 1-D array of shifts: one (sign, log) row per shift."""
+
+    @pytest.mark.parametrize("p", [P3, P5, QParams(0.7)])
+    @pytest.mark.parametrize("a", [1.0, 0.6, 1e-9, -0.5, -2.0])
+    def test_rows_match_float_calls(self, p, a):
+        # the last shift takes the row's own length down to 0
+        s = np.concatenate([0.37 * np.arange(1, 40) + 0.05, [55.0, 200.0]])
+        lens = [_capped_length(p, math.log(abs(a)) + v * math.log(p.q)) for v in s]
+        assert max(lens) > 10 and min(lens) == 0
+        sign, log = _log_poch(p, a, s)
+        want = [_log_poch(p, a, float(v)) for v in s]
+        assert sign.tolist() == [w[0] for w in want] == [1.0] * len(s)
+        assert np.all(np.abs(np.expm1(log - np.array([w[1] for w in want]))) <= 1e-15)
+
+    @pytest.mark.parametrize("p", [P9, QParams(0.98)])
+    def test_rows_near_one_match_to_roundoff_of_the_log(self, p):
+        # |log| reaches 80 at q = 0.98: summed in another order, 1e-15 of it
+        s = np.concatenate([0.41 * np.arange(1, 30), [3000.0]])
+        _, log = _log_poch(p, 1.0, s)
+        want = np.array([_log_poch(p, 1.0, float(v))[1] for v in s])
+        assert want[-1] == 0.0 == log[-1]
+        assert np.all(np.abs(log - want) <= 1e-15 * np.maximum(1.0, np.abs(want)))
+
+    def test_zero_base_and_empty_rows(self):
+        sign, log = _log_poch(P5, 0.0, np.array([0.5, 2.0]))
+        assert sign.tolist() == [1.0, 1.0] and log.tolist() == [0.0, 0.0]
+        sign, log = _log_poch(P5, 1.0, np.array([200.0, 300.0]))
+        assert sign.tolist() == [1.0, 1.0] and log.tolist() == [0.0, 0.0]
+        sign, log = _log_poch(P5, 1.0, np.array([]))
+        assert sign.shape == log.shape == (0,)
+
+    def test_float_shift_gives_floats(self):
+        sign, log = _log_poch(P5, 1.0, 0.5)
+        assert type(sign) is float and type(log) is float
+
+    @pytest.mark.parametrize("a, s", [(1.0, [0.5, 0.0]), (2.0, [0.5, 1.5]),
+                                      (-1e308, [0.0, 2.0])])
+    def test_rows_need_positive_factors(self, a, s):
+        # a zero, negative or overflowing factor is served for a float shift only
+        with pytest.raises(DomainError, match="positive factors"):
+            _log_poch(P5, a, np.array(s))
+
+    def test_row_cap_raises_like_a_float_call(self):
+        p = QParams(0.9999, max_terms=50)
+        with pytest.raises(NonConvergenceError):
+            _log_poch(p, 0.5, np.array([3.0, 0.5]))
 
 
 class TestPochhammerFractional:

@@ -1,10 +1,13 @@
 """q-Mittag-Leffler series: frozen values, brute-force oracle, certificates."""
 
+import math
+
 import numpy as np
 import pytest
 
+from qfrac import qcore, qml
 from qfrac.errors import DivergenceError, DomainError, NonConvergenceError
-from qfrac.qcore import QParams, q_gamma, q_pochhammer_fractional
+from qfrac.qcore import QParams, q_gamma, q_gamma_ratio, q_pochhammer_fractional
 from qfrac.qml import MLSpec, ml_bound_check, ml_eval, ml_terms
 
 P5 = QParams(0.5)
@@ -30,6 +33,131 @@ def direct_series(spec: MLSpec, x: float, a: float, n_terms: int = 500) -> float
     return total
 
 
+def scalar_recurrence(spec: MLSpec, x: float, a: float = 0.0) -> tuple[float, list[float]]:
+    """The series formed one term at a time by ratio recurrences, as a reference.
+
+    Term k+1 is term k times z G_q(y)/G_q(y+alpha) from two scalar product
+    calls, the Pochhammer factor a running product of (q**(k alpha) c; q)_alpha
+    steps, and the stop is qml's tail rule; a term after a pole is formed afresh.
+    """
+    p, alpha = spec.params, spec.alpha
+    z, c = spec.lam * x**alpha, a / x
+    t, poch, total, terms = None, 1.0, 0.0, []
+    for k in range(p.max_terms):
+        y = alpha * k + spec.beta
+        g, rho, term = None, math.inf, 0.0
+        if not (round(y) <= 0 and abs(y - round(y)) < 1e-12):
+            if t is None:
+                t = z**k / q_gamma(p, y)
+            g = q_gamma_ratio(p, y, alpha)
+            rho = abs(z * g) if y > 0.0 else math.inf
+            term = t * poch
+        total += term
+        terms.append(term)
+        if rho < 1.0 and abs(term) * rho <= p.eps_series * abs(total) * (1.0 - rho):
+            return total, terms
+        if c:
+            poch *= q_pochhammer_fractional(p, p.q ** (k * alpha) * c, alpha)
+        t = None if g is None else t * z * g
+    raise NonConvergenceError(f"max_terms={p.max_terms}")
+
+
+def _spec(q: float, r: float, alpha: float = 0.7, beta: float = 0.9, x: float = 0.8) -> MLSpec:
+    """The spec whose certificate ratio at x is |r|, with the sign of r."""
+    return MLSpec(alpha, beta, r / (x**alpha * (1.0 - q) ** alpha), QParams(q))
+
+
+class TestBlockSeries:
+    """Terms formed in blocks agree with the one-term-at-a-time recurrence."""
+
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.9, 0.98])
+    @pytest.mark.parametrize("j", [None, 2])
+    @pytest.mark.parametrize("r", [0.5, -0.5])
+    def test_terms_match_scalar_recurrence(self, q, j, r):
+        spec, x = _spec(q, r), 0.8
+        a = 0.0 if j is None else x * q**j
+        total, terms = ml_terms(spec, x, a)
+        want_total, want = scalar_recurrence(spec, x, a)
+        assert len(terms) == len(want)
+        assert np.all(np.abs(np.subtract(terms, want)) <= 1e-13 * np.abs(want))
+        assert abs(total - want_total) <= 1e-13 * np.sum(np.abs(want))
+
+    def test_stop_inside_first_block(self):
+        spec, x = _spec(0.3, 0.01), 0.8
+        total, terms = ml_terms(spec, x)
+        assert len(terms) < 8
+        assert terms == pytest.approx(scalar_recurrence(spec, x)[1], rel=1e-14)
+
+    def test_series_over_at_least_three_blocks(self):
+        spec, x = _spec(0.98, 0.5), 0.8
+        blocks = []
+        for k0, t, rho in qml._ml_series(spec.params, spec.alpha, spec.beta, spec.lam, x):
+            blocks.append(len(t))
+            if len(blocks) == 4:
+                break
+        _, terms = ml_terms(spec, x)
+        assert blocks[:2] == [8, 16] and len(terms) > sum(blocks[:3])
+
+    def test_cap_mid_block_raises_and_forms_no_later_term(self, monkeypatch):
+        # blocks of 8 and 16 terms, then 13 of a 32-term block
+        p = QParams(0.3, max_terms=37)
+        spec = MLSpec(0.7, 0.9, 0.98 / (0.8**0.7 * 0.7**0.7), p)
+        shifts = []
+
+        def recording(p, a, s):
+            shifts.append(np.max(s))
+            return kernel(p, a, s)
+
+        kernel = qcore._log_poch
+        monkeypatch.setattr(qml, "_log_poch", recording)
+        with pytest.raises(NonConvergenceError, match="max_terms=37"):
+            ml_terms(spec, 0.8)
+        lengths = []
+        with pytest.raises(NonConvergenceError, match="max_terms=37"):
+            for k0, t, rho in qml._ml_series(p, spec.alpha, spec.beta, spec.lam, 0.8):
+                lengths.append(len(t))
+        assert lengths == [8, 16, 13]
+        # row 37 is term 36's ratio numerator; no row reaches past it
+        assert max(shifts) <= 0.7 * 37 + 0.9 + 1e-12
+
+    def test_kernel_rows_one_per_term(self, monkeypatch):
+        """Count product-kernel rows: a float call is 1 row, an array call len(s).
+
+        A block of C terms takes C + 1 rows; the scalar recurrence took 2 per term.
+        """
+        rows, blocks = [], []
+        kernel = qcore._log_poch
+
+        def counting(p, a, s):
+            if isinstance(s, np.ndarray):
+                rows.append(len(s))
+                blocks.append(len(s) - 1)
+            else:
+                rows.append(1)
+            return kernel(p, a, s)
+
+        monkeypatch.setattr(qcore, "_log_poch", counting)
+        monkeypatch.setattr(qml, "_log_poch", counting)
+        spec = _spec(0.5, 0.9)
+        _, terms = ml_terms(spec, 0.8)
+        formed = max(len(terms), sum(blocks))
+        assert len(terms) >= 200
+        assert sum(rows) <= formed + len(blocks) + 2
+
+    def test_fresh_term_past_the_poles_in_log_space(self):
+        # terms 0-20 sit on poles; term 21 is 1e315 / G_q(50), about 6.1e300
+        import mpmath as mp
+
+        spec = MLSpec(50.0, -1000.0, 1e15, P5)
+        total, terms = ml_terms(spec, 1.0)
+        assert not any(terms[:21])
+        with mp.workdps(30):
+            want = [mp.mpf(10) ** (15 * k) / mp.qgamma(50 * k - 1000, mp.mpf("0.5"))
+                    for k in range(21, 400)]
+            assert terms[21] == pytest.approx(float(want[0]), rel=1e-12)
+            assert total == pytest.approx(float(mp.fsum(want)), rel=1e-10)
+
+
 class TestMLSpec:
     def test_alpha_positive(self):
         with pytest.raises(DomainError):
@@ -51,8 +179,11 @@ class TestMLEval:
         assert ml_eval(spec, 0.7) == pytest.approx(1.0 / q_gamma(P5, 0.8), rel=1e-14)
 
     def test_a_equal_x_collapses(self):
+        # (1; q)_(k alpha) = 0 for k > 0: every term after the first is 0
         spec = MLSpec(alpha=0.6, beta=0.8, lam=0.3, params=P5)
         assert ml_eval(spec, 0.7, 0.7) == pytest.approx(1.0 / q_gamma(P5, 0.8), rel=1e-14)
+        total, terms = ml_terms(_spec(0.9, 0.5), 0.8, 0.8)
+        assert terms[0] == total and len(terms) > 1 and not any(terms[1:])
 
     def test_reference_point_against_oracle(self):
         spec = MLSpec(alpha=0.5, beta=0.5, lam=0.2, params=P5)
