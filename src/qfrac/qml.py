@@ -139,10 +139,10 @@ def _ml_series(p: QParams, alpha: float, beta: float, lam: float,
             t = _fresh_term(p, alpha, beta, z, k, 1.0, float(lg[0]))
         v = np.empty(n + 1)
         v[0] = t
-        np.exp(lg[1:] - lg[:-1] + step, out=v[1:])
-        v[1:] *= z  # z G_q(y_k)/G_q(y_k + alpha), the ratio of term k+1 to term k
-        rhos = np.abs(v[1:])
         with np.errstate(over="ignore", invalid="ignore"):  # inf and nan as float arithmetic
+            np.exp(lg[1:] - lg[:-1] + step, out=v[1:])
+            v[1:] *= z  # z G_q(y_k)/G_q(y_k + alpha), the ratio of term k+1 to term k
+            rhos = np.abs(v[1:])
             np.cumprod(v, out=v)
         yield k, v[:n], rhos
         t, rho = float(v[n]), float(rhos[-1])
@@ -193,14 +193,15 @@ def ml_terms(spec: MLSpec, x: float, a: float = 0.0) -> tuple[float, list[float]
     total = 0.0
     terms: list[float] = []
     for k0, t, rho in _ml_series(p, spec.alpha, spec.beta, spec.lam, x):
-        if c == 1.0:
-            t = np.where(np.arange(k0, k0 + len(t)) == 0, t, 0.0)
-        elif c != 0.0:
-            _, l_k = _log_poch(p, c, spec.alpha * np.arange(k0, k0 + len(t), dtype=float))
-            t = t * np.exp(l_c - l_k)
-        acc = t.copy()
-        acc[0] += total
-        np.cumsum(acc, out=acc)
+        with np.errstate(invalid="ignore"):  # inf * 0 and inf - inf are nan, as float arithmetic
+            if c == 1.0:
+                t = np.where(np.arange(k0, k0 + len(t)) == 0, t, 0.0)
+            elif c != 0.0:
+                _, l_k = _log_poch(p, c, spec.alpha * np.arange(k0, k0 + len(t), dtype=float))
+                t = t * np.exp(l_c - l_k)
+            acc = t.copy()
+            acc[0] += total
+            np.cumsum(acc, out=acc)
         stop = np.flatnonzero(_tail_within(p, np.abs(t), rho, acc))
         n = int(stop[0]) + 1 if stop.size else len(t)
         terms.extend(t[:n].tolist())

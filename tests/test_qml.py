@@ -144,6 +144,14 @@ class TestBlockSeries:
         assert len(terms) >= 200
         assert sum(rows) <= formed + len(blocks) + 2
 
+    @pytest.mark.parametrize("a", [0.0, 0.0005])
+    def test_terms_past_double_range_raise_without_warning(self, a):
+        # terms after the 155 poles and negative arguments reach inf with both
+        # signs; the sum is nan, as in float arithmetic, so the tail never certifies
+        spec = MLSpec(1.0, -154.5, -1.8e5, QParams(0.995))
+        with pytest.raises(NonConvergenceError, match="max_terms=10000"):
+            ml_terms(spec, 0.001, a)
+
     def test_fresh_term_past_the_poles_in_log_space(self):
         # terms 0-20 sit on poles; term 21 is 1e315 / G_q(50), about 6.1e300
         import mpmath as mp
