@@ -118,9 +118,11 @@ def _length_bound(p: QParams, log_mag: float | np.ndarray) -> float | np.ndarray
 
 
 def _capped_length(p: QParams, log_mag: float) -> int:
-    """Factors kept of (a; q)_inf with |a| = exp(log_mag), at most max_terms;
-    NonConvergenceError when the tail after max_terms factors still exceeds
-    eps_product."""
+    """Factors kept of (a; q)_inf with |a| = exp(log_mag), at most max_terms.
+
+    _length_bound rounded up; NonConvergenceError when the tail after
+    max_terms factors still exceeds eps_product.
+    """
     n = max(0, math.ceil(_length_bound(p, log_mag)))
     if n > p.max_terms:
         n, lq = p.max_terms, math.log(p.q)
