@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import io
 import math
 import sys
@@ -132,7 +133,7 @@ class ProblemConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "ProblemConfig":
-        cp = configparser.ConfigParser()
+        cp = configparser.ConfigParser(interpolation=None)  # values are read literally
         try:
             cp.read_string(text)
         except configparser.Error as exc:
@@ -419,7 +420,9 @@ _EXIT_CODES = (
 )
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one argument parser of the process, built on the first ``main`` call."""
     parser = _OneLineParser(prog="qfrac", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -458,8 +461,11 @@ def main(argv=None) -> int:
     p_ml.add_argument("--x", type=_finite, required=True)
     p_ml.add_argument("--a", type=_finite, default=0.0)
     p_ml.set_defaults(func=_cmd_ml_eval)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (QFracError, OSError) as exc:

@@ -118,6 +118,16 @@ def _weights_for(grid, alpha: float) -> np.ndarray:
     return _kernel_weights(p.q, p.eps_product, p.max_terms, alpha, grid.depth + 1)
 
 
+def _integral_table(grid, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """I^alpha on the grid: its weights w_j and its row prefactor x**(alpha-1) (1-q)/G_q(alpha).
+
+    Row m of the 0-anchored integral of u is pref_m times the lattice sum
+    sum_j w_j x_(m+j) u_(m+j); a caller applying I^alpha many times reads both once.
+    """
+    pref = grid.points ** (alpha - 1.0) * (1.0 - grid.q) / q_gamma(grid.params, alpha)
+    return _weights_for(grid, alpha), pref
+
+
 # A banded row may drop at most this fraction of itself: one unit roundoff.
 _BAND_EPS = 2.0**-53
 # Shortest s for which a band is tried: below it the band's bookkeeping, about
@@ -199,8 +209,7 @@ def rl_integral(u: GridFunction, a: Anchor, alpha: float) -> GridFunction:
     m_a = anchor_index(a)
     M = g.depth
     x = g.points
-    w = _weights_for(g, alpha)
-    pref = x ** (alpha - 1.0) * (1.0 - g.q) / q_gamma(g.params, alpha)
+    w, pref = _integral_table(g, alpha)
     out = np.zeros(M + 1)
     stop = M + 1 if m_a is None else m_a  # sum over indices m..stop-1
     top = M + 1 if m_a is None else m_a + 1

@@ -54,7 +54,14 @@ from .errors import (
     SampleError,
 )
 from .qcore import _INT_WINDOW, QParams, q_gamma, q_number, q_power_basis
-from .qfracops import FracOrders, _lattice_sums, _weights_for, hilfer_derivative, rl_integral
+from .qfracops import (
+    FracOrders,
+    _integral_table,
+    _lattice_sums,
+    _weights_for,
+    hilfer_derivative,
+    rl_integral,
+)
 from .qml import MLSpec, _ml_series, _tail_within, _term_by_term, ml_bound_check
 from .qgrid import (
     ZERO,
@@ -358,7 +365,9 @@ def _call_rhs(p: CauchyProblem, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         except (TypeError, ValueError, ArithmeticError) as exc:
             raise DomainError(f"rhs {_rhs_name(p)} failed on arrays of x and y "
                               f"(it must be elementwise): {exc}") from None
-    if vals.shape not in ((), x.shape):
+    if vals.shape == x.shape:
+        return vals
+    if vals.shape:
         raise DomainError(f"rhs {_rhs_name(p)} returned shape {vals.shape}, "
                           f"expected {x.shape} or a scalar")
     return np.broadcast_to(vals, x.shape)
@@ -369,9 +378,8 @@ def _rhs_values(p: CauchyProblem, g: LatticeGrid, y: np.ndarray, f_vals: np.ndar
     """Fill f_vals[lo:hi] from one rhs call on the lattice; a non-finite value names the rhs."""
     x = g.points
     f_vals[lo:hi] = _call_rhs(p, x, y)[lo:hi]
-    bad = np.flatnonzero(~np.isfinite(f_vals[lo:hi]))
-    if bad.size:
-        k = lo + int(bad[0])
+    if not np.isfinite(f_vals[lo:hi]).all():
+        k = lo + int(np.flatnonzero(~np.isfinite(f_vals[lo:hi]))[0])
         raise SampleError(k, float(x[k]), float(f_vals[k]),
                           source=f"rhs {_rhs_name(p)}(x, y={float(y[k])!r}) value")
 
@@ -387,9 +395,9 @@ def picard_solve(p: CauchyProblem, g: LatticeGrid, tol: float = 1e-10,
     integral's rows there are the block's own row sums plus the frozen
     history, the sums over the converged deeper indices, which are fixed
     while the block iterates and so are formed once per block.  Both come
-    from :func:`qfrac.qfracops._lattice_sums` with rl_integral's weights and
-    prefactor.  Deterministic: identical inputs produce bit-identical
-    solutions.
+    from :func:`qfrac.qfracops._lattice_sums` with the weights and row
+    prefactor of I^nu, read once per solve as rl_integral reads them.
+    Deterministic: identical inputs produce bit-identical solutions.
     """
     _check_grid(p, g)
     anchor = lattice_locate(g, p.a)
@@ -406,7 +414,6 @@ def picard_solve(p: CauchyProblem, g: LatticeGrid, tol: float = 1e-10,
         y[m_a] = y0.values[m_a]  # Volterra value at the lower limit itself
         y[m_a + 1:] = 0.0
 
-    w = _weights_for(g, nu)
     iterations: list[int] = []
     diff_hist: list[tuple[float, ...]] = []
     f_vals = np.zeros(M + 1)
@@ -415,7 +422,7 @@ def picard_solve(p: CauchyProblem, g: LatticeGrid, tol: float = 1e-10,
 
     # values past double range stay non-finite until the sweep's check names them
     with np.errstate(over="ignore", invalid="ignore"):
-        pref = x ** (nu - 1.0) * (1.0 - g.q) / q_gamma(g.params, nu)  # rl_integral's row factor
+        w, pref = _integral_table(g, nu)
         for upper, omega in blocks:
             act, B = slice(upper, frozen_hi), frozen_hi - upper
             _rhs_values(p, g, y, f_vals, upper, domain_lo)
@@ -428,9 +435,8 @@ def picard_solve(p: CauchyProblem, g: LatticeGrid, tol: float = 1e-10,
             while True:
                 sums = _lattice_sums(x[act] * f_vals[act], w) + hist
                 new = y0.values[act] + pref[act] * sums
-                bad = np.flatnonzero(~np.isfinite(new))
-                if bad.size:
-                    k = upper + int(bad[0])
+                if not np.isfinite(new).all():
+                    k = upper + int(np.flatnonzero(~np.isfinite(new))[0])
                     raise DomainError(f"Picard integral I^{nu:g} f(., y) is not finite at "
                                       f"lattice index {k} (x={float(x[k])!r}): it leaves "
                                       "double range")
@@ -470,9 +476,11 @@ def linear_solve(p: LinearProblem, g: LatticeGrid) -> Solution:
 
     Requires lower limit 0 (the closed form integrates from the origin);
     problems anchored elsewhere route through picard_solve.  The forcing part
-    is the Neumann series sum_m lam**m I^(nu(m+1)) f, its first term
-    :func:`qfrac.qfracops.rl_integral` of order nu of f and each later one lam
-    times that integral of the term before, so a solve reads one weight table.
+    is the Neumann series sum_m lam**m I^(nu(m+1)) f, its first term I^nu f
+    and each later one lam I^nu of the term before.  A solve reads the weight
+    table and row prefactor of I^nu once; each term is then one
+    :func:`qfrac.qfracops._lattice_sums` call, the same float operations as
+    :func:`qfrac.qfracops.rl_integral`, so the terms are bit-identical to it.
     Both series stop by :mod:`qfrac.qml`'s rule at s = b, the homogeneous one
     against max |sum|, the forcing one against the sum of its constant-forcing
     majorants.  For lambda < 0 the forcing series can cancel until shallow
@@ -512,11 +520,18 @@ def linear_solve(p: LinearProblem, g: LatticeGrid) -> Solution:
     name = getattr(p.forcing, "__qualname__", repr(p.forcing))
     f_vals = sample(g, p.forcing, source=f"forcing {name}(x) value").values
     if np.any(f_vals != 0.0):
+        w, pref = _integral_table(g, nu)
         term = f_vals
         scale = float(np.max(np.abs(f_vals))) * g.b**nu
         majorant = 0.0
         for m, t, rho in _term_by_term(_ml_series(params, nu, nu, lam, g.b)):
-            term = (lam if m else 1.0) * rl_integral(GridFunction(g, term), ZERO, nu).values
+            with np.errstate(over="ignore", invalid="ignore"):  # named just below
+                term = pref * _lattice_sums(x * term, w)  # rl_integral's operations
+                if m:
+                    term = lam * term
+            if not np.isfinite(term).all():
+                raise DomainError("non-finite value at lattice index "
+                                  f"{int(np.flatnonzero(~np.isfinite(term))[0])}")
             y += term
             size = scale * abs(t) / q_number(params, nu * (m + 1))
             majorant += size

@@ -10,7 +10,7 @@ import inspect
 import json
 from pathlib import Path
 
-from qfrac import qfracops, solver, verify
+from qfrac import cli, qfracops, solver, verify
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -23,7 +23,8 @@ def _is_public_function_of(mod, name):
 
 def test_traced_functions_are_public_and_defined_in_their_module():
     for mod, names in ((solver, ("initial_term", "picard_solve", "linear_solve")),
-                       (qfracops, ("rl_integral", "hilfer_derivative"))):
+                       (qfracops, ("rl_integral", "hilfer_derivative")),
+                       (cli, ("main",))):
         for name in names:
             assert _is_public_function_of(mod, name), f"{mod.__name__}.{name}"
 

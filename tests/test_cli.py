@@ -1,5 +1,6 @@
 """CLI subcommands, config files, CSV emission, and exit codes."""
 
+import argparse
 import dataclasses
 import io
 import subprocess
@@ -263,6 +264,10 @@ class TestOutsideInputFailures:
             LINEAR_INI, ("b = 1.0", "b = 1e300"), ("depth = 200", "depth = 40"),
             ("lambda = 0.4", "lambda = 1e-200"), ("forcing = const:1", "forcing = x^2")),
             2, "non-finite forcing"),
+        "closed-form-term-overflows": (SOLVE + ["--method", "closed-form"], _edit(
+            LINEAR_INI, ("b = 1.0", "b = 1e300"), ("depth = 200", "depth = 40"),
+            ("lambda = 0.4", "lambda = 1e-200"), ("forcing = const:1", "forcing = const:1e300")),
+            2, "non-finite value at lattice index 0"),
         "picard-integral-overflows": (SOLVE, _edit(LINEAR_INI, ("forcing = const:1",
                                       "forcing = const:1e308")), 2,
                                       "Picard integral I^0.6 f(., y) is not finite at lattice "
@@ -312,6 +317,11 @@ class TestOutsideInputFailures:
                          "max iterations: "),
         "missing-config": (["solve", "--config", "/nonexistent/x.ini"], None, 2,
                            "cannot read config"),
+        # values are read literally: no %-interpolation
+        "percent-in-value": (SOLVE, _edit(LINEAR_INI, ("forcing = const:1",
+                             "forcing = const:5%")), 2, "'const:5%'"),
+        "interpolation-reference": (SOLVE, _edit(LINEAR_INI, ("b = 1.0", "b = %(q)s")), 2,
+                                    "[grid] b"),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -328,6 +338,42 @@ class TestOutsideInputFailures:
         assert got == code
         assert len(err.splitlines()) == 1 and err.startswith("error: "), err
         assert fragment in err
+
+
+class TestParserReuse:
+    """``main`` builds its argument parser once per process and keeps no state."""
+
+    def test_second_call_constructs_no_parser(self, monkeypatch):
+        main(["verify", "--filter", "no-such-check"])
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(type(self))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        assert main(["verify", "--filter", "no-such-check"]) == 0
+        assert built == []
+
+    def test_method_option_does_not_leak_into_the_next_call(self, tmp_path, capsys):
+        cfg = tmp_path / "lin.ini"
+        cfg.write_text(CONFIG_LINEAR)
+        for method, out in ((["--method", "closed-form"], "c"), ([], "p")):
+            assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / out),
+                         *method]) == 0
+        methods = [(tmp_path / f"{out}.diagnostics.txt").read_text().splitlines()[0]
+                   for out in ("c", "p")]
+        assert methods == ["method=closed-form", "method=picard"]
+
+    def test_usage_error_after_a_successful_call(self, capsys):
+        assert main(["verify", "--filter", "no-such-check"]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["solve"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
 
 
 class TestProblemConfig:

@@ -1,7 +1,11 @@
 """Cauchy-problem solver: Picard machinery, closed form, equivalence checks."""
 
+import sys
+
 import numpy as np
 import pytest
+
+from qfrac.cli import parse_fn_spec
 
 from qfrac.errors import (
     DivergenceError,
@@ -265,6 +269,26 @@ class TestPicard:
                 picard_solve(make_problem(rhs=rhs, A=0.4), grid(), tol=1e-12)
             assert len(str(err.value).splitlines()) == 1
 
+    def test_scalar_and_array_rhs_give_identical_solutions(self):
+        g = grid()
+        sols = [picard_solve(make_problem(rhs=rhs, A=0.4, xi=(0.8,)), g, tol=1e-12)
+                for rhs in (lambda x, y: 0.7, lambda x, y: np.full(x.shape, 0.7))]
+        assert np.array_equal(sols[0].y.values, sols[1].y.values)
+        assert sols[0].iterations_per_interval == sols[1].iterations_per_interval
+
+    def test_rhs_returning_its_y_argument(self):
+        # the rhs's array is used as it is, so it may be the iterate itself
+        g = grid()
+
+        def same(x, y):
+            return y
+
+        got, want = (picard_solve(make_problem(rhs=rhs, A=0.5, xi=(1.0,)), g, tol=1e-12)
+                     for rhs in (same, lambda x, y: 1.0 * y))
+        assert np.array_equal(got.y.values, want.y.values)
+        assert got.diff_norms_per_interval == want.diff_norms_per_interval
+        assert got.residual_rel < 1e-9
+
     def test_grid_mismatch_rejected(self):
         p = make_problem()
         with pytest.raises(DomainError):
@@ -456,6 +480,55 @@ class TestLinearSolve:
             terms.append(sol.iterations_per_interval[0])
         assert terms[1] >= 3 * terms[0]
         assert misses[0] == misses[1]
+
+    @staticmethod
+    def _rl_integral_loop(g, lam, f, xi):
+        """linear_solve's rows with the forcing series applied as one rl_integral per term.
+
+        The homogeneous rows come from a forcing-free solve and the term count K
+        from a data-free one; term m + 1 is lam rl_integral(term m) of order nu.
+        """
+        o = FracOrders(alpha=0.8, beta=0.6, mu=0.0, n=1)  # nu = 0.6
+        y = linear_solve(make_linear_problem(g.params, o, lam, lambda x: 0.0, xi), g).y.values
+        y = y.copy()
+        forced = linear_solve(make_linear_problem(g.params, o, lam, f, (0.0,)), g)
+        term = sample(g, f).values
+        for m in range(forced.iterations_per_interval[0]):
+            term = (lam if m else 1.0) * rl_integral(GridFunction(g, term), ZERO, o.nu).values
+            y += term
+        return linear_solve(make_linear_problem(g.params, o, lam, f, xi), g).y.values, y
+
+    @pytest.mark.parametrize("q, depth", [(0.3, 120), (0.9, 400)])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("spec", ["const:1", "x^1"])
+    def test_closed_form_bitwise_equal_to_rl_integral_per_term(self, q, depth, sign, spec):
+        g = grid(q=q, depth=depth)
+        lam = sign * 0.6 / (1.0 - q) ** 0.6  # certificate ratio 0.6
+        got, want = self._rl_integral_loop(g, lam, parse_fn_spec(spec, g.params, 0.0), (1.3,))
+        assert np.array_equal(got, want)
+
+    def test_q_gamma_calls_do_not_grow_with_the_series(self, monkeypatch):
+        # the forcing series reads the prefactor's G_q(nu) once per solve, not per term
+        calls = [0]
+
+        def counted(*args):
+            calls[0] += 1
+            return q_gamma(*args)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("qfrac.") and getattr(mod, "q_gamma", None) is q_gamma:
+                monkeypatch.setattr(mod, "q_gamma", counted)
+        g = grid(q=0.9, depth=800)
+        o = FracOrders(alpha=0.8, beta=0.6, mu=0.0, n=1)
+        counts, terms = [], []
+        for lam in (2.0, 3.0):
+            calls[0] = 0
+            sol = linear_solve(make_linear_problem(g.params, o, lam, lambda x: 1.0 + x,
+                                                   (0.0,)), g)
+            counts.append(calls[0])
+            terms.append(sol.iterations_per_interval[0])
+        assert 40 <= terms[0] < terms[1]
+        assert counts[0] == counts[1]
 
     def test_relative_residual(self):
         # residual_l1 over L^1_q(|lam y + f|) on the residual window
