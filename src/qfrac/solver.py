@@ -356,7 +356,11 @@ def _rhs_name(p: CauchyProblem) -> str:
 
 
 def _call_rhs(p: CauchyProblem, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """rhs(x, y) as an array of x's shape; a failing call or another shape names the rhs."""
+    """rhs(x, y) as an array of x's shape; a failing call or another shape names the rhs.
+
+    An x-shaped result comes back as the rhs returned it, which may be y itself
+    or the rhs's own state, so callers copy it before writing.
+    """
     with np.errstate(all="ignore"):  # non-finite values are named by the caller
         try:
             vals = np.asarray(p.rhs(x, y), dtype=float)
