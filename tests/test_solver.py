@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from qfrac.cli import parse_fn_spec
-
 from qfrac.errors import (
     DivergenceError,
     DomainError,
@@ -489,8 +488,8 @@ class TestLinearSolve:
         from a data-free one; term m + 1 is lam rl_integral(term m) of order nu.
         """
         o = FracOrders(alpha=0.8, beta=0.6, mu=0.0, n=1)  # nu = 0.6
-        y = linear_solve(make_linear_problem(g.params, o, lam, lambda x: 0.0, xi), g).y.values
-        y = y.copy()
+        free = linear_solve(make_linear_problem(g.params, o, lam, lambda x: 0.0, xi), g)
+        y = free.y.values.copy()
         forced = linear_solve(make_linear_problem(g.params, o, lam, f, (0.0,)), g)
         term = sample(g, f).values
         for m in range(forced.iterations_per_interval[0]):
