@@ -24,6 +24,7 @@ import configparser
 import functools
 import io
 import math
+import re
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -51,6 +52,11 @@ __all__ = ["main", "ProblemConfig", "parse_fn_spec"]
 
 class _OneLineParser(argparse.ArgumentParser):
     """argparse with single-line machine-parseable errors on exit code 2."""
+
+    def __init__(self, *args, **kwargs):  # subparsers are built from this class too
+        super().__init__(*args, **kwargs)
+        # a word starting like a negative number is a value (the default missed -2e-1)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         print(f"error: {message}", file=sys.stderr)

@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .qcore import QParams, masked_power_basis, q_gamma, q_power_basis
+from .qcore import _LATTICE_RTOL, QParams, masked_power_basis, q_gamma, q_power_basis
 from .qfracops import FracOrders
 from .qgrid import _pointwise
 from .solver import CauchyProblem, LinearProblem
@@ -74,7 +74,7 @@ def make_example41(params: QParams, *, b: float = 1.0, anchor: float | None = No
 
     @_pointwise
     def weight(x: float) -> float:
-        if x <= A * (1.0 + 1e-12):  # 0*inf limit of the weight at the anchor
+        if x <= A * (1.0 + _LATTICE_RTOL):  # 0*inf limit of the weight at the anchor
             return 0.0
         num = q_power_basis(params, x, num_base, nu + dl)
         den = q_power_basis(params, x, den_base, nu)
@@ -110,7 +110,7 @@ def make_example42(params: QParams, *, b: float = 1.0, anchor: float | None = No
 
     @_pointwise
     def weight(x: float) -> float:
-        if x < A * (1.0 - 1e-12):
+        if x < A * (1.0 - _LATTICE_RTOL):
             return 0.0
         num = q_power_basis(params, x, A, 2 * nu + 2 * dl)
         den = q_power_basis(params, x, den_base, nu)

@@ -45,6 +45,8 @@ _POLE_WINDOW = 1e-12
 _RATIO_POLE_WINDOW = 1e-9
 # Window for snapping nearly-integral orders to exact integers.
 _INT_WINDOW = 1e-12
+# Relative tolerance under which two floats name the same lattice point.
+_LATTICE_RTOL = 1e-12
 # Largest exponent t kept in _log_poch's factors 1 -+ e**t (e**709 is finite).
 _EXP_SAFE = 709.0
 
@@ -255,24 +257,6 @@ def q_gamma(p: QParams, x: float) -> float:
     return s_den * _safe_exp(l_num - l_den + (1.0 - x) * math.log(1.0 - p.q))
 
 
-def q_gamma_ratio(p: QParams, x: float, step: float) -> float:
-    """Overflow-safe ratio G_q(x) / G_q(x + step).
-
-    Evaluates (q**(x+step); q)_inf / (q**x; q)_inf * (1-q)**step in log
-    space, which stays O(1) even where the gammas themselves overflow.
-    """
-    if x <= 0.0 and x == round(x):
-        raise PoleError(f"q-gamma ratio pole at x={x!r}")
-    s_den, l_den = _log_poch(p, 1.0, x)
-    if s_den == 0.0:
-        # x log q underflows: shifting both gammas by G_q(y+1) = [y]_q G_q(y) multiplies
-        # the ratio by [x+step]_q / [x]_q = expm1((x+step) log q) / (x log q)
-        y, lq = x + step, math.log(p.q)
-        return (math.expm1(y * lq) / lq if y * lq else y) / x * q_gamma_ratio(p, x + 1.0, step)
-    s_num, l_num = _log_poch(p, 1.0, x + step)  # sign 0 on a pole of G_q(x + step)
-    return s_num * s_den * _safe_exp(l_num - l_den + step * math.log(1.0 - p.q))
-
-
 def q_power_basis(p: QParams, x: float, a: float, alpha: float) -> float:
     """q-power basis (x - a)^alpha_q = x**alpha * (a/x; q)_alpha.
 
@@ -295,7 +279,7 @@ def q_power_basis(p: QParams, x: float, a: float, alpha: float) -> float:
 
 
 def masked_power_basis(p: QParams, x: float, base: float, alpha: float) -> float:
-    """(x - base)^alpha_q, but 0 below a positive base (relative tolerance 1e-12)."""
-    if base > 0.0 and x < base * (1.0 - 1e-12):
+    """(x - base)^alpha_q, but 0 below a positive base (relative tolerance _LATTICE_RTOL)."""
+    if base > 0.0 and x < base * (1.0 - _LATTICE_RTOL):
         return 0.0
     return q_power_basis(p, x, base, alpha)

@@ -29,7 +29,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import DepthError, DomainError, OffLatticeError, SampleError, TailWarning
-from .qcore import QParams
+from .qcore import _LATTICE_RTOL, QParams
 
 __all__ = [
     "LatticeGrid",
@@ -47,6 +47,8 @@ __all__ = [
     "roundoff_window",
 ]
 
+# How far a user's anchor may sit from the lattice point it names: looser than
+# _LATTICE_RTOL, which compares floats the package computed itself.
 _LOCATE_RTOL = 1e-9
 _MIN_DEPTH = 8
 _TINY = np.finfo(float).tiny  # smallest positive normal double
@@ -237,7 +239,7 @@ class GridFunction:
             raise DomainError("CSV rows must be consecutive lattice indices starting at 0")
         grid = LatticeGrid(b=xs[0], depth=len(ms) - 1, params=params)
         expect = grid.points
-        if not np.allclose(xs, expect, rtol=1e-12, atol=0.0):
+        if not np.allclose(xs, expect, rtol=_LATTICE_RTOL, atol=0.0):
             raise DomainError("CSV x column does not match the reconstructed lattice")
         return cls(grid, np.array(vs))
 

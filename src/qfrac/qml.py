@@ -6,13 +6,13 @@ The series evaluated here is
 
 the q-analogue of the Mittag-Leffler function in the argument structure
 lam * (x - a)^A_q.  It converges where r = |lam| x**A (1-q)**A < 1; outside
-that region evaluation is a hard error.  Terms are formed in blocks, each by
-one array call of the log-space product kernel ``qcore._log_poch``: term
-k+1 is term k times z G_q(y_k)/G_q(y_k+A), z = lam s**A, y_k = Ak + B, so
-a block of C terms reads C + 1 rows (q**y_k; q)_inf, and the Pochhammer
-factors of a block are (c; q)_{kA} = (c; q)_inf / (q**(kA) c; q)_inf from one
-more call.  A term formed afresh (the first, and the one after a pole of
-G_q) is formed in log space.
+that region evaluation is a hard error.  A term is formed afresh in log space
+(below the poles of G_q, and the first of the blocks) or in a block: term k+1
+is term k times z G_q(y_k)/G_q(y_k+A), z = lam s**A, y_k = Ak + B, so a block
+of C terms reads C + 1 rows (q**y_k; q)_inf from one array call of the
+log-space product kernel ``qcore._log_poch``, and its Pochhammer factors
+(c; q)_{kA} = (c; q)_inf / (q**(kA) c; q)_inf come from one more call.  A
+term or partial sum past double range is a DomainError that names it.
 
 Every q-Mittag-Leffler series of the package (here and in the closed-form
 linear solve) stops by one rule.  Term k+1 is at most rho_k = |lam| s**A
@@ -31,7 +31,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DivergenceError, DomainError, NonConvergenceError
-from .qcore import _POLE_WINDOW, QParams, _length_bound, _log_euler, _log_poch, q_gamma_ratio
+from .qcore import _POLE_WINDOW, QParams, _length_bound, _log_euler, _log_poch
 
 # Largest factor array of one block's product-kernel call: 2**16 doubles, 512 KiB.
 _BLOCK_ENTRIES = 1 << 16
@@ -75,6 +75,12 @@ def ml_bound_check(spec: MLSpec, b: float) -> MLBound:
     return MLBound(ratio=r)
 
 
+def _past_range(alpha: float, beta: float, what: str) -> DomainError:
+    """The one error for a term or partial sum of E_{alpha,beta} past double range."""
+    return DomainError(f"q-Mittag-Leffler series E_{{{alpha:.6g},{beta:.6g}}}: "
+                       f"{what} leaves double range")
+
+
 def _fresh_term(p: QParams, alpha: float, beta: float, z: float, k: int,
                 sign: float, l_den: float) -> float:
     """z**k / G_q(y) at y = alpha k + beta, given (sign, log) of (q**y; q)_inf.
@@ -90,8 +96,7 @@ def _fresh_term(p: QParams, alpha: float, beta: float, z: float, k: int,
     try:
         t = math.exp((k * math.log(abs(z)) if k else 0.0) - l_g)
     except OverflowError:
-        raise DomainError(f"q-Mittag-Leffler series E_{{{alpha:.6g},{beta:.6g}}}: "
-                          f"1/G_q({y!r}) leaves double range") from None
+        raise _past_range(alpha, beta, f"1/G_q({y!r})") from None
     return -t if (sign < 0.0) != (z < 0.0 and k % 2 == 1) else t
 
 
@@ -101,31 +106,23 @@ def _ml_series(p: QParams, alpha: float, beta: float, lam: float,
 
     t[i] and rho[i] belong to k = k0 + i; term k+1 is at most rho_k |t_k|.
     While alpha k + beta is within the pole window of 0 or below it, where G_q
-    is not log-convex and rho_k is infinite, the blocks hold one term each and
-    come from the per-term ratio recurrence: on a pole of G_q the term is 0, as
-    1/G_q vanishes there, and the next term is formed afresh, since the
-    recurrence would carry the 0 on.  From there on, block lengths double from
-    8, and a block of C terms takes its gamma ratios G_q(y_k)/G_q(y_k+alpha)
-    from one array call of the product kernel over y_k = alpha k + beta for
+    is not log-convex and rho_k is infinite, each block is one term formed
+    afresh by one product-kernel call (0 on a pole of G_q).  From there on,
+    block lengths double from 8; a block of C terms takes its gamma ratios
+    G_q(y_k)/G_q(y_k+alpha) from one array call over y_k = alpha k + beta for
     k0..k0+C, row k+1 serving as term k's numerator and term k+1's
-    denominator.  DomainError when a freshly formed term leaves double range;
-    NonConvergenceError when the caller asks for more than max_terms terms.
+    denominator, and only the first block forms its first term afresh.
+    DomainError names the first term past double range; NonConvergenceError
+    when the caller asks for more than max_terms terms.
     """
     z = lam * s**alpha
-    t = None  # formed afresh at k = 0 and after a pole
-    rho = math.inf
+    rho = math.inf  # below the blocks
     k = 0
     while k < p.max_terms and alpha * k + beta < _POLE_WINDOW:
         y = alpha * k + beta
-        r = round(y)
-        if r <= 0 and abs(y - r) < _POLE_WINDOW:
-            t = None
-            yield k, np.zeros(1), np.full(1, rho)  # rho stays infinite below the blocks
-        else:
-            if t is None:
-                t = _fresh_term(p, alpha, beta, z, k, *_log_poch(p, 1.0, y))
-            yield k, np.full(1, t), np.full(1, rho)
-            t *= z * q_gamma_ratio(p, y, alpha)
+        on_pole = abs(y - round(y)) < _POLE_WINDOW  # round(y) <= 0 here
+        t = 0.0 if on_pole else _fresh_term(p, alpha, beta, z, k, *_log_poch(p, 1.0, y))
+        yield k, np.full(1, t), np.full(1, rho)
         k += 1
     # a row with |a q**s| <= 1 keeps at most `width` factors; C + 1 rows fill _BLOCK_ENTRIES
     width = min(p.max_terms, max(1, math.ceil(_length_bound(p, 0.0))))
@@ -135,15 +132,15 @@ def _ml_series(p: QParams, alpha: float, beta: float, lam: float,
     while k < p.max_terms:
         n = min(size, most, p.max_terms - k)
         _, lg = _log_poch(p, 1.0, alpha * np.arange(k, k + n + 1) + beta)
-        if t is None:
-            t = _fresh_term(p, alpha, beta, z, k, 1.0, float(lg[0]))
         v = np.empty(n + 1)
-        v[0] = t
-        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan as float arithmetic
+        v[0] = t if size > 8 else _fresh_term(p, alpha, beta, z, k, 1.0, float(lg[0]))
+        with np.errstate(over="ignore", invalid="ignore"):  # named just below
             np.exp(lg[1:] - lg[:-1] + step, out=v[1:])
             v[1:] *= z  # z G_q(y_k)/G_q(y_k + alpha), the ratio of term k+1 to term k
             rhos = np.abs(v[1:])
             np.cumprod(v, out=v)
+        if not np.isfinite(v[:n]).all():  # v[n] is the next block's to check
+            raise _past_range(alpha, beta, f"term {k + int(np.flatnonzero(~np.isfinite(v))[0])}")
         yield k, v[:n], rhos
         t, rho = float(v[n]), float(rhos[-1])
         k += n
@@ -193,15 +190,18 @@ def ml_terms(spec: MLSpec, x: float, a: float = 0.0) -> tuple[float, list[float]
     total = 0.0
     terms: list[float] = []
     for k0, t, rho in _ml_series(p, spec.alpha, spec.beta, spec.lam, x):
-        with np.errstate(invalid="ignore"):  # inf * 0 and inf - inf are nan, as float arithmetic
-            if c == 1.0:
-                t = np.where(np.arange(k0, k0 + len(t)) == 0, t, 0.0)
-            elif c != 0.0:
-                _, l_k = _log_poch(p, c, spec.alpha * np.arange(k0, k0 + len(t), dtype=float))
-                t = t * np.exp(l_c - l_k)
-            acc = t.copy()
+        if c == 1.0:
+            t = np.where(np.arange(k0, k0 + len(t)) == 0, t, 0.0)
+        elif c != 0.0:
+            _, l_k = _log_poch(p, c, spec.alpha * np.arange(k0, k0 + len(t), dtype=float))
+            t = t * np.exp(l_c - l_k)
+        acc = t.copy()
+        with np.errstate(over="ignore"):  # named just below
             acc[0] += total
             np.cumsum(acc, out=acc)
+        if not np.isfinite(acc).all():
+            raise _past_range(spec.alpha, spec.beta, "the partial sum through term "
+                              f"{k0 + int(np.flatnonzero(~np.isfinite(acc))[0])}")
         stop = np.flatnonzero(_tail_within(p, np.abs(t), rho, acc))
         n = int(stop[0]) + 1 if stop.size else len(t)
         terms.extend(t[:n].tolist())

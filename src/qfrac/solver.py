@@ -53,7 +53,7 @@ from .errors import (
     QFracError,
     SampleError,
 )
-from .qcore import _INT_WINDOW, QParams, q_gamma, q_number, q_power_basis
+from .qcore import _INT_WINDOW, _LATTICE_RTOL, QParams, q_gamma, q_number, q_power_basis
 from .qfracops import (
     FracOrders,
     _integral_table,
@@ -62,7 +62,7 @@ from .qfracops import (
     hilfer_derivative,
     rl_integral,
 )
-from .qml import MLSpec, _ml_series, _tail_within, _term_by_term, ml_bound_check
+from .qml import MLSpec, _ml_series, _past_range, _tail_within, _term_by_term, ml_bound_check
 from .qgrid import (
     ZERO,
     Anchor,
@@ -108,7 +108,7 @@ def _check_interval_and_data(p) -> None:
 
 def _check_grid(p, g: LatticeGrid) -> None:
     """The solve grid must share the problem's b and q parameters."""
-    if abs(g.b - p.b) > 1e-12 * p.b:
+    if abs(g.b - p.b) > _LATTICE_RTOL * p.b:
         raise DomainError(f"grid anchor b={g.b!r} does not match problem b={p.b!r}")
     if g.params != p.params:
         raise DomainError("grid params and problem params must agree")
@@ -278,7 +278,7 @@ def contraction_constant(p: CauchyProblem, sub_lo: float, sub_hi: float) -> floa
     This is the operator-norm bound of A * I^v on [sub_lo, sub_hi]; Picard
     contracts there exactly when omega < 1.
     """
-    if not (p.a <= sub_lo < sub_hi <= p.b * (1.0 + 1e-12)):
+    if not (p.a <= sub_lo < sub_hi <= p.b * (1.0 + _LATTICE_RTOL)):
         raise DomainError(
             f"need a <= sub_lo < sub_hi <= b, got [{sub_lo!r}, {sub_hi!r}] in "
             f"[{p.a!r}, {p.b!r}]"
@@ -510,12 +510,18 @@ def linear_solve(p: LinearProblem, g: LatticeGrid) -> Solution:
         if xi_k == 0.0:
             continue
         acc = np.zeros(M + 1)
-        for m, t, rho in _term_by_term(_ml_series(params, nu, gamma - k + 1.0, lam, g.b)):
-            acc += t * xnu ** float(m)
-            if _tail_within(params, abs(t), rho, np.max(np.abs(acc))):
-                break
+        with np.errstate(over="ignore", invalid="ignore"):  # values past range are named below
+            for m, t, rho in _term_by_term(_ml_series(params, nu, gamma - k + 1.0, lam, g.b)):
+                acc += t * xnu ** float(m)
+                top = float(np.max(np.abs(acc)))
+                if not math.isfinite(top):
+                    raise _past_range(nu, gamma - k + 1.0, f"the partial sum through term {m}")
+                if _tail_within(params, abs(t), rho, top):
+                    break
+            y += xi_k * x ** (gamma - k) * acc
         terms_used = max(terms_used, m + 1)
-        y += xi_k * x ** (gamma - k) * acc
+        if not np.isfinite(y).all():
+            raise _past_range(nu, gamma - k + 1.0, f"xi_{k} x**{gamma - k:.6g} times the sum")
 
     # forcing part: the Neumann series sum_m lam**m I^(nu(m+1)) f, term m + 1 being
     # lam I^nu (term m) by the semigroup law, t_m the term of E_{nu,nu}.  As
@@ -533,10 +539,11 @@ def linear_solve(p: LinearProblem, g: LatticeGrid) -> Solution:
                 term = pref * _lattice_sums(x * term, w)  # rl_integral's operations
                 if m:
                     term = lam * term
-            if not np.isfinite(term).all():
-                raise DomainError("non-finite value at lattice index "
-                                  f"{int(np.flatnonzero(~np.isfinite(term))[0])}")
-            y += term
+                y += term
+            if not np.isfinite(y).all():  # a non-finite term, or a sum past double range
+                i = int(np.flatnonzero(~np.isfinite(y))[0])
+                raise _past_range(nu, nu, f"the forcing sum through term {m} (non-finite "
+                                  f"value at lattice index {i})")
             size = scale * abs(t) / q_number(params, nu * (m + 1))
             majorant += size
             if _tail_within(params, size, rho, majorant):

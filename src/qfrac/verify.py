@@ -41,8 +41,8 @@ from .qcore import (
 )
 from .qfracops import (
     FracOrders,
+    _integral_table,
     _integrate_stage,
-    _weights_for,
     hilfer_derivative,
     rl_derivative,
     rl_integral,
@@ -504,10 +504,10 @@ def _chk_decomposition(rng, thorough):
             # numerically rather than assumed to vanish
             boundary = 0.0
             for k in range(1, n + 1):
-                if al - k > 1e-12:
+                if al - k > _INT_WINDOW:
                     dk = rl_derivative(u, anchor, al - k)
                     boundary = max(boundary, abs(float(dk.values[m_a])))
-                elif abs(al - k) <= 1e-12:
+                elif abs(al - k) <= _INT_WINDOW:
                     boundary = max(boundary, abs(float(u.values[m_a])))
                 else:
                     ik = rl_integral(u, anchor, k - al)
@@ -1077,8 +1077,8 @@ def _rl_integral_at_b(u: GridFunction, alpha: float) -> float:
     below roundoff within the grid.
     """
     g = u.grid
-    pref = g.b ** (alpha - 1.0) * (1.0 - g.q) / q_gamma(g.params, alpha)
-    return pref * np.dot(_weights_for(g, alpha), g.points * u.values)
+    w, pref = _integral_table(g, alpha)
+    return pref[0] * np.dot(w, g.points * u.values)
 
 
 @_register("solver.classical-limit-integral")

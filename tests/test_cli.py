@@ -210,6 +210,23 @@ class TestNonFiniteNumbers:
         assert capsys.readouterr().err == (
             f"error: argument {option}: not a finite number: {value!r}\n")
 
+    @pytest.mark.parametrize("option, exponent, decimal", [
+        ("--lambda", "-2e-1", "-0.2"),
+        ("--lambda", "-2E-1", "-0.2"),
+        ("--beta", "-1e-1", "-0.1"),
+        ("--beta", "-1e0", "-1"),
+    ])
+    def test_negative_number_with_exponent_is_a_value(self, option, exponent, decimal,
+                                                       capsys):
+        # argparse's own negative-number pattern took -2e-1 for an option
+        args = {"--q": "0.5", "--alpha": "0.5", "--beta": "0.5", "--lambda": "0.2", "--x": "1"}
+        outs = []
+        for value in (exponent, decimal):
+            argv = [word for item in {**args, option: value}.items() for word in item]
+            assert main(["ml-eval", *argv]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
     @pytest.mark.parametrize("value, method", [("abc", "picard"), ("nan", "closed-form")])
     def test_rhs_value_exits_2_with_one_line(self, value, method, tmp_path, capsys):
         cfg = tmp_path / "bad.ini"
@@ -232,6 +249,15 @@ class TestOutsideInputFailures:
     SOLVE = ["solve", "--config", "{config}", "--out", "{out}"]
     RL_INT = ["eval-op", "--op", "rl-int", "--q", "0.5", "--alpha", "0.5"]
     ML_EVAL = ["ml-eval", "--q", "0.5", "--alpha", "1", "--beta", "1"]
+
+    # q 0.998, lambda -495: certificate 0.99 < 1, yet the series terms pass 1e308
+    # before they fall
+    SERIES_PEAK_INI = _edit(LINEAR_INI, ("q = 0.5", "q = 0.998"),
+                            ("depth = 200", "depth = 2000\nmax_terms = 50000"),
+                            ("alpha = 0.8", "alpha = 1.0"), ("beta = 0.6", "beta = 1.0"),
+                            ("lipschitz_a = 0.4", "lipschitz_a = 495.0"),
+                            ("lambda = 0.4", "lambda = -495.0"),
+                            ("forcing = const:1", "forcing = zero"))
 
     CASES = {
         # large finite numbers from the command line
@@ -268,6 +294,20 @@ class TestOutsideInputFailures:
             LINEAR_INI, ("b = 1.0", "b = 1e300"), ("depth = 200", "depth = 40"),
             ("lambda = 0.4", "lambda = 1e-200"), ("forcing = const:1", "forcing = const:1e300")),
             2, "non-finite value at lattice index 0"),
+        "closed-form-series-term-overflows": (
+            SOLVE + ["--method", "closed-form"], SERIES_PEAK_INI, 2,
+            "q-Mittag-Leffler series E_{1,1}: term 831 leaves double range"),
+        "closed-form-series-sum-overflows": (
+            SOLVE + ["--method", "closed-form"], _edit(SERIES_PEAK_INI, ("-495", "495")), 2,
+            "q-Mittag-Leffler series E_{1,1}: the partial sum through term 823 leaves double "
+            "range"),
+        "closed-form-forcing-series-overflows": (
+            SOLVE + ["--method", "closed-form"], _edit(SERIES_PEAK_INI, ("-495", "495"),
+            ("xi = 1.0", "xi = 0.0"), ("forcing = zero", "forcing = const:1")), 2,
+            "q-Mittag-Leffler series E_{1,1}: term 831 leaves double range"),
+        "closed-form-homogeneous-part-overflows": (
+            SOLVE + ["--method", "closed-form"], _edit(LINEAR_INI, ("xi = 1.0", "xi = 1e300")),
+            2, "E_{0.6,0.6}: xi_1 x**-0.4 times the sum leaves double range"),
         "picard-integral-overflows": (SOLVE, _edit(LINEAR_INI, ("forcing = const:1",
                                       "forcing = const:1e308")), 2,
                                       "Picard integral I^0.6 f(., y) is not finite at lattice "

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qfrac import qml
 from qfrac.errors import DomainError, NonConvergenceError, PoleError
 from qfrac.qcore import (
     QParams,
@@ -14,7 +15,6 @@ from qfrac.qcore import (
     _log_poch,
     q_factorial,
     q_gamma,
-    q_gamma_ratio,
     q_number,
     q_pochhammer_finite,
     q_pochhammer_fractional,
@@ -226,20 +226,14 @@ class TestQGamma:
         # forming 1 - q**(k+x) from the rounded power q**x loses up to 7.5e-9 here
         assert q_gamma(QParams(q), x) == pytest.approx(float(want), rel=1e-13)
 
-    def test_ratio_at_smallest_subnormal_overflows(self):
-        # G_q(5e-324) ~ (1-q)/(-5e-324 log q) leaves double range; x log q underflows
-        assert q_gamma_ratio(QParams(0.75), 5e-324, 1.0) == math.inf
-
     def test_ratio_with_factors_past_exp_range(self):
-        # the leading factors 1 - q**(x+k) of both products pass e**709; reference from
-        # 40-digit mpmath sums of log|1 - q**(x+k)|, k < 5000, for each product
-        assert q_gamma_ratio(P5, -1100.5, 0.25) == pytest.approx(
-            8.41643907713637897611397379105e-84, rel=1e-9)
-
-    def test_ratio_helper_matches_direct(self):
-        for x, step in [(0.4, 0.7), (2.5, 1.3), (5.0, 0.25)]:
-            want = q_gamma(P5, x) / q_gamma(P5, x + step)
-            assert q_gamma_ratio(P5, x, step) == pytest.approx(want, rel=1e-12)
+        # G_q(x)/G_q(x + 1/4) from two products whose leading factors 1 - q**(x+k) pass
+        # e**709; reference from 40-digit mpmath sums of log|1 - q**(x+k)|, k < 5000,
+        # for each product
+        s_den, l_den = _log_poch(P5, 1.0, -1100.5)
+        s_num, l_num = _log_poch(P5, 1.0, -1100.25)
+        ratio = s_num * s_den * math.exp(l_num - l_den + 0.25 * math.log(0.5))
+        assert ratio == pytest.approx(8.41643907713637897611397379105e-84, rel=1e-9)
 
 
 class TestQPowerBasis:
@@ -321,15 +315,18 @@ def test_pochhammer_splitting_property(q, a, al, be):
 @given(
     q=st.floats(min_value=0.05, max_value=0.99),
     a=st.floats(min_value=0.0, max_value=2.0, exclude_min=True),
-    y1=st.floats(min_value=0.0, max_value=40.0, exclude_min=True),
-    y2=st.floats(min_value=0.0, max_value=40.0, exclude_min=True),
+    y=st.floats(min_value=0.0, max_value=40.0, exclude_min=True),
 )
-def test_gamma_ratio_never_grows(q, a, y1, y2):
-    # G_q is log-convex on (0, inf), so G_q(y) / G_q(y + a) does not increase
-    # in y: the premise of the q-Mittag-Leffler truncation rule in qfrac.qml
-    p = QParams(q)
-    lo, hi = sorted((y1, y2))
-    assert q_gamma_ratio(p, hi, a) <= q_gamma_ratio(p, lo, a) * (1.0 + 1e-12)
+def test_gamma_ratio_never_grows(q, a, y):
+    # G_q is log-convex on (0, inf), so the term ratio bound
+    # rho_k = |z| G_q(y + a k) / G_q(y + a (k+1)) does not increase in k: the
+    # premise of the q-Mittag-Leffler truncation rule in qfrac.qml
+    rhos = []
+    for _, _, rho in qml._ml_series(QParams(q), a, y, 0.5, 1.0):
+        rhos.extend(rho.tolist())
+        if len(rhos) >= 56:  # three blocks: two block boundaries
+            break
+    assert all(hi <= lo * (1.0 + 1e-12) for lo, hi in zip(rhos, rhos[1:]))
 
 
 def test_classical_limit_sanity():

@@ -7,7 +7,7 @@ import pytest
 
 from qfrac import qcore, qml
 from qfrac.errors import DivergenceError, DomainError, NonConvergenceError
-from qfrac.qcore import QParams, q_gamma, q_gamma_ratio, q_pochhammer_fractional
+from qfrac.qcore import QParams, q_gamma, q_pochhammer_fractional
 from qfrac.qml import MLSpec, ml_bound_check, ml_eval, ml_terms
 
 P5 = QParams(0.5)
@@ -33,6 +33,13 @@ def direct_series(spec: MLSpec, x: float, a: float, n_terms: int = 500) -> float
     return total
 
 
+def gamma_ratio(p: QParams, y: float, alpha: float) -> float:
+    """G_q(y)/G_q(y + alpha) = (q**(y+alpha); q)_inf / (q**y; q)_inf (1-q)**alpha."""
+    s_den, l_den = qcore._log_poch(p, 1.0, y)
+    s_num, l_num = qcore._log_poch(p, 1.0, y + alpha)
+    return s_num * s_den * math.exp(l_num - l_den + alpha * math.log(1.0 - p.q))
+
+
 def scalar_recurrence(spec: MLSpec, x: float, a: float = 0.0) -> tuple[float, list[float]]:
     """The series formed one term at a time by ratio recurrences, as a reference.
 
@@ -49,7 +56,7 @@ def scalar_recurrence(spec: MLSpec, x: float, a: float = 0.0) -> tuple[float, li
         if not (round(y) <= 0 and abs(y - round(y)) < 1e-12):
             if t is None:
                 t = z**k / q_gamma(p, y)
-            g = q_gamma_ratio(p, y, alpha)
+            g = gamma_ratio(p, y, alpha)
             rho = abs(z * g) if y > 0.0 else math.inf
             term = t * poch
         total += term
@@ -146,11 +153,59 @@ class TestBlockSeries:
 
     @pytest.mark.parametrize("a", [0.0, 0.0005])
     def test_terms_past_double_range_raise_without_warning(self, a):
-        # terms after the 155 poles and negative arguments reach inf with both
-        # signs; the sum is nan, as in float arithmetic, so the tail never certifies
+        # past the 155 poles and negative arguments the terms leave double range
         spec = MLSpec(1.0, -154.5, -1.8e5, QParams(0.995))
-        with pytest.raises(NonConvergenceError, match="max_terms=10000"):
+        with pytest.raises(DomainError, match=r"E_\{1,-154.5\}: .* leaves double range"):
             ml_terms(spec, 0.001, a)
+
+    @pytest.mark.parametrize("lam, what", [(495.0, "the partial sum through term 823"),
+                                           (-495.0, "term 831")], ids=["plus", "minus"])
+    def test_series_past_double_range_names_the_term(self, lam, what):
+        # certificate 0.99 < 1, but the terms rise past 1e308 before they fall: the
+        # first term or partial sum out of range is named, with no numpy warning
+        spec = MLSpec(1.0, 1.0, lam, QParams(0.998, max_terms=50_000))
+        with pytest.raises(DomainError, match=f"E_\\{{1,1\\}}: {what} leaves double range"):
+            ml_terms(spec, 1.0)
+
+    def test_term_below_the_poles_costs_one_kernel_call(self, monkeypatch):
+        # beta = -3.3: terms 0-3 lie below the poles, each one scalar product-kernel call
+        spec = MLSpec(1.0, -3.3, 0.4, P5)
+        want = ml_terms(spec, 1.0)  # warms the cached log (q; q)_inf
+        scalar = []
+        kernel = qcore._log_poch
+
+        def counting(p, a, s):
+            if not isinstance(s, np.ndarray):
+                scalar.append(s)
+            return kernel(p, a, s)
+
+        monkeypatch.setattr(qcore, "_log_poch", counting)
+        monkeypatch.setattr(qml, "_log_poch", counting)
+        assert ml_terms(spec, 1.0) == want
+        assert scalar == pytest.approx([-3.3, -2.3, -1.3, -0.3])
+
+    @pytest.mark.parametrize("alpha, beta, lam, x, a", [
+        (1.0, -3.3, 0.4, 1.0, 0.0),
+        (0.5, -1.0, 0.1, 0.5, 0.0),
+        (0.7, -2.45, -0.6, 0.8, 0.0),
+        (1.7, -0.2, 1.1, 0.9, 0.0),
+        (0.3, -7.25, 0.9, 0.6, 0.0),
+        (0.8, -1.5, -0.3, 0.9, 0.9 * 0.5**3),
+    ])
+    def test_nonpositive_beta_against_mpmath(self, alpha, beta, lam, x, a):
+        import mpmath as mp
+
+        with mp.workdps(40):
+            q, z, c = mp.mpf(0.5), mp.mpf(lam) * mp.mpf(x) ** alpha, mp.mpf(a) / mp.mpf(x)
+            want = mp.mpf(0)
+            for k in range(400):
+                y = alpha * k + mp.mpf(beta)
+                if y <= 0 and y == mp.floor(y):
+                    continue  # 1/G_q vanishes on a pole
+                poch = mp.qp(c, q) / mp.qp(c * q ** (alpha * k), q) if a else 1
+                want += z**k * poch / mp.qgamma(y, q)
+        assert ml_eval(MLSpec(alpha, beta, lam, P5), x, a) == pytest.approx(float(want),
+                                                                            rel=2e-12)
 
     def test_fresh_term_past_the_poles_in_log_space(self):
         # terms 0-20 sit on poles; term 21 is 1e315 / G_q(50), about 6.1e300
