@@ -55,8 +55,9 @@ class _OneLineParser(argparse.ArgumentParser):
 
     def __init__(self, *args, **kwargs):  # subparsers are built from this class too
         super().__init__(*args, **kwargs)
-        # a word starting like a negative number is a value (the default missed -2e-1)
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        # a word starting like a negative number float() reads is a value (the default
+        # missed -2e-1, -inf and -nan); _finite then names a non-finite one
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
         print(f"error: {message}", file=sys.stderr)

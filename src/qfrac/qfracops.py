@@ -90,9 +90,12 @@ class FracOrders:
 
 
 @lru_cache(maxsize=128)
-def _kernel_weights(q: float, eps_product: float, max_terms: int, alpha: float,
-                    length: int) -> np.ndarray:
-    """Weights w_j = (q**(j+1); q)_{alpha-1} for j = 0..length-1.
+def _kernel_weights(q: float, eps_product: float, max_terms: int, alpha: float, b: float,
+                    length: int) -> tuple[np.ndarray, np.ndarray]:
+    """I^alpha's weights w_j = (q**(j+1); q)_{alpha-1} and row prefactor on {b q**m : m < length}.
+
+    Both are read-only, j and m running over 0..length-1; the prefactor is
+    x_m**(alpha-1) (1-q)/G_q(alpha).
 
     w_0 comes from the log-space product ratio; the rest follow the exact
     one-step recurrence w_{j+1} = w_j (1 - q**(j+alpha)) / (1 - q**(j+1))
@@ -101,7 +104,11 @@ def _kernel_weights(q: float, eps_product: float, max_terms: int, alpha: float,
     M = 200; 1.1e-14 at q = 0.9, M = 800; 6.1e-14 at q = 0.98, M = 4000.  Up to
     1.2e-14 of it is in w_0, the rest is roundoff the recurrence accumulates
     with depth.  The solver's lattice q-power bases are read from these
-    tables, so this is their error budget too.
+    tables, so this is their error budget too.  The weights tend monotonically
+    to 1 as j grows, as w_j = (q**(j+1); q)_inf / (q**(j+alpha); q)_inf, which
+    :func:`_lattice_sums` uses to sum the far field as a plain Jackson tail.
+    The points x_m are formed as LatticeGrid forms them, so the prefactor has
+    the bits of one computed from ``grid.points``.
     """
     p = QParams(q, eps_product=eps_product, max_terms=max_terms)
     w = np.empty(length)
@@ -109,27 +116,39 @@ def _kernel_weights(q: float, eps_product: float, max_terms: int, alpha: float,
     j = np.arange(length - 1, dtype=float)
     factors = (1.0 - q ** (j + alpha)) / (1.0 - q ** (j + 1.0))
     w[1:] = w[0] * np.cumprod(factors)
+    x = b * q ** np.arange(length, dtype=float)
+    pref = x ** (alpha - 1.0) * (1.0 - q) / q_gamma(p, alpha)
     w.setflags(write=False)
-    return w
-
-
-def _weights_for(grid, alpha: float) -> np.ndarray:
-    p = grid.params
-    return _kernel_weights(p.q, p.eps_product, p.max_terms, alpha, grid.depth + 1)
+    pref.setflags(write=False)
+    return w, pref
 
 
 def _integral_table(grid, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """I^alpha on the grid: its weights w_j and its row prefactor x**(alpha-1) (1-q)/G_q(alpha).
 
     Row m of the 0-anchored integral of u is pref_m times the lattice sum
-    sum_j w_j x_(m+j) u_(m+j); a caller applying I^alpha many times reads both once.
+    sum_j w_j x_(m+j) u_(m+j).  Both arrays are read-only and come from the
+    one :func:`_kernel_weights` cache, so a warm call forms neither G_q(alpha)
+    nor a power of the points.
     """
-    pref = grid.points ** (alpha - 1.0) * (1.0 - grid.q) / q_gamma(grid.params, alpha)
-    return _weights_for(grid, alpha), pref
+    p = grid.params
+    return _kernel_weights(p.q, p.eps_product, p.max_terms, alpha, grid.b, grid.depth + 1)
+
+
+def _weights_for(grid, alpha: float) -> np.ndarray:
+    return _integral_table(grid, alpha)[0]
 
 
 # A banded row may drop at most this fraction of itself: one unit roundoff.
 _BAND_EPS = 2.0**-53
+# Row 0's target for the far-field band, 2**-10 below _BAND_EPS, so that deeper
+# rows that decay more slowly than row 0 still pass the every-row certificate.
+_FAR_EPS = 2.0**-63
+# Floor of the far-field distance d_j = max(|w_j - 1|, _FAR_FLOOR).  With it the
+# every-row certificate d_L S_(m+L) <= _BAND_EPS |row m| also keeps the plain
+# tail S_(m+L) at most 2**-20 of the row, so its summation roundoff stays out
+# of the row's last digits.
+_FAR_FLOOR = 2.0**-33
 # Shortest s for which a band is tried: below it the band's bookkeeping, about
 # ten array calls, costs more than the whole correlation.  Measured on a shared
 # 2-core Xeon (median of 9 x 100 calls, x**p inputs, orders 0.3-1.4): at
@@ -139,48 +158,71 @@ _BAND_EPS = 2.0**-53
 _BAND_MIN = 512
 
 
-def _band_width(s: np.ndarray, w: np.ndarray) -> tuple[int, np.ndarray | None]:
-    """Band width L for :func:`_lattice_sums`, and the suffix sums S_k = sum_(j>=k) |s_j|.
+def _band_width(s: np.ndarray, w: np.ndarray,
+                far: bool) -> tuple[int, np.ndarray | None, np.ndarray | None]:
+    """Band width L for :func:`_lattice_sums`, the distances d_j and the suffix sums S_k.
 
-    Row 0 sets L: the smallest L >= 1 with max_(j>=L) w_j S_L <= 2**-53 |row 0|.
-    Returns (len(s), None), no band, when that L would exceed len(s)/2 (one
-    sum over the second half of s tells) or row 0 is not finite.
+    S_k = sum_(j>=k) |s_j|.  Row m < n - L drops sum_(j>=L) (w_j - c) s_(m+j),
+    which is at most d_L S_(m+L) with d_j non-increasing in j:
+
+    - far=False, c = 0 (any summands): d_j = max(w_j, w_(n-1)), as w is
+      monotone; L is the smallest L >= 1 with d_L S_L <= 2**-53 |row 0|.
+    - far=True, c = 1 (one-signed summands, the caller adds the plain tail
+      sum_(k>=m+L) s_k): d_j = max(|w_j - 1|, 2**-33), as w tends
+      monotonically to 1; L is the smallest L >= 1 with d_L S_L <= 2**-63 |row 0|,
+      a margin of 2**-10 on the 2**-53 every row is held to.
+
+    Returns (len(s), None, None), no band, when that L would exceed len(s)/2
+    (one sum over the second half of s tells) or row 0 is not finite.
     """
     n = len(s)
     h = n // 2
-    tol = _BAND_EPS * abs(float(np.dot(w[:n], s)))
-    # w is monotone in j, so max_(j>=L) w_j is w_L or w_(n-1), and the bound falls with L
-    if not (tol < math.inf and max(w[h], w[n - 1]) * np.sum(np.abs(s[h:])) <= tol):
-        return n, None
+    if far:
+        d, eps = np.maximum(np.abs(w[:n] - 1.0), _FAR_FLOOR), _FAR_EPS
+    else:  # max_(j>=L) w_j is w_L or w_(n-1)
+        d, eps = np.maximum(w[:n], w[n - 1]), _BAND_EPS
+    tol = eps * abs(float(np.dot(w[:n], s)))
+    if not (tol < math.inf and d[h] * np.sum(np.abs(s[h:])) <= tol):
+        return n, None, None
     suffix = np.cumsum(np.abs(s[::-1]))[::-1]
-    bound = np.maximum(w[:n], w[n - 1]) * suffix
-    return max(int(np.searchsorted(-bound, -tol)), 1), suffix
+    return max(int(np.searchsorted(-(d * suffix), -tol)), 1), d, suffix
 
 
 def _lattice_sums(s: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Row sums sum_j w_j s_(m+j) of a 0-anchored lattice integral, for every row m of s.
 
-    Certified short memory: on the geometric lattice the summands shrink
-    geometrically, so row m needs only its first L weights (L from
-    :func:`_band_width`).  The part dropped from row m < n - L is at most
-    max(w_L, w_(n-1)) S_(m+L); the banded sums are returned only when that
-    bound is at most 2**-53 of the banded sum on every row.  Otherwise (a
-    row that cancels, L > n/2, s of at most _BAND_MIN entries, a non-finite
-    row 0) the result is the full correlation.  So the sums are within
-    2**-53 of the full ones plus summation-order roundoff; they are not
-    bit-identical to per-row dot products.
+    Certified short memory, on more than _BAND_MIN summands.  The weights tend
+    monotonically to 1, so deep in a row the integral is the plain Jackson
+    sum.  When s is one-signed, row m is sum_(j<L) w_j s_(m+j) plus the plain
+    tail sum_(k>=m+L) s_k (one reversed cumsum), and only the far field
+    sum_(j>=L) (w_j - 1) s_(m+j) is dropped, at most d_L S_(m+L) with
+    d_j = max(|w_j - 1|, 2**-33).  When s changes sign (its rows may cancel,
+    and a new summation order would move their digits) the band holds w_j
+    itself and row m drops at most max(w_L, w_(n-1)) S_(m+L).  L comes from row 0
+    (:func:`_band_width`); the banded sums are returned only when L <= n/2
+    and the dropped part is at most 2**-53 of the banded sum on every row.
+    Otherwise (a row that cancels, L > n/2, s of at most _BAND_MIN entries, a
+    non-finite row 0) the result is the full correlation.  So the sums are
+    within 2**-53 of the full ones plus summation-order roundoff; they are
+    not bit-identical to per-row dot products.
 
-    w holds at least len(s) positive weights, monotone in j, as the kernel
-    tables are (w_(j+1)/w_j = (1-q**(j+alpha))/(1-q**(j+1)) is >= 1 exactly
-    when alpha >= 1); s must not be empty.
+    w holds at least len(s) positive weights that tend monotonically to 1,
+    as the kernel tables do (w_(j+1)/w_j = (1-q**(j+alpha))/(1-q**(j+1)) is
+    >= 1 exactly when alpha >= 1, and w_j -> 1); s must not be empty.
     """
     n = len(s)
     if n > _BAND_MIN:
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite sums are the caller's
-            L, suffix = _band_width(s, w)
+            positive = bool(s.min() >= 0.0)  # nan: neither positive nor negative
+            negative = not positive and bool(s.max() <= 0.0)
+            L, d, suffix = _band_width(s, w, positive or negative)
             if 2 * L <= n:
                 sums = np.correlate(s, w[:L], "full")[L - 1:]
-                drop = max(w[L], w[n - 1]) * suffix[L:]
+                if positive:
+                    sums[:n - L] += suffix[L:]
+                elif negative:
+                    sums[:n - L] -= suffix[L:]
+                drop = d[L] * suffix[L:]
                 if np.all(drop <= _BAND_EPS * np.abs(sums[:n - L])):
                     return sums
     return np.correlate(s, w[:n], "full")[n - 1:]
@@ -195,9 +237,10 @@ def rl_integral(u: GridFunction, a: Anchor, alpha: float) -> GridFunction:
 
     The sums are :func:`_lattice_sums` of s_k = x_k u_k with the offset-only
     weights w_j: on more than _BAND_MIN points each row sums only the band of
-    weights its suffix bound certifies (dropped part at most 2**-53 of the
-    row), else the full row, so values agree with per-row dot products to
-    roundoff, not bit for bit.  The prefactor x_m**(alpha-1) (1-q)/G_q(alpha)
+    weights its suffix bound certifies (plus the plain Jackson tail when s is
+    one-signed; dropped part at most 2**-53 of the row), else the full row, so
+    values agree with per-row dot products to roundoff, not bit for bit.  The
+    prefactor x_m**(alpha-1) (1-q)/G_q(alpha), cached with the weights,
     multiplies the finished sums, because folded into the weights it under-
     and overflows at deep indices.  No FFT: its absolute error swamps the
     geometrically decaying deep values.  No dense operator matrix: it costs

@@ -202,7 +202,15 @@ class TestNonFiniteNumbers:
         (EVAL_OP, "--a", "inf"),
         (ML_EVAL + ["--lambda", "0.1"], "--x", "nan"),
         (ML_EVAL + ["--x", "0.5"], "--lambda", "nan"),
-    ], ids=["eval-op-a-nan", "eval-op-a-inf", "ml-eval-x-nan", "ml-eval-lambda-nan"])
+        (ML_EVAL + ["--x", "0.5"], "--lambda", "-inf"),
+        (ML_EVAL + ["--x", "0.5"], "--lambda", "-nan"),
+        (ML_EVAL + ["--x", "0.5"], "--lambda", "-Infinity"),
+        (ML_EVAL + ["--x", "0.5"], "--lambda", "-NaN"),
+        (EVAL_OP, "--a", "-inf"),
+    ], ids=["eval-op-a-nan", "eval-op-a-inf", "ml-eval-x-nan", "ml-eval-lambda-nan",
+            "ml-eval-lambda-minus-inf", "ml-eval-lambda-minus-nan",
+            "ml-eval-lambda-minus-infinity", "ml-eval-lambda-minus-nan-mixed-case",
+            "eval-op-a-minus-inf"])
     def test_option_exits_2_with_one_line(self, argv, option, value, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv + [option, value])

@@ -1,5 +1,6 @@
 """Fractional q-operators: closed-form identities, reductions, error paths."""
 
+import math
 import warnings
 
 import numpy as np
@@ -7,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qfrac import qfracops
 from qfrac.errors import DepthError, DomainError, QFracError
 from qfrac.qcore import QParams, q_gamma, q_power_basis
 from qfrac.qgrid import ZERO, GridFunction, LatticeGrid, LatticePoint, sample, tail_window
 from qfrac.qfracops import (
     FracOrders,
     _band_width,
+    _integral_table,
     _lattice_sums,
     _weights_for,
     caputo_derivative,
@@ -220,13 +223,10 @@ class TestBandCertificate:
         g, s = self.summands(q, depth, anchor, p)
         for alpha in (0.3, 0.75, 1.0, 1.4):
             w = _weights_for(g, alpha)
-            L, _ = _band_width(s, w)
-            got, want = self.assert_within_bound(s, w)
-            # s ~ q**(k(p+1)): the band is taken unless that decay is too slow for half the row
-            if q == 0.98 and p < 0.0:
-                assert 2 * L > len(s) and np.array_equal(got, want)
-            else:
-                assert 2 * L <= len(s)
+            L = _band_width(s, w, True)[0]
+            self.assert_within_bound(s, w)
+            # s ~ q**(k(p+1)) is one-signed: the band of w - 1 is taken, also for slow decay
+            assert 2 * L <= len(s)
 
     @pytest.mark.parametrize("q, depth", [(0.5, 1000), (0.98, 4000)])
     @pytest.mark.parametrize("sign", ["alternating", "cos3k"])
@@ -238,13 +238,17 @@ class TestBandCertificate:
             self.assert_within_bound(s, _weights_for(g, alpha))
 
     def test_cancelled_row_falls_back_to_full_sums(self):
-        g, s = self.summands(0.5, 1000, "zero", 0.4)
-        w = _weights_for(g, 0.75)
-        L, _ = _band_width(s, w)
-        s[100:100 + L] = 0.0  # row 100's band sums to 0 while its tail does not
-        assert _band_width(s, w)[0] == L
-        got = _lattice_sums(s, w)
-        assert np.array_equal(got, full_sums(s, w)) and got[100] > 0.0
+        for far in (True, False):
+            g, s = self.summands(0.5, 1000, "zero", 0.4)
+            if not far:
+                k = np.flatnonzero(s)[-1]
+                s[k] = -s[k]  # a sign change far below row 0's band
+            w = _weights_for(g, 0.75)
+            L = _band_width(s, w, far)[0]
+            s[100:100 + L] = 0.0  # row 100's band sums to 0 while its tail does not
+            assert _band_width(s, w, far)[0] == L
+            got = _lattice_sums(s, w)
+            assert np.array_equal(got, full_sums(s, w)) and got[100] > 0.0
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_deep_summand_gives_full_sums(self, bad):
@@ -252,7 +256,8 @@ class TestBandCertificate:
         s[700] = bad
         w = _weights_for(g, 0.75)
         with np.errstate(over="ignore", invalid="ignore"):
-            assert _band_width(s, w) == (len(s), None)  # no band is tried
+            for far in (True, False):
+                assert _band_width(s, w, far) == (len(s), None, None)  # no band is tried
         got, want = _lattice_sums(s, w), full_sums(s, w)
         assert np.array_equal(got, want, equal_nan=True)
         assert np.flatnonzero(~np.isfinite(got)).tolist() == list(range(701))
@@ -278,6 +283,148 @@ class TestBandCertificate:
         first = int(np.flatnonzero(~np.isfinite(want))[0])
         with pytest.raises(DomainError, match=f"non-finite value at lattice index {first}$"):
             rl_integral(u, ZERO, 0.75)
+
+
+def w_band_sums(s, w):
+    """The band-of-w rule, verbatim, that the kernel keeps for sign-changing summands.
+
+    Row 0 sets L with max(w_L, w_(n-1)) S_L <= 2**-53 |row 0|; the band of w itself
+    is kept when 2L <= n and that bound holds on every row, else the full correlation.
+    """
+    n = len(s)
+    if n > 512:
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = n // 2
+            tol = EPS * abs(float(np.dot(w[:n], s)))
+            if tol < math.inf and max(w[h], w[n - 1]) * np.sum(np.abs(s[h:])) <= tol:
+                suffix = np.cumsum(np.abs(s[::-1]))[::-1]
+                bound = np.maximum(w[:n], w[n - 1]) * suffix
+                L = max(int(np.searchsorted(-bound, -tol)), 1)
+                if 2 * L <= n:
+                    sums = np.correlate(s, w[:L], "full")[L - 1:]
+                    drop = max(w[L], w[n - 1]) * suffix[L:]
+                    if np.all(drop <= EPS * np.abs(sums[:n - L])):
+                        return sums
+    return full_sums(s, w)
+
+
+@pytest.fixture
+def correlate_calls(monkeypatch):
+    """Band widths of the np.correlate calls made while the test runs."""
+    calls = []
+    correlate = np.correlate
+
+    def counted(a, v, mode):
+        calls.append(len(v))
+        return correlate(a, v, mode)
+
+    monkeypatch.setattr(np, "correlate", counted)
+    return calls
+
+
+class TestFarField:
+    """One-signed summands: a band of w_j - 1 plus the plain Jackson tail."""
+
+    @pytest.mark.parametrize("q, depth", [(0.5, 1000), (0.98, 4000)])
+    @pytest.mark.parametrize("p", [-0.95, -0.3, 0.4, 1.6])
+    def test_rows_within_2e_15_of_fsum(self, q, depth, p):
+        g = grid(q=q, depth=depth)
+        s = g.points ** (p + 1.0)
+        n = len(s)
+        for alpha in (0.3, 1.4):
+            w = _weights_for(g, alpha)
+            want = np.array([math.fsum(w[:n - m] * s[m:]) for m in range(n)])
+            for sign in (1.0, -1.0):
+                got = _lattice_sums(sign * s, w)
+                assert np.all(np.abs(got - sign * want) <= 2e-15 * np.abs(want))
+
+    @pytest.mark.parametrize("q, depth", [(0.5, 1000), (0.98, 4000)])
+    @pytest.mark.parametrize("sign", ["alternating", "cos40x", "one-deep-negative"])
+    def test_sign_changing_summands_keep_the_band_of_w(self, q, depth, sign):
+        g = grid(q=q, depth=depth)
+        x = g.points
+        for p in (-0.3, 0.4, 1.6):
+            s = x ** (p + 1.0)
+            if sign == "alternating":
+                s = s * (-1.0) ** np.arange(len(s))
+            elif sign == "cos40x":
+                s = s * np.cos(40.0 * x)
+            else:
+                k = np.flatnonzero(s)[-1]  # the deepest summand that is not 0
+                s[k] = -s[k]
+            for alpha in (0.3, 0.75, 1.4):
+                w = _weights_for(g, alpha)
+                assert np.array_equal(_lattice_sums(s, w), w_band_sums(s, w))
+
+    @pytest.mark.parametrize("n", [2, 200, 512])
+    def test_short_sums_are_the_full_correlation(self, n):
+        g = grid(q=0.98, depth=1000)
+        s = g.points[:n] ** 0.6
+        for alpha in (0.3, 1.4):
+            w = _weights_for(g, alpha)
+            assert np.array_equal(_lattice_sums(s, w), full_sums(s, w))
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.75, 1.4])
+    def test_deep_rows_decaying_slower_than_row_0_keep_the_band(self, alpha, correlate_calls):
+        # s_k = 2**-k to k = 100, then 2**-(3/4) per step: deeper rows keep more of their tail
+        k = np.arange(1001.0)
+        s = 2.0 ** -np.minimum(k, 100.0 + 0.75 * (k - 100.0))
+        w = _weights_for(grid(depth=1000), alpha)
+        L = _band_width(s, w, True)[0]
+        _lattice_sums(s, w)
+        assert correlate_calls == [L]  # the band alone, not the band and then the full sum
+        w_band_sums(s, w)
+        assert len(correlate_calls) == 3 and correlate_calls[2] == 1001  # band of w, then full
+        TestBandCertificate.assert_within_bound(s, w)
+
+    @pytest.mark.parametrize("q, depth", [(0.5, 1000), (0.98, 4000)])
+    def test_plain_tail_is_at_most_2_20_of_each_row(self, q, depth, correlate_calls):
+        # at alpha = 1 every w_j is 1 and the far field is 0: only the floor of d_j bounds L
+        g = grid(q=q, depth=depth)
+        kept = 0
+        for p in (-0.3, 0.4, 1.6):
+            s = g.points ** (p + 1.0)
+            for alpha in (0.3, 1.0, 1.4):
+                w = _weights_for(g, alpha)
+                L, _, suffix = _band_width(s, w, True)
+                correlate_calls.clear()
+                got = _lattice_sums(s, w)
+                if correlate_calls == [L]:  # the band was kept
+                    kept += 1
+                    assert np.all(suffix[L:] <= 2.0**-20 * got[:len(s) - L])
+        assert kept == 9
+
+
+class TestIntegralTable:
+    """I^alpha's weights and row prefactor, both from the one kernel-weight cache."""
+
+    @pytest.mark.parametrize("q, depth, b", [(0.5, 200, 1.0), (0.9, 800, 3.7), (0.98, 4000, 0.2)])
+    def test_prefactor_has_the_bits_of_the_grid_points(self, q, depth, b):
+        g = grid(q=q, depth=depth, b=b)
+        for alpha in (0.3, 1.0, 2.5):
+            w, pref = _integral_table(g, alpha)
+            want = g.points ** (alpha - 1.0) * (1.0 - q) / q_gamma(g.params, alpha)
+            assert np.array_equal(pref, want)
+            assert not w.flags.writeable and not pref.flags.writeable
+
+    def test_grids_differing_in_b_get_their_own_prefactor(self):
+        a, b = _integral_table(grid(b=1.0), 0.5), _integral_table(grid(b=4.0), 0.5)
+        assert np.array_equal(a[0], b[0])
+        assert np.allclose(b[1], a[1] * 4.0**-0.5, rtol=4 * EPS, atol=0.0)
+
+    def test_warm_rl_integral_forms_no_q_gamma(self, monkeypatch):
+        g = grid(q=0.9, depth=800)
+        u = sample(g, lambda x: x)
+        want = rl_integral(u, ZERO, 0.75).values
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return q_gamma(*args)
+
+        monkeypatch.setattr(qfracops, "q_gamma", counted)
+        assert np.array_equal(rl_integral(u, ZERO, 0.75).values, want)
+        assert calls == []
 
 
 class TestRLDerivative:
