@@ -228,6 +228,77 @@ def _lattice_sums(s: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.correlate(s, w[:n], "full")[n - 1:]
 
 
+# Rows per block of :func:`_lattice_solve`: two correlations and one dense solve
+# of the block's own rows each.
+_SOLVE_BLOCK = 64
+
+
+def _triangular_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The solution of a v = b for upper-triangular a with a nonzero diagonal.
+
+    One np.linalg.solve when b is finite and the solve forms no nan (it raises
+    LinAlgError on one).  Otherwise row by row from the last, so a non-finite
+    value reaches only the rows above it, as in exact substitution: the solve
+    would spread it to every row.
+    """
+    if np.isfinite(b).all():
+        try:
+            return np.linalg.solve(a, b)
+        except np.linalg.LinAlgError:
+            pass
+    v = b.copy()
+    for m in range(len(b) - 1, -1, -1):
+        v[m] = (v[m] - a[m, m + 1:] @ v[m + 1:]) / a[m, m]
+    return v
+
+
+def _lattice_solve(f: np.ndarray, x: np.ndarray, w: np.ndarray, pref: np.ndarray,
+                   lam: float, what: str) -> np.ndarray:
+    """The solution u of u = I f + lam I u on the 0-anchored lattice x, I = I^alpha.
+
+    w and pref are I^alpha's weights and row prefactor (:func:`_integral_table`), so row
+    m reads u_m = pref_m sum_(k>=m) w_(k-m) s_k with s_k = x_k (f_k + lam u_k), the rows
+    of :func:`rl_integral`.  Row m involves only the rows k >= m, and its diagonal is
+    1 - lam pref_m w_0 x_m = 1 - lam x_m**alpha (1-q)**alpha, at least 1 - r > 0 under
+    the certificate r = |lam| b**alpha (1-q)**alpha < 1.  So substitution from the
+    deepest row solves the system exactly, with no stop rule.
+
+    Blocks of _SOLVE_BLOCK rows go deepest first.  A block [lo, hi) sums its own
+    forcing, sum_(lo<=k<hi) w_(k-m) x_k f_k, and its history sum_(k>=hi) w_(k-m) s_k
+    from the rows already solved in one np.correlate call each, then solves its
+    own upper-triangular rows (:func:`_triangular_solve`): about n**2/2
+    multiply-adds in ceil(n/_SOLVE_BLOCK) numpy passes.  The first row found past
+    double range, the deepest non-finite one, raises one DomainError that names
+    ``what`` and its lattice index, with no numpy warning.
+    """
+    n = len(f)
+    u = np.empty(n)
+    s = np.empty(n)  # the summands x_k (f_k + lam u_k) of the solved rows
+    size = min(_SOLVE_BLOCK, n)
+    i = np.arange(size)
+    d = i - i[:, None]
+    toeplitz = np.where(d >= 0, w[np.maximum(d, 0)], 0.0)  # entry (i, j) is w_(j-i)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows are named below
+        for hi in range(n, 0, -size):
+            lo = max(hi - size, 0)
+            t, xb, pb = toeplitz[:hi - lo, :hi - lo], x[lo:hi], pref[lo:hi]
+            rows = np.correlate(xb * f[lo:hi], w[:hi - lo], "full")[hi - lo - 1:]
+            if hi < n:
+                rows += np.correlate(w[1:n - lo], s[hi:], "valid")[::-1]
+            rows *= pb
+            a = t * xb
+            a *= (-lam * pb)[:, None]
+            a.flat[::hi - lo + 1] += 1.0
+            rows = _triangular_solve(a, rows)
+            if not np.isfinite(rows).all():
+                k = lo + int(np.flatnonzero(~np.isfinite(rows))[-1])
+                raise DomainError(f"{what} leaves double range: non-finite value at "
+                                  f"lattice index {k} (x={float(x[k])!r})")
+            u[lo:hi] = rows
+            s[lo:hi] = xb * (f[lo:hi] + lam * rows)
+    return u
+
+
 def rl_integral(u: GridFunction, a: Anchor, alpha: float) -> GridFunction:
     """Riemann-Liouville fractional q-integral of order alpha > 0 from a.
 

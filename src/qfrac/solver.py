@@ -30,10 +30,11 @@ which requires the convergence certificate |lam| b**v (1-q)**v < 1.  With
 g = v the initial-value sum is literally the two-parameter Mittag-Leffler
 solution formula; for g > v it is the continuation carrying the same
 initial data (the pure-v form would attach the data to the wrong powers).
-The forcing integral is summed as its Neumann series sum_m lam**m I^(v(m+1)) f,
-each term lam I^v of the one before: on the lattice the semigroup law
-I^v I^(vm) = I^(v(m+1)) is a finite q-beta identity, so the one order-v
-integral serves every term.
+The forcing integral is not summed as its Neumann series
+sum_m lam**m I^(v(m+1)) f: it is the solution u of u = I^v f + lam I^v u on
+the truncated lattice, a triangular system whose diagonal
+1 - lam x**v (1-q)**v the certificate keeps at least 1 - r > 0, solved
+exactly by one blocked forward substitution from the deepest row.
 """
 
 from __future__ import annotations
@@ -53,10 +54,11 @@ from .errors import (
     QFracError,
     SampleError,
 )
-from .qcore import _INT_WINDOW, _LATTICE_RTOL, QParams, q_gamma, q_number, q_power_basis
+from .qcore import _INT_WINDOW, _LATTICE_RTOL, QParams, q_gamma, q_power_basis
 from .qfracops import (
     FracOrders,
     _integral_table,
+    _lattice_solve,
     _lattice_sums,
     _weights_for,
     hilfer_derivative,
@@ -206,8 +208,9 @@ class Solution:
     norm is 0); the CLI's status reads it.  ``subinterval_boundaries`` lists the
     upper lattice index of each Picard subinterval in processing order
     (deep to shallow); the closed-form path reports a single interval with
-    the term count of its longer certified series in ``iterations_per_interval``
-    and the convergence ratio as its omega.
+    the term count of its longer homogeneous series in
+    ``iterations_per_interval`` (0 when every xi_k is 0, as the forcing part
+    sums no series) and the convergence ratio as its omega.
     """
 
     y: GridFunction
@@ -479,18 +482,15 @@ def linear_solve(p: LinearProblem, g: LatticeGrid) -> Solution:
     """Closed-form solution of the linear problem via q-Mittag-Leffler kernels.
 
     Requires lower limit 0 (the closed form integrates from the origin);
-    problems anchored elsewhere route through picard_solve.  The forcing part
-    is the Neumann series sum_m lam**m I^(nu(m+1)) f, its first term I^nu f
-    and each later one lam I^nu of the term before.  A solve reads the weight
-    table and row prefactor of I^nu once; each term is then one
-    :func:`qfrac.qfracops._lattice_sums` call, the same float operations as
-    :func:`qfrac.qfracops.rl_integral`, so the terms are bit-identical to it.
-    Both series stop by :mod:`qfrac.qml`'s rule at s = b, the homogeneous one
-    against max |sum|, the forcing one against the sum of its constant-forcing
-    majorants.  For lambda < 0 the forcing series can cancel until shallow
-    rows keep no correct digit (q = 0.98, M = 4000, lambda = -8); the rule
-    certifies only the truncation, and the returned ``residual_rel`` (about
-    2.2 there) is how a caller sees it.
+    problems anchored elsewhere route through picard_solve.  The homogeneous
+    part sums the q-Mittag-Leffler series of each nonzero xi_k, stopped by
+    :mod:`qfrac.qml`'s rule at s = b against max |sum|.  The forcing part, the
+    E_{nu,nu} kernel integral, is the solution u of u = I^nu f + lam I^nu u on
+    the truncated lattice, solved exactly by one blocked forward substitution
+    (:func:`qfrac.qfracops._lattice_solve`) with the weight table and row
+    prefactor of I^nu, read once per solve; there is no series to stop, and
+    lambda < 0 cancels nothing.  ``iterations_per_interval`` is the longer
+    homogeneous series' term count, 0 when every xi_k is 0.
     """
     if p.a != 0.0:
         raise DomainError("closed-form linear solve requires lower limit a = 0")
@@ -510,45 +510,34 @@ def linear_solve(p: LinearProblem, g: LatticeGrid) -> Solution:
         if xi_k == 0.0:
             continue
         acc = np.zeros(M + 1)
+        power = np.ones(M + 1)  # xnu**m for term m
         with np.errstate(over="ignore", invalid="ignore"):  # values past range are named below
             for m, t, rho in _term_by_term(_ml_series(params, nu, gamma - k + 1.0, lam, g.b)):
-                acc += t * xnu ** float(m)
+                acc += t * power
                 top = float(np.max(np.abs(acc)))
                 if not math.isfinite(top):
                     raise _past_range(nu, gamma - k + 1.0, f"the partial sum through term {m}")
                 if _tail_within(params, abs(t), rho, top):
                     break
+                power *= xnu
             y += xi_k * x ** (gamma - k) * acc
         terms_used = max(terms_used, m + 1)
         if not np.isfinite(y).all():
             raise _past_range(nu, gamma - k + 1.0, f"xi_{k} x**{gamma - k:.6g} times the sum")
 
-    # forcing part: the Neumann series sum_m lam**m I^(nu(m+1)) f, term m + 1 being
-    # lam I^nu (term m) by the semigroup law, t_m the term of E_{nu,nu}.  As
-    # I^s 1 = x**s / G_q(s+1), term m is at most ||f|| b**nu |t_m| / [nu(m+1)]_q;
-    # the series stops on their sum
+    # forcing part: u = I^nu f + lam I^nu u, deepest row first
     name = getattr(p.forcing, "__qualname__", repr(p.forcing))
     f_vals = sample(g, p.forcing, source=f"forcing {name}(x) value").values
     if np.any(f_vals != 0.0):
         w, pref = _integral_table(g, nu)
-        term = f_vals
-        scale = float(np.max(np.abs(f_vals))) * g.b**nu
-        majorant = 0.0
-        for m, t, rho in _term_by_term(_ml_series(params, nu, nu, lam, g.b)):
-            with np.errstate(over="ignore", invalid="ignore"):  # named just below
-                term = pref * _lattice_sums(x * term, w)  # rl_integral's operations
-                if m:
-                    term = lam * term
-                y += term
-            if not np.isfinite(y).all():  # a non-finite term, or a sum past double range
-                i = int(np.flatnonzero(~np.isfinite(y))[0])
-                raise _past_range(nu, nu, f"the forcing sum through term {m} (non-finite "
-                                  f"value at lattice index {i})")
-            size = scale * abs(t) / q_number(params, nu * (m + 1))
-            majorant += size
-            if _tail_within(params, size, rho, majorant):
-                break
-        terms_used = max(terms_used, m + 1)
+        u = _lattice_solve(f_vals, x, w, pref, lam,
+                           f"the forcing part u = I^{nu:g} f + lam I^{nu:g} u")
+        with np.errstate(over="ignore"):  # named just below
+            y += u
+        if not np.isfinite(y).all():
+            i = int(np.flatnonzero(~np.isfinite(y))[0])
+            raise DomainError(f"the homogeneous part plus the forcing part leaves double "
+                              f"range at lattice index {i} (x={float(x[i])!r})")
 
     y_gf = GridFunction(g, y)
     return Solution(

@@ -301,7 +301,8 @@ class TestOutsideInputFailures:
         "closed-form-term-overflows": (SOLVE + ["--method", "closed-form"], _edit(
             LINEAR_INI, ("b = 1.0", "b = 1e300"), ("depth = 200", "depth = 40"),
             ("lambda = 0.4", "lambda = 1e-200"), ("forcing = const:1", "forcing = const:1e300")),
-            2, "non-finite value at lattice index 0"),
+            2, "forcing part u = I^0.6 f + lam I^0.6 u leaves double range: non-finite value "
+            "at lattice index 40"),
         "closed-form-series-term-overflows": (
             SOLVE + ["--method", "closed-form"], SERIES_PEAK_INI, 2,
             "q-Mittag-Leffler series E_{1,1}: term 831 leaves double range"),
@@ -312,7 +313,8 @@ class TestOutsideInputFailures:
         "closed-form-forcing-series-overflows": (
             SOLVE + ["--method", "closed-form"], _edit(SERIES_PEAK_INI, ("-495", "495"),
             ("xi = 1.0", "xi = 0.0"), ("forcing = zero", "forcing = const:1")), 2,
-            "q-Mittag-Leffler series E_{1,1}: term 831 leaves double range"),
+            "the forcing part u = I^1 f + lam I^1 u leaves double range: non-finite value at "
+            "lattice index 19 (x=0.962676309645634)"),
         "closed-form-homogeneous-part-overflows": (
             SOLVE + ["--method", "closed-form"], _edit(LINEAR_INI, ("xi = 1.0", "xi = 1e300")),
             2, "E_{0.6,0.6}: xi_1 x**-0.4 times the sum leaves double range"),

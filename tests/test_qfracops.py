@@ -427,6 +427,61 @@ class TestIntegralTable:
         assert calls == []
 
 
+class TestLatticeSolve:
+    """u = I f + lam I u on the 0-anchored lattice, by blocked forward substitution."""
+
+    @staticmethod
+    def _row_by_row(f, x, w, pref, lam):
+        """The same system substituted one row at a time, in long double."""
+        f, x, w, pref = (np.asarray(v, dtype=np.longdouble) for v in (f, x, w, pref))
+        n = len(f)
+        u, s = np.zeros(n, np.longdouble), np.zeros(n, np.longdouble)
+        for m in range(n - 1, -1, -1):
+            c = pref[m] * w[0] * x[m]
+            u[m] = (c * f[m] + pref[m] * np.dot(w[1:n - m], s[m + 1:])) / (1 - lam * c)
+            s[m] = x[m] * (f[m] + lam * u[m])
+        return u.astype(float)
+
+    @pytest.mark.parametrize("q, depth, alpha, r", [
+        (0.5, 8, 0.6, 0.5),  # one block, shorter than _SOLVE_BLOCK
+        (0.5, 127, 0.75, -0.9),  # two full blocks
+        (0.9, 300, 1.4, 0.9),  # a short shallowest block
+        (0.98, 1000, 0.3, -0.7),
+    ])
+    def test_matches_row_by_row_substitution(self, q, depth, alpha, r):
+        g = grid(q=q, depth=depth)
+        w, pref = _integral_table(g, alpha)
+        lam = r / (1.0 - q) ** alpha  # certificate ratio |r|
+        f = np.cos(7.0 * g.points) + 0.5  # changes sign
+        got = qfracops._lattice_solve(f, g.points, w, pref, lam, "u")
+        want = self._row_by_row(f, g.points, w, pref, lam)
+        size = self._row_by_row(np.abs(f), g.points, w, pref, abs(lam))
+        assert np.all(np.abs(got - want) <= 1e-14 * size)
+
+    def test_substitution_after_a_failed_solve_gives_the_same_rows(self, monkeypatch):
+        g = grid(q=0.9, depth=300)
+        w, pref = _integral_table(g, 0.75)
+        f = 1.0 + g.points
+        want = qfracops._lattice_solve(f, g.points, w, pref, -4.0, "u")
+
+        def failing(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", failing)
+        got = qfracops._lattice_solve(f, g.points, w, pref, -4.0, "u")
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+    def test_past_double_range_names_the_deepest_non_finite_row(self):
+        # rows 0..150 read f_150; the substitution meets index 150 first
+        g = grid(q=0.9, depth=300)
+        w, pref = _integral_table(g, 0.75)
+        f = np.ones(301)
+        f[150] = np.inf
+        with pytest.raises(DomainError, match=r"^u leaves double range: non-finite value at "
+                           r"lattice index 150 \(x="):
+            qfracops._lattice_solve(f, g.points, w, pref, 2.0, "u")
+
+
 class TestRLDerivative:
     def test_power_basis_rule(self):
         g = grid()

@@ -1,11 +1,11 @@
 """Cauchy-problem solver: Picard machinery, closed form, equivalence checks."""
 
+import math
 import sys
 
 import numpy as np
 import pytest
 
-from qfrac.cli import parse_fn_spec
 from qfrac.errors import (
     DivergenceError,
     DomainError,
@@ -38,7 +38,7 @@ from qfrac.solver import (
     picard_solve,
     verify_equivalence,
 )
-from qfrac import qfracops, solver, verify
+from qfrac import qfracops, qml, solver, verify
 from qfrac.problems import make_example41, make_example42, make_linear_problem
 
 P5 = QParams(0.5)
@@ -396,6 +396,20 @@ def test_sweep_matches_whole_iterate_reference(case, monkeypatch):
     assert lengths == expect
 
 
+# The forcing part at x = b = 1 for q = 0.98, orders (0.8, 0.6, mu 0) and xi = 0:
+# y(1) = sum_m lam**m I^(nu(m+1)) f (1), summed by mpmath at 45 digits through
+# the first term below 1e-40 of the largest (term 500), with
+#     1/G_q(y) = (q**y; q)_inf / (q; q)_inf * (1-q)**(y-1),
+#     I^s 1 = x**s / G_q(s+1),  I^s x = x**(s+1) / G_q(s+2);
+# depth 4000 truncates x_m <= 9e-36, far below these digits.
+Q98_FORCING_REFERENCE = {
+    (-8.0, "1"): 0.1176366483012535123611233,
+    (-8.0, "1+x"): 0.226665563846060619644977,
+    (8.0, "1"): 33494599134947244.35010104,
+    (8.0, "1+x"): 34541305357914345.5958434,
+}
+
+
 class TestLinearSolve:
     def test_trivial_collapse(self):
         # lam = 0, f = 0: the solution is the bare initial term
@@ -434,80 +448,114 @@ class TestLinearSolve:
 
     @staticmethod
     def _neumann_reference(g, lam, f):
-        """The forcing-only solve, sum_(m<K) lam**m I^(nu(m+1)) f and sum_m |its terms|.
+        """The forcing-only solve, sum_m lam**m I^(nu(m+1)) f and sum_m |its terms|.
 
-        K is the solve's series length; each term reads its own order-nu(m+1)
-        table, where the solve applies the order-nu integral m + 1 times.
+        The solve's rows solve the lattice equation u = I^nu f + lam I^nu u, whose
+        Neumann series this is.  Each term reads its own order-nu(m+1) table, and
+        the sum stops at the first term below 2**-60 of sum |terms| on every row.
         """
         o = FracOrders(alpha=0.8, beta=0.6, mu=0.0, n=1)  # nu = 0.6
         sol = linear_solve(make_linear_problem(g.params, o, lam, f, (0.0,)), g)
         u = sample(g, f)
-        terms = [lam**m * rl_integral(u, ZERO, o.nu * (m + 1)).values
-                 for m in range(sol.iterations_per_interval[0])]
-        return sol.y.values, sum(terms), sum(np.abs(t) for t in terms)
+        total, size = np.zeros(g.depth + 1), np.zeros(g.depth + 1)
+        for m in range(1000):
+            term = lam**m * rl_integral(u, ZERO, o.nu * (m + 1)).values
+            total += term
+            size += np.abs(term)
+            if np.all(np.abs(term) <= 2.0**-60 * size):
+                return sol.y.values, total, size
+        raise AssertionError("the Neumann series did not settle in 1000 terms")
 
     @pytest.mark.parametrize("q, depth, lam, f", [
         (0.5, 200, 0.4, lambda x: 1.0),
         (0.9, 800, -2.0, lambda x: x),
         (0.5, 8, 0.4, lambda x: 1.0 + x),
-        (0.98, 2000, 8.0, lambda x: 1.0 + x),  # ratio 0.765, 242 terms
+        (0.98, 2000, 8.0, lambda x: 1.0 + x),  # ratio 0.765, about 250 terms
     ])
     def test_forcing_part_is_neumann_series_of_rl_integral(self, q, depth, lam, f):
         got, want, _ = self._neumann_reference(grid(q=q, depth=depth), lam, f)
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
     def test_alternating_deep_forcing_series_within_roundoff_of_reference(self):
-        # lam = -8 at q = 0.98 (ratio 0.765): the terms cancel, sum |terms| is
-        # about 3e14 on the shallow rows where the sum is 0.1 to 4e3, so both sums
-        # are exact only to eps * sum |terms| there and a bound relative to the
-        # sum cannot hold; the relative residual rejects this solve
+        # lam = -8 at q = 0.98 (ratio 0.765): the reference's terms cancel, sum |terms|
+        # is about 3e14 on the shallow rows where the sum is 0.1 to 4e3, so the
+        # reference is exact only to eps * sum |terms| there; the solve sums no series
         got, want, size = self._neumann_reference(grid(q=0.98, depth=2000), -8.0,
                                                   lambda x: 1.0 + x)
         assert np.all(np.abs(got - want) <= 1e-13 * size)
 
+    @pytest.mark.parametrize("q, depth", [(0.3, 120), (0.9, 400), (0.98, 1500)])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("f", [lambda x: 1.0, lambda x: x, lambda x: math.cos(9.0 * x)],
+                             ids=["1", "x", "cos9x"])
+    def test_forcing_rows_solve_the_lattice_equation(self, q, depth, sign, f):
+        # u = I^nu f + lam I^nu u on every row, to the roundoff of forming the
+        # right side: a few units of I^nu |f| + |lam| I^nu |u|
+        g = grid(q=q, depth=depth)
+        o = FracOrders(alpha=0.8, beta=0.6, mu=0.0, n=1)
+        lam = sign * 0.6 / (1.0 - q) ** 0.6  # certificate ratio 0.6
+        u = linear_solve(make_linear_problem(g.params, o, lam, f, (0.0,)), g).y
+        f_gf = sample(g, f)
+        rhs = rl_integral(f_gf, ZERO, o.nu).values + lam * rl_integral(u, ZERO, o.nu).values
+        size = (rl_integral(f_gf.with_values(np.abs(f_gf.values)), ZERO, o.nu).values
+                + abs(lam) * rl_integral(u.with_values(np.abs(u.values)), ZERO, o.nu).values)
+        assert np.all(np.abs(u.values - rhs) <= 1e-14 * size)
+
+    @staticmethod
+    def _order_one_reference(g, lam):
+        """u = (1/((1-q) lam x; q)_inf - 1)/lam, the nu = 1 forcing part for f = 1.
+
+        With nu = 1 every weight is 1 and the prefactor is 1 - q, so the lattice
+        equation is the q-difference equation whose solution the q-binomial
+        theorem gives.  The product is summed in log space and the - 1 taken by
+        expm1, since 1/(z; q)_inf - 1 cancels on deep rows where z is small.
+        """
+        z = (1.0 - g.q) * lam * g.points
+        q_j = g.q ** np.arange(math.ceil(math.log(2.0**-60) / math.log(g.q)))
+        log_prod = sum(np.log1p(-np.outer(z, part)).sum(axis=1)  # pairwise within a part
+                       for part in np.array_split(q_j, 32))
+        return np.expm1(-log_prod) / lam
+
+    @pytest.mark.parametrize("lam", [8.0, -8.0])
+    def test_order_one_forcing_part_matches_the_q_binomial_product(self, lam):
+        g = grid(q=0.98, depth=4000)
+        o = FracOrders(alpha=1.0, beta=1.0, mu=0.0, n=1)
+        got = linear_solve(make_linear_problem(g.params, o, lam, lambda x: 1.0, (0.0,)), g)
+        want = self._order_one_reference(g, lam)
+        # rows past 2000 feel the truncation at depth 4000 (relative q**(M-m))
+        rel = np.abs(got.y.values[:2001] - want[:2001]) / np.abs(want[:2001])
+        assert np.max(rel) < 1e-13
+
+    @pytest.mark.parametrize("lam, f", sorted(Q98_FORCING_REFERENCE))
+    def test_deep_forcing_part_at_b_against_mpmath(self, lam, f):
+        # at lam = -8 the Neumann series of this forcing part cancels: its terms
+        # reach 8.5e14 in size against a sum of 0.12
+        g = grid(q=0.98, depth=4000)
+        o = FracOrders(alpha=0.8, beta=0.6, mu=0.0, n=1)
+        forcing = {"1": lambda x: 1.0, "1+x": lambda x: 1.0 + x}[f]
+        sol = linear_solve(make_linear_problem(g.params, o, lam, forcing, (0.0,)), g)
+        want = Q98_FORCING_REFERENCE[(lam, f)]
+        assert sol.iterations_per_interval == (0,)
+        assert abs(sol.y.values[0] - want) <= 1e-12 * abs(want)
+
     def test_one_weight_table_per_solve(self):
-        # the forcing series applies the one order-nu integral once per term, so a
-        # series three times longer builds no more tables
+        # the forcing solve reads the one order-nu table whatever lam is, and the
+        # homogeneous series reads none, however long it grows
         g = grid(q=0.9, depth=800)
         o = FracOrders(alpha=0.8, beta=0.6, mu=0.0, n=1)
         misses, terms = [], []
-        for lam in (0.2, 3.0):
+        for lam in (0.2, 3.0, -3.0):
             qfracops._kernel_weights.cache_clear()
             sol = linear_solve(make_linear_problem(g.params, o, lam, lambda x: 1.0 + x,
-                                                   (0.0,)), g)
+                                                   (1.3,)), g)
             misses.append(qfracops._kernel_weights.cache_info().misses)
             terms.append(sol.iterations_per_interval[0])
-        assert terms[1] >= 3 * terms[0]
-        assert misses[0] == misses[1]
-
-    @staticmethod
-    def _rl_integral_loop(g, lam, f, xi):
-        """linear_solve's rows with the forcing series applied as one rl_integral per term.
-
-        The homogeneous rows come from a forcing-free solve and the term count K
-        from a data-free one; term m + 1 is lam rl_integral(term m) of order nu.
-        """
-        o = FracOrders(alpha=0.8, beta=0.6, mu=0.0, n=1)  # nu = 0.6
-        free = linear_solve(make_linear_problem(g.params, o, lam, lambda x: 0.0, xi), g)
-        y = free.y.values.copy()
-        forced = linear_solve(make_linear_problem(g.params, o, lam, f, (0.0,)), g)
-        term = sample(g, f).values
-        for m in range(forced.iterations_per_interval[0]):
-            term = (lam if m else 1.0) * rl_integral(GridFunction(g, term), ZERO, o.nu).values
-            y += term
-        return linear_solve(make_linear_problem(g.params, o, lam, f, xi), g).y.values, y
-
-    @pytest.mark.parametrize("q, depth", [(0.3, 120), (0.9, 400)])
-    @pytest.mark.parametrize("sign", [1.0, -1.0])
-    @pytest.mark.parametrize("spec", ["const:1", "x^1"])
-    def test_closed_form_bitwise_equal_to_rl_integral_per_term(self, q, depth, sign, spec):
-        g = grid(q=q, depth=depth)
-        lam = sign * 0.6 / (1.0 - q) ** 0.6  # certificate ratio 0.6
-        got, want = self._rl_integral_loop(g, lam, parse_fn_spec(spec, g.params, 0.0), (1.3,))
-        assert np.array_equal(got, want)
+        assert terms[1] >= 3 * terms[0] and terms[2] >= 3 * terms[0]
+        assert misses[0] == misses[1] == misses[2]
 
     def test_q_gamma_calls_do_not_grow_with_the_series(self, monkeypatch):
-        # the forcing series reads the prefactor's G_q(nu) once per solve, not per term
+        # a solve reads the prefactor's G_q(nu) once, whatever |lam| and however
+        # long the homogeneous series
         calls = [0]
 
         def counted(*args):
@@ -520,14 +568,45 @@ class TestLinearSolve:
         g = grid(q=0.9, depth=800)
         o = FracOrders(alpha=0.8, beta=0.6, mu=0.0, n=1)
         counts, terms = [], []
-        for lam in (2.0, 3.0):
+        for lam in (2.0, 3.0, -3.0):
             calls[0] = 0
             sol = linear_solve(make_linear_problem(g.params, o, lam, lambda x: 1.0 + x,
-                                                   (0.0,)), g)
+                                                   (1.3,)), g)
             counts.append(calls[0])
             terms.append(sol.iterations_per_interval[0])
         assert 40 <= terms[0] < terms[1]
-        assert counts[0] == counts[1]
+        assert counts[0] == counts[1] == counts[2]
+
+    @staticmethod
+    def _pow_per_term(g, o, lam, xi):
+        """The homogeneous rows and term count with each power formed as xnu**m."""
+        params, nu, gamma = g.params, o.nu, o.gamma
+        xnu = (g.points / g.b) ** nu
+        y, count = np.zeros(g.depth + 1), 0
+        for k, xi_k in enumerate(xi, 1):
+            acc = np.zeros(g.depth + 1)
+            for m, t, rho in qml._term_by_term(qml._ml_series(params, nu, gamma - k + 1.0,
+                                                              lam, g.b)):
+                acc += t * xnu ** float(m)
+                if qml._tail_within(params, abs(t), rho, float(np.max(np.abs(acc)))):
+                    break
+            y += xi_k * g.points ** (gamma - k) * acc
+            count = max(count, m + 1)
+        return y, count
+
+    @pytest.mark.parametrize("q, depth, orders, lam, xi", [
+        (0.5, 200, (0.8, 0.6, 0.0, 1), 0.4, (1.0,)),
+        (0.3, 200, (0.9, 0.5, 0.5, 1), -0.5, (0.7,)),
+        (0.9, 800, (0.8, 0.6, 0.0, 1), 1.5, (1.3,)),
+        (0.7, 300, (1.9, 1.3, 0.4, 2), 0.9, (0.8, -0.5)),
+    ])
+    def test_homogeneous_running_power_matches_pow_per_term(self, q, depth, orders, lam, xi):
+        g = grid(q=q, depth=depth)
+        o = FracOrders(*orders)
+        sol = linear_solve(make_linear_problem(g.params, o, lam, lambda x: 0.0, xi), g)
+        want, count = self._pow_per_term(g, o, lam, xi)
+        assert sol.iterations_per_interval == (count,)
+        assert np.all(np.abs(sol.y.values - want) <= 1e-14 * np.abs(want))
 
     def test_relative_residual(self):
         # residual_l1 over L^1_q(|lam y + f|) on the residual window
@@ -575,6 +654,15 @@ class TestLinearSolve:
             linear_solve(lin, g)
         assert err.value.index == 7
         assert err.value.x == bad_x
+
+    def test_sum_of_both_parts_past_double_range_named(self):
+        # each part is finite alone: 1.5e308 from xi, 0.5e308 x from f = 0.5e308
+        g = grid(depth=50)
+        o = FracOrders(alpha=1.0, beta=1.0, mu=0.0, n=1)  # nu = gamma = 1
+        lin = make_linear_problem(P5, o, lam=0.0, forcing=lambda x: 0.5e308, xi=(1.5e308,))
+        with pytest.raises(DomainError, match=r"the homogeneous part plus the forcing part "
+                           r"leaves double range at lattice index 0 \(x=1.0\)"):
+            linear_solve(lin, g)
 
     def test_nonzero_anchor_rejected(self):
         o = FracOrders(alpha=0.9, beta=0.7, mu=0.0, n=1)
