@@ -74,6 +74,16 @@ def _finite(text: str) -> float:
     raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
 
 
+def _non_negative(text: str) -> int:
+    """The non-negative integer a command-line value spells."""
+    try:
+        if (value := int(text)) >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
+
+
 def parse_fn_spec(spec: str, params: QParams, base: float) -> Callable[[float], float]:
     """Builtin scalar function specs for sampling and forcing terms.
 
@@ -359,9 +369,15 @@ def _cmd_eval_op(args) -> int:
     return 0
 
 
-def _write_solution(sol: Solution, prefix: Path) -> None:
-    csv_path = prefix.with_suffix(".solution.csv")
-    diag_path = prefix.with_suffix(".diagnostics.txt")
+def _output_paths(prefix: Path) -> tuple[Path, Path]:
+    """The solution CSV and diagnostics paths of a prefix; ConfigError if it has no name."""
+    try:
+        return prefix.with_suffix(".solution.csv"), prefix.with_suffix(".diagnostics.txt")
+    except ValueError:  # '.', '/': no file name to put a suffix on
+        raise ConfigError(f"output prefix {str(prefix)!r} has no file name") from None
+
+
+def _write_solution(sol: Solution, csv_path: Path, diag_path: Path) -> None:
     sol.y.to_csv(str(csv_path))
     with open(diag_path, "w", encoding="utf-8") as fh:
         fh.write(f"method={sol.method}\n")
@@ -377,6 +393,8 @@ def _write_solution(sol: Solution, prefix: Path) -> None:
 
 def _cmd_solve(args) -> int:
     cfg = ProblemConfig.from_file(args.config)
+    csv_path, diag_path = _output_paths(Path(args.out) if args.out
+                                        else Path(args.config).with_suffix(""))
     if args.method:
         cfg = replace(cfg, method=args.method)
         cfg.validate()
@@ -390,16 +408,14 @@ def _cmd_solve(args) -> int:
         if cfg.picard_seed:
             y_init = sample(grid, parse_fn_spec(cfg.picard_seed, cfg.params, cfg.a))
         sol = picard_solve(prob, grid, tol=cfg.tol, max_iter=cfg.max_iter, y_init=y_init)
-    prefix = Path(args.out) if args.out else Path(args.config).with_suffix("")
-    _write_solution(sol, prefix)
+    _write_solution(sol, csv_path, diag_path)
     ok = sol.residual_rel < cfg.residual_tol
     print(f"method={sol.method} residual_l1={sol.residual_l1:.6e} "
           f"residual_rel={sol.residual_rel:.6e} "
           f"residual_tol={cfg.residual_tol:.1e} "
           f"intervals={len(sol.subinterval_boundaries)} "
           f"status={'ok' if ok else 'residual-exceeded'}")
-    print(f"wrote {prefix.with_suffix('.solution.csv')} and "
-          f"{prefix.with_suffix('.diagnostics.txt')}")
+    print(f"wrote {csv_path} and {diag_path}")
     return 0 if ok else 1
 
 
@@ -455,7 +471,7 @@ def _parser() -> argparse.ArgumentParser:
     p_solve.set_defaults(func=_cmd_solve)
 
     p_verify = sub.add_parser("verify", help="run the identity/property check suite")
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=_non_negative, default=0)
     p_verify.add_argument("--filter", default=None)
     p_verify.add_argument("--thorough", action="store_true")
     p_verify.set_defaults(func=_cmd_verify)

@@ -141,8 +141,8 @@ def _weights_for(grid, alpha: float) -> np.ndarray:
 
 # A banded row may drop at most this fraction of itself: one unit roundoff.
 _BAND_EPS = 2.0**-53
-# Row 0's target for the far-field band, 2**-10 below _BAND_EPS, so that deeper
-# rows that decay more slowly than row 0 still pass the every-row certificate.
+# Row 0's target for the band, 2**-10 below _BAND_EPS, so that deeper rows that
+# decay more slowly than row 0 still pass the every-row certificate.
 _FAR_EPS = 2.0**-63
 # Floor of the far-field distance d_j = max(|w_j - 1|, _FAR_FLOOR).  With it the
 # every-row certificate d_L S_(m+L) <= _BAND_EPS |row m| also keeps the plain
@@ -158,30 +158,23 @@ _FAR_FLOOR = 2.0**-33
 _BAND_MIN = 512
 
 
-def _band_width(s: np.ndarray, w: np.ndarray,
-                far: bool) -> tuple[int, np.ndarray | None, np.ndarray | None]:
+def _band_width(s: np.ndarray, w: np.ndarray) -> tuple[int, np.ndarray | None, np.ndarray | None]:
     """Band width L for :func:`_lattice_sums`, the distances d_j and the suffix sums S_k.
 
-    S_k = sum_(j>=k) |s_j|.  Row m < n - L drops sum_(j>=L) (w_j - c) s_(m+j),
-    which is at most d_L S_(m+L) with d_j non-increasing in j:
-
-    - far=False, c = 0 (any summands): d_j = max(w_j, w_(n-1)), as w is
-      monotone; L is the smallest L >= 1 with d_L S_L <= 2**-53 |row 0|.
-    - far=True, c = 1 (one-signed summands, the caller adds the plain tail
-      sum_(k>=m+L) s_k): d_j = max(|w_j - 1|, 2**-33), as w tends
-      monotonically to 1; L is the smallest L >= 1 with d_L S_L <= 2**-63 |row 0|,
-      a margin of 2**-10 on the 2**-53 every row is held to.
+    s is one-signed and S_k = sum_(j>=k) |s_j|.  Row m < n - L, with the plain
+    tail sum_(k>=m+L) s_k added by the caller, drops sum_(j>=L) (w_j - 1) s_(m+j),
+    which is at most d_L S_(m+L) with d_j = max(|w_j - 1|, 2**-33), non-increasing
+    as w tends monotonically to 1.  L is the smallest L >= 1 with
+    d_L S_L <= 2**-63 |row 0|, a margin of 2**-10 on the 2**-53 every row is
+    held to.
 
     Returns (len(s), None, None), no band, when that L would exceed len(s)/2
     (one sum over the second half of s tells) or row 0 is not finite.
     """
     n = len(s)
     h = n // 2
-    if far:
-        d, eps = np.maximum(np.abs(w[:n] - 1.0), _FAR_FLOOR), _FAR_EPS
-    else:  # max_(j>=L) w_j is w_L or w_(n-1)
-        d, eps = np.maximum(w[:n], w[n - 1]), _BAND_EPS
-    tol = eps * abs(float(np.dot(w[:n], s)))
+    d = np.maximum(np.abs(w[:n] - 1.0), _FAR_FLOOR)
+    tol = _FAR_EPS * abs(float(np.dot(w[:n], s)))
     if not (tol < math.inf and d[h] * np.sum(np.abs(s[h:])) <= tol):
         return n, None, None
     suffix = np.cumsum(np.abs(s[::-1]))[::-1]
@@ -191,20 +184,18 @@ def _band_width(s: np.ndarray, w: np.ndarray,
 def _lattice_sums(s: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Row sums sum_j w_j s_(m+j) of a 0-anchored lattice integral, for every row m of s.
 
-    Certified short memory, on more than _BAND_MIN summands.  The weights tend
-    monotonically to 1, so deep in a row the integral is the plain Jackson
-    sum.  When s is one-signed, row m is sum_(j<L) w_j s_(m+j) plus the plain
-    tail sum_(k>=m+L) s_k (one reversed cumsum), and only the far field
+    Certified short memory, for one-signed s of more than _BAND_MIN summands.
+    The weights tend monotonically to 1, so deep in a row the integral is the
+    plain Jackson sum: row m is sum_(j<L) w_j s_(m+j) plus the plain tail
+    sum_(k>=m+L) s_k (one reversed cumsum), and only the far field
     sum_(j>=L) (w_j - 1) s_(m+j) is dropped, at most d_L S_(m+L) with
-    d_j = max(|w_j - 1|, 2**-33).  When s changes sign (its rows may cancel,
-    and a new summation order would move their digits) the band holds w_j
-    itself and row m drops at most max(w_L, w_(n-1)) S_(m+L).  L comes from row 0
-    (:func:`_band_width`); the banded sums are returned only when L <= n/2
-    and the dropped part is at most 2**-53 of the banded sum on every row.
-    Otherwise (a row that cancels, L > n/2, s of at most _BAND_MIN entries, a
-    non-finite row 0) the result is the full correlation.  So the sums are
-    within 2**-53 of the full ones plus summation-order roundoff; they are
-    not bit-identical to per-row dot products.
+    d_j = max(|w_j - 1|, 2**-33).  L comes from row 0 (:func:`_band_width`);
+    the banded sums are returned only when L <= n/2 and the dropped part is at
+    most 2**-53 of the banded sum on every row.  Otherwise (s that changes sign,
+    whose rows may cancel; a row that cancels, L > n/2, s of at most _BAND_MIN
+    entries, a non-finite row 0) the result is the full correlation.  So the
+    sums are within 2**-53 of the full ones plus summation-order roundoff;
+    they are not bit-identical to per-row dot products.
 
     w holds at least len(s) positive weights that tend monotonically to 1,
     as the kernel tables do (w_(j+1)/w_j = (1-q**(j+alpha))/(1-q**(j+1)) is
@@ -214,17 +205,14 @@ def _lattice_sums(s: np.ndarray, w: np.ndarray) -> np.ndarray:
     if n > _BAND_MIN:
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite sums are the caller's
             positive = bool(s.min() >= 0.0)  # nan: neither positive nor negative
-            negative = not positive and bool(s.max() <= 0.0)
-            L, d, suffix = _band_width(s, w, positive or negative)
-            if 2 * L <= n:
-                sums = np.correlate(s, w[:L], "full")[L - 1:]
-                if positive:
-                    sums[:n - L] += suffix[L:]
-                elif negative:
-                    sums[:n - L] -= suffix[L:]
-                drop = d[L] * suffix[L:]
-                if np.all(drop <= _BAND_EPS * np.abs(sums[:n - L])):
-                    return sums
+            if positive or s.max() <= 0.0:
+                L, d, suffix = _band_width(s, w)
+                if 2 * L <= n:
+                    sums = np.correlate(s, w[:L], "full")[L - 1:]
+                    sums[:n - L] += suffix[L:] if positive else -suffix[L:]
+                    drop = d[L] * suffix[L:]
+                    if np.all(drop <= _BAND_EPS * np.abs(sums[:n - L])):
+                        return sums
     return np.correlate(s, w[:n], "full")[n - 1:]
 
 

@@ -14,8 +14,9 @@ log-space product kernel ``qcore._log_poch``, and its Pochhammer factors
 (c; q)_{kA} = (c; q)_inf / (q**(kA) c; q)_inf come from one more call.  A
 term or partial sum past double range is a DomainError that names it.
 
-Every q-Mittag-Leffler series of the package (here and in the closed-form
-linear solve) stops by one rule.  Term k+1 is at most rho_k = |lam| s**A
+Every q-Mittag-Leffler series of the package is summed by :func:`ml_terms`
+(the closed-form linear solve takes its homogeneous terms from it at s = b)
+and stops by one rule.  Term k+1 is at most rho_k = |lam| s**A
 G_q(Ak+B)/G_q(Ak+A+B) times term k, and rho_k falls towards r but never grows
 because G_q is log-convex (Askey, Applicable Anal. 8, 1978).  So once rho_k < 1
 the tail is at most |term k| rho_k/(1 - rho_k); the sum stops when that is
@@ -150,23 +151,6 @@ def _ml_series(p: QParams, alpha: float, beta: float, lam: float,
         f"tail above eps_series={p.eps_series:.1e} after max_terms={p.max_terms} terms")
 
 
-def _term_by_term(blocks: Iterator[tuple[int, np.ndarray, np.ndarray]]
-                  ) -> Iterator[tuple[int, float, float]]:
-    """The blocks of :func:`_ml_series` as (k, t_k, rho_k), one term at a time."""
-    for k0, t, rho in blocks:
-        yield from zip(range(k0, k0 + len(t)), t.tolist(), rho.tolist())
-
-
-def _tail_within(p: QParams, size: float | np.ndarray, rho: float | np.ndarray,
-                 total: float | np.ndarray) -> bool | np.ndarray:
-    """The stopping rule: size * rho / (1 - rho) <= eps_series * |total| with rho < 1.
-
-    Elementwise on arrays; an infinite rho is never within.
-    """
-    with np.errstate(invalid="ignore"):  # 0 * inf where rho is infinite
-        return (rho < 1.0) & (size * rho <= p.eps_series * np.abs(total) * (1.0 - rho))
-
-
 def ml_terms(spec: MLSpec, x: float, a: float = 0.0) -> tuple[float, list[float]]:
     """Partial sum and the individual terms of the series at (x, a), s = x.
 
@@ -202,7 +186,10 @@ def ml_terms(spec: MLSpec, x: float, a: float = 0.0) -> tuple[float, list[float]
         if not np.isfinite(acc).all():
             raise _past_range(spec.alpha, spec.beta, "the partial sum through term "
                               f"{k0 + int(np.flatnonzero(~np.isfinite(acc))[0])}")
-        stop = np.flatnonzero(_tail_within(p, np.abs(t), rho, acc))
+        # the stopping rule: |t_k| rho_k / (1 - rho_k) <= eps_series |sum| with rho_k < 1
+        with np.errstate(invalid="ignore"):  # 0 * inf where rho is infinite
+            within = (rho < 1.0) & (np.abs(t) * rho <= p.eps_series * np.abs(acc) * (1.0 - rho))
+        stop = np.flatnonzero(within)
         n = int(stop[0]) + 1 if stop.size else len(t)
         terms.extend(t[:n].tolist())
         total = float(acc[n - 1])

@@ -64,7 +64,7 @@ from .qfracops import (
     hilfer_derivative,
     rl_integral,
 )
-from .qml import MLSpec, _ml_series, _past_range, _tail_within, _term_by_term, ml_bound_check
+from .qml import MLSpec, _past_range, ml_bound_check, ml_terms
 from .qgrid import (
     ZERO,
     Anchor,
@@ -209,8 +209,9 @@ class Solution:
     upper lattice index of each Picard subinterval in processing order
     (deep to shallow); the closed-form path reports a single interval with
     the term count of its longer homogeneous series in
-    ``iterations_per_interval`` (0 when every xi_k is 0, as the forcing part
-    sums no series) and the convergence ratio as its omega.
+    ``iterations_per_interval`` (the terms :func:`qfrac.qml.ml_terms` keeps
+    at s = b; 0 when every xi_k is 0, as the forcing part sums no series) and
+    the convergence ratio as its omega.
     """
 
     y: GridFunction
@@ -483,14 +484,16 @@ def linear_solve(p: LinearProblem, g: LatticeGrid) -> Solution:
 
     Requires lower limit 0 (the closed form integrates from the origin);
     problems anchored elsewhere route through picard_solve.  The homogeneous
-    part sums the q-Mittag-Leffler series of each nonzero xi_k, stopped by
-    :mod:`qfrac.qml`'s rule at s = b against max |sum|.  The forcing part, the
+    part takes the terms of each nonzero xi_k's q-Mittag-Leffler series from
+    :func:`qfrac.qml.ml_terms` at s = b, stopped there against |sum at b|, and
+    forms every row as their running-power sum.  The forcing part, the
     E_{nu,nu} kernel integral, is the solution u of u = I^nu f + lam I^nu u on
     the truncated lattice, solved exactly by one blocked forward substitution
     (:func:`qfrac.qfracops._lattice_solve`) with the weight table and row
     prefactor of I^nu, read once per solve; there is no series to stop, and
     lambda < 0 cancels nothing.  ``iterations_per_interval`` is the longer
-    homogeneous series' term count, 0 when every xi_k is 0.
+    homogeneous series' term count, ``len`` of ml_terms' terms, 0 when every
+    xi_k is 0.
     """
     if p.a != 0.0:
         raise DomainError("closed-form linear solve requires lower limit a = 0")
@@ -509,19 +512,15 @@ def linear_solve(p: LinearProblem, g: LatticeGrid) -> Solution:
         xi_k = p.xi[k - 1]
         if xi_k == 0.0:
             continue
+        _, terms = ml_terms(MLSpec(nu, gamma - k + 1.0, lam, params), g.b)
         acc = np.zeros(M + 1)
         power = np.ones(M + 1)  # xnu**m for term m
         with np.errstate(over="ignore", invalid="ignore"):  # values past range are named below
-            for m, t, rho in _term_by_term(_ml_series(params, nu, gamma - k + 1.0, lam, g.b)):
+            for t in terms:
                 acc += t * power
-                top = float(np.max(np.abs(acc)))
-                if not math.isfinite(top):
-                    raise _past_range(nu, gamma - k + 1.0, f"the partial sum through term {m}")
-                if _tail_within(params, abs(t), rho, top):
-                    break
                 power *= xnu
             y += xi_k * x ** (gamma - k) * acc
-        terms_used = max(terms_used, m + 1)
+        terms_used = max(terms_used, len(terms))
         if not np.isfinite(y).all():
             raise _past_range(nu, gamma - k + 1.0, f"xi_{k} x**{gamma - k:.6g} times the sum")
 

@@ -283,6 +283,10 @@ class TestOutsideInputFailures:
                                          2, "2*nu + delta < 1"),
         "unwritable-out": (["solve", "--config", "{config}", "--out", "/nonexistent/dir/x"],
                            LINEAR_INI, 2, "/nonexistent/dir/x"),
+        "out-without-file-name": (["solve", "--config", "{config}", "--out", "."], LINEAR_INI,
+                                  2, "output prefix '.' has no file name"),
+        "out-root": (["solve", "--config", "{config}", "--out", "/"], LINEAR_INI, 2,
+                     "output prefix '/' has no file name"),
         "n-not-integral": (SOLVE, _edit(LINEAR_INI, ("n = 1", "n = 1.5")), 2, "[orders] n"),
         "max-iter-not-integral": (SOLVE, _edit(LINEAR_INI, ("max_iter = 400",
                                   "max_iter = 400.7")), 2, "[solver] max_iter"),
@@ -342,6 +346,8 @@ class TestOutsideInputFailures:
                                "lattice"),
         "hilfer-without-mu": (["eval-op", "--op", "hilfer", "--q", "0.5", "--b", "1", "--alpha",
                                "0.9", "--fn", "x^1"], None, 2, "--beta and --mu"),
+        "verify-negative-seed": (["verify", "--seed", "-1"], None, 2,
+                                 "not a non-negative integer: '-1'"),
         "unknown-fn-spec": (RL_INT + ["--b", "1", "--fn", "sin"], None, 2, "'sin'"),
         "option-nan": (RL_INT + ["--b", "nan", "--fn", "const:1"], None, 2, "finite"),
         "ml-eval-divergent": (ML_EVAL + ["--lambda", "3", "--x", "1"], None, 2,

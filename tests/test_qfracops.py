@@ -223,7 +223,7 @@ class TestBandCertificate:
         g, s = self.summands(q, depth, anchor, p)
         for alpha in (0.3, 0.75, 1.0, 1.4):
             w = _weights_for(g, alpha)
-            L = _band_width(s, w, True)[0]
+            L = _band_width(s, w)[0]
             self.assert_within_bound(s, w)
             # s ~ q**(k(p+1)) is one-signed: the band of w - 1 is taken, also for slow decay
             assert 2 * L <= len(s)
@@ -238,17 +238,13 @@ class TestBandCertificate:
             self.assert_within_bound(s, _weights_for(g, alpha))
 
     def test_cancelled_row_falls_back_to_full_sums(self):
-        for far in (True, False):
-            g, s = self.summands(0.5, 1000, "zero", 0.4)
-            if not far:
-                k = np.flatnonzero(s)[-1]
-                s[k] = -s[k]  # a sign change far below row 0's band
-            w = _weights_for(g, 0.75)
-            L = _band_width(s, w, far)[0]
-            s[100:100 + L] = 0.0  # row 100's band sums to 0 while its tail does not
-            assert _band_width(s, w, far)[0] == L
-            got = _lattice_sums(s, w)
-            assert np.array_equal(got, full_sums(s, w)) and got[100] > 0.0
+        g, s = self.summands(0.5, 1000, "zero", 0.4)
+        w = _weights_for(g, 0.75)
+        L = _band_width(s, w)[0]
+        s[100:100 + L] = 0.0  # row 100's band sums to 0 while its tail does not
+        assert _band_width(s, w)[0] == L
+        got = _lattice_sums(s, w)
+        assert np.array_equal(got, full_sums(s, w)) and got[100] > 0.0
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_deep_summand_gives_full_sums(self, bad):
@@ -256,8 +252,7 @@ class TestBandCertificate:
         s[700] = bad
         w = _weights_for(g, 0.75)
         with np.errstate(over="ignore", invalid="ignore"):
-            for far in (True, False):
-                assert _band_width(s, w, far) == (len(s), None, None)  # no band is tried
+            assert _band_width(s, w) == (len(s), None, None)  # no band is tried
         got, want = _lattice_sums(s, w), full_sums(s, w)
         assert np.array_equal(got, want, equal_nan=True)
         assert np.flatnonzero(~np.isfinite(got)).tolist() == list(range(701))
@@ -283,29 +278,6 @@ class TestBandCertificate:
         first = int(np.flatnonzero(~np.isfinite(want))[0])
         with pytest.raises(DomainError, match=f"non-finite value at lattice index {first}$"):
             rl_integral(u, ZERO, 0.75)
-
-
-def w_band_sums(s, w):
-    """The band-of-w rule, verbatim, that the kernel keeps for sign-changing summands.
-
-    Row 0 sets L with max(w_L, w_(n-1)) S_L <= 2**-53 |row 0|; the band of w itself
-    is kept when 2L <= n and that bound holds on every row, else the full correlation.
-    """
-    n = len(s)
-    if n > 512:
-        with np.errstate(over="ignore", invalid="ignore"):
-            h = n // 2
-            tol = EPS * abs(float(np.dot(w[:n], s)))
-            if tol < math.inf and max(w[h], w[n - 1]) * np.sum(np.abs(s[h:])) <= tol:
-                suffix = np.cumsum(np.abs(s[::-1]))[::-1]
-                bound = np.maximum(w[:n], w[n - 1]) * suffix
-                L = max(int(np.searchsorted(-bound, -tol)), 1)
-                if 2 * L <= n:
-                    sums = np.correlate(s, w[:L], "full")[L - 1:]
-                    drop = max(w[L], w[n - 1]) * suffix[L:]
-                    if np.all(drop <= EPS * np.abs(sums[:n - L])):
-                        return sums
-    return full_sums(s, w)
 
 
 @pytest.fixture
@@ -340,7 +312,7 @@ class TestFarField:
 
     @pytest.mark.parametrize("q, depth", [(0.5, 1000), (0.98, 4000)])
     @pytest.mark.parametrize("sign", ["alternating", "cos40x", "one-deep-negative"])
-    def test_sign_changing_summands_keep_the_band_of_w(self, q, depth, sign):
+    def test_sign_changing_gives_full_sums(self, q, depth, sign, correlate_calls):
         g = grid(q=q, depth=depth)
         x = g.points
         for p in (-0.3, 0.4, 1.6):
@@ -354,7 +326,10 @@ class TestFarField:
                 s[k] = -s[k]
             for alpha in (0.3, 0.75, 1.4):
                 w = _weights_for(g, alpha)
-                assert np.array_equal(_lattice_sums(s, w), w_band_sums(s, w))
+                correlate_calls.clear()
+                got = _lattice_sums(s, w)
+                assert correlate_calls == [len(s)]  # no band is tried
+                assert np.array_equal(got, full_sums(s, w))
 
     @pytest.mark.parametrize("n", [2, 200, 512])
     def test_short_sums_are_the_full_correlation(self, n):
@@ -370,11 +345,9 @@ class TestFarField:
         k = np.arange(1001.0)
         s = 2.0 ** -np.minimum(k, 100.0 + 0.75 * (k - 100.0))
         w = _weights_for(grid(depth=1000), alpha)
-        L = _band_width(s, w, True)[0]
+        L = _band_width(s, w)[0]
         _lattice_sums(s, w)
         assert correlate_calls == [L]  # the band alone, not the band and then the full sum
-        w_band_sums(s, w)
-        assert len(correlate_calls) == 3 and correlate_calls[2] == 1001  # band of w, then full
         TestBandCertificate.assert_within_bound(s, w)
 
     @pytest.mark.parametrize("q, depth", [(0.5, 1000), (0.98, 4000)])
@@ -386,7 +359,7 @@ class TestFarField:
             s = g.points ** (p + 1.0)
             for alpha in (0.3, 1.0, 1.4):
                 w = _weights_for(g, alpha)
-                L, _, suffix = _band_width(s, w, True)
+                L, _, suffix = _band_width(s, w)
                 correlate_calls.clear()
                 got = _lattice_sums(s, w)
                 if correlate_calls == [L]:  # the band was kept

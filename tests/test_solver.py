@@ -584,22 +584,22 @@ class TestLinearSolve:
         xnu = (g.points / g.b) ** nu
         y, count = np.zeros(g.depth + 1), 0
         for k, xi_k in enumerate(xi, 1):
+            _, terms = qml.ml_terms(qml.MLSpec(nu, gamma - k + 1.0, lam, params), g.b)
             acc = np.zeros(g.depth + 1)
-            for m, t, rho in qml._term_by_term(qml._ml_series(params, nu, gamma - k + 1.0,
-                                                              lam, g.b)):
+            for m, t in enumerate(terms):
                 acc += t * xnu ** float(m)
-                if qml._tail_within(params, abs(t), rho, float(np.max(np.abs(acc)))):
-                    break
             y += xi_k * g.points ** (gamma - k) * acc
-            count = max(count, m + 1)
+            count = max(count, len(terms))
         return y, count
 
-    @pytest.mark.parametrize("q, depth, orders, lam, xi", [
+    HOMOGENEOUS_CASES = [
         (0.5, 200, (0.8, 0.6, 0.0, 1), 0.4, (1.0,)),
         (0.3, 200, (0.9, 0.5, 0.5, 1), -0.5, (0.7,)),
         (0.9, 800, (0.8, 0.6, 0.0, 1), 1.5, (1.3,)),
         (0.7, 300, (1.9, 1.3, 0.4, 2), 0.9, (0.8, -0.5)),
-    ])
+    ]
+
+    @pytest.mark.parametrize("q, depth, orders, lam, xi", HOMOGENEOUS_CASES)
     def test_homogeneous_running_power_matches_pow_per_term(self, q, depth, orders, lam, xi):
         g = grid(q=q, depth=depth)
         o = FracOrders(*orders)
@@ -607,6 +607,51 @@ class TestLinearSolve:
         want, count = self._pow_per_term(g, o, lam, xi)
         assert sol.iterations_per_interval == (count,)
         assert np.all(np.abs(sol.y.values - want) <= 1e-14 * np.abs(want))
+
+    @staticmethod
+    def _grid_max_stop(g, o, lam, xi):
+        """The homogeneous rows and term count of the loop that stopped against max |sum| on g.
+
+        A copy of the per-term loop linear_solve ran before it took its terms from
+        ml_terms, with its one-term iterator and tail test written out.
+        """
+        params, nu, gamma = g.params, o.nu, o.gamma
+        xnu = (g.points / g.b) ** nu
+        y, terms_used = np.zeros(g.depth + 1), 0
+        for k in range(1, o.n + 1):
+            xi_k = xi[k - 1]
+            if xi_k == 0.0:
+                continue
+            acc = np.zeros(g.depth + 1)
+            power = np.ones(g.depth + 1)
+            series = qml._ml_series(params, nu, gamma - k + 1.0, lam, g.b)
+            for m, t, rho in ((k0 + i, float(t[i]), float(r[i]))
+                              for k0, t, r in series for i in range(len(t))):
+                acc += t * power
+                top = float(np.max(np.abs(acc)))
+                if rho < 1.0 and abs(t) * rho <= params.eps_series * abs(top) * (1.0 - rho):
+                    break
+                power *= xnu
+            y += xi_k * g.points ** (gamma - k) * acc
+            terms_used = max(terms_used, m + 1)
+        return y, terms_used
+
+    @pytest.mark.parametrize("q, depth, orders, lam, xi", HOMOGENEOUS_CASES)
+    def test_stop_at_b_against_the_grid_max_stop(self, q, depth, orders, lam, xi):
+        # lam > 0: every term is positive, |sum at b| is the grid max and nothing moves;
+        # lam < 0: stopping against |sum at b| takes at least as many terms
+        g = grid(q=q, depth=depth)
+        o = FracOrders(*orders)
+        for lam in (abs(lam), -abs(lam)):
+            sol = linear_solve(make_linear_problem(g.params, o, lam, lambda x: 0.0, xi), g)
+            old_rows, old_count = self._grid_max_stop(g, o, lam, xi)
+            count = sol.iterations_per_interval[0]
+            if lam > 0.0:
+                assert np.array_equal(sol.y.values, old_rows) and count == old_count
+            else:
+                lens = [len(qml.ml_terms(qml.MLSpec(o.nu, o.gamma - k + 1.0, lam, g.params),
+                                         g.b)[1]) for k in range(1, o.n + 1)]
+                assert old_count <= count == max(lens)
 
     def test_relative_residual(self):
         # residual_l1 over L^1_q(|lam y + f|) on the residual window
