@@ -366,7 +366,7 @@ def _sum_range(g: LatticeGrid, values: np.ndarray, start: int, stop: int) -> flo
     if stop <= start:
         return 0.0
     seg = g.points[start:stop] * values[start:stop]
-    return float((1.0 - g.q) * np.sum(seg))
+    return float((1.0 - g.q) * np.add.reduce(seg))  # np.sum's pairwise sum, without its wrapper
 
 
 def _integral(g: LatticeGrid, values: np.ndarray, lower: Anchor, upper: LatticePoint,

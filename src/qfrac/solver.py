@@ -363,16 +363,15 @@ def _call_rhs(p: CauchyProblem, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """rhs(x, y) as an array of x's shape; a failing call or another shape names the rhs.
 
     An x-shaped result comes back as the rhs returned it, which may be y itself
-    or the rhs's own state, so callers copy it before writing.
+    or the rhs's own state, so callers copy it before writing; they also hold its np.errstate.
     """
-    with np.errstate(all="ignore"):  # non-finite values are named by the caller
-        try:
-            vals = np.asarray(p.rhs(x, y), dtype=float)
-        except QFracError:
-            raise
-        except (TypeError, ValueError, ArithmeticError) as exc:
-            raise DomainError(f"rhs {_rhs_name(p)} failed on arrays of x and y "
-                              f"(it must be elementwise): {exc}") from None
+    try:
+        vals = np.asarray(p.rhs(x, y), dtype=float)
+    except QFracError:
+        raise
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise DomainError(f"rhs {_rhs_name(p)} failed on arrays of x and y "
+                          f"(it must be elementwise): {exc}") from None
     if vals.shape == x.shape:
         return vals
     if vals.shape:
@@ -384,11 +383,16 @@ def _call_rhs(p: CauchyProblem, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _rhs_values(p: CauchyProblem, g: LatticeGrid, y: np.ndarray, f_vals: np.ndarray,
                 lo: int, hi: int) -> None:
     """Fill f_vals[lo:hi] from one rhs call on the lattice; a non-finite value names the rhs."""
-    x = g.points
-    f_vals[lo:hi] = _call_rhs(p, x, y)[lo:hi]
+    with np.errstate(all="ignore"):  # non-finite values are named just below
+        f_vals[lo:hi] = _call_rhs(p, g.points, y)[lo:hi]
+    _check_rhs(p, g, y, f_vals, lo, hi)
+
+
+def _check_rhs(p: CauchyProblem, g: LatticeGrid, y, f_vals, lo: int, hi: int) -> None:
+    """Raise SampleError naming the rhs at the first non-finite f_vals[lo:hi]."""
     if not np.isfinite(f_vals[lo:hi]).all():
         k = lo + int(np.flatnonzero(~np.isfinite(f_vals[lo:hi]))[0])
-        raise SampleError(k, float(x[k]), float(f_vals[k]),
+        raise SampleError(k, g.point(k), float(f_vals[k]),
                           source=f"rhs {_rhs_name(p)}(x, y={float(y[k])!r}) value")
 
 
@@ -396,61 +400,59 @@ def picard_solve(p: CauchyProblem, g: LatticeGrid, tol: float = 1e-10,
                  max_iter: int = 200, y_init: GridFunction | None = None) -> Solution:
     """Solve the Cauchy problem by blockwise Picard iteration on the grid.
 
-    Starts from the Volterra initial term (or from ``y_init`` when given --
-    useful for rhs whose trivial fixed point must be avoided) and iterates
-    y <- y0 + I^v f(., y) until the L^1_q increment over the active
-    subinterval drops below tol.  A sweep sums the active block only: the
-    integral's rows there are the block's own row sums plus the frozen
-    history, the sums over the converged deeper indices, which are fixed
-    while the block iterates and so are formed once per block.  Both come
-    from :func:`qfrac.qfracops._lattice_sums` with the weights and row
-    prefactor of I^nu, read once per solve as rl_integral reads them.
+    Starts from the Volterra initial term (or from ``y_init`` on g, for rhs whose
+    trivial fixed point must be avoided) and iterates y <- y0 + I^v f(., y)
+    until the L^1_q increment over the active block drops below tol.  The
+    block's rows are its own row sums plus its frozen history (the converged
+    deeper indices' share, summed once per block), both by
+    :func:`qfrac.qfracops._lattice_sums`.  A sweep is one rhs call, one
+    ``_lattice_sums`` and one increment norm, which is also its finiteness
+    test: only a non-finite norm sends it looking for the value to name.
     Deterministic: identical inputs produce bit-identical solutions.
     """
     _check_grid(p, g)
+    if y_init is not None and y_init.grid != g:
+        raise DomainError(f"y_init lives on {y_init.grid!r}, not on the solve grid {g!r}")
     anchor = lattice_locate(g, p.a)
     m_a = anchor_index(anchor)
-    nu = p.orders.nu
     y0 = initial_term(p, g)
     blocks = _split_subintervals(p, g, m_a)
 
-    M = g.depth
-    x = g.points
-    domain_lo = M + 1 if m_a is None else m_a  # one past the deepest unknown index
-    y = (y0.values if y_init is None else np.asarray(y_init.values, dtype=float)).copy()
+    domain_lo = g.depth + 1 if m_a is None else m_a  # one past the deepest unknown index
+    y = (y0 if y_init is None else y_init).values.copy()
     if m_a is not None:
         y[m_a] = y0.values[m_a]  # Volterra value at the lower limit itself
         y[m_a + 1:] = 0.0
 
-    iterations: list[int] = []
-    diff_hist: list[tuple[float, ...]] = []
-    f_vals = np.zeros(M + 1)
-    step = np.zeros(M + 1)  # |increment| on the active block
+    diff_hist: list[list[float]] = []
+    f_vals, step = np.zeros((2, g.depth + 1))  # step: |increment| on the active block
     frozen_hi = domain_lo  # indices in [frozen_hi, domain_lo) are converged
 
-    # values past double range stay non-finite until the sweep's check names them
-    with np.errstate(over="ignore", invalid="ignore"):
-        w, pref = _integral_table(g, nu)
+    with np.errstate(all="ignore"):  # values past double range are named by the sweep
+        w, pref = _integral_table(g, p.orders.nu)
         for upper, omega in blocks:
             act, B = slice(upper, frozen_hi), frozen_hi - upper
             _rhs_values(p, g, y, f_vals, upper, domain_lo)
             hist = 0.0
             if frozen_hi < domain_lo:  # the rows' part from the converged indices
-                s = x[upper:domain_lo] * f_vals[upper:domain_lo]
+                s = g.points[upper:domain_lo] * f_vals[upper:domain_lo]
                 s[:B] = 0.0
                 hist = _lattice_sums(s, w)[:B]
-            norms: list[float] = []
+            x_b, pref_b, y0_b, y_b, f_b, step_b = (  # views, once per block
+                a[act] for a in (g.points, pref, y0.values, y, f_vals, step))
+            diff_hist.append(norms := [])
             while True:
-                sums = _lattice_sums(x[act] * f_vals[act], w) + hist
-                new = y0.values[act] + pref[act] * sums
-                if not np.isfinite(new).all():
-                    k = upper + int(np.flatnonzero(~np.isfinite(new))[0])
-                    raise DomainError(f"Picard integral I^{nu:g} f(., y) is not finite at "
-                                      f"lattice index {k} (x={float(x[k])!r}): it leaves "
-                                      "double range")
-                np.abs(new - y[act], out=step[act])
-                y[act] = new
+                new = y0_b + pref_b * (_lattice_sums(x_b * f_b, w) + hist)
+                np.abs(new - y_b, out=step_b)
                 d = _sum_range(g, step, upper, frozen_hi)
+                if not d < math.inf:
+                    _check_rhs(p, g, y, f_vals, upper, frozen_hi)
+                    if not np.isfinite(new).all():
+                        k = upper + int(np.flatnonzero(~np.isfinite(new))[0])
+                        raise DomainError(f"Picard integral I^{p.orders.nu:g} f(., y) is not "
+                                          f"finite at lattice index {k} (x={g.point(k)!r}): "
+                                          "it leaves double range")
+                y_b[...] = new
                 norms.append(d)
                 if d < tol:
                     break
@@ -461,20 +463,17 @@ def picard_solve(p: CauchyProblem, g: LatticeGrid, tol: float = 1e-10,
                         diagnostics={"upper_index": upper, "omega": omega,
                                      "last_increment": d, "tol": tol},
                     )
-                _rhs_values(p, g, y, f_vals, upper, frozen_hi)
-            iterations.append(len(norms))
-            diff_hist.append(tuple(norms))
+                f_b[...] = _call_rhs(p, g.points, y)[act]  # all of x: _pointwise caches it
             frozen_hi = upper
 
     sol_gf = GridFunction(g, y, domain_stop=y0.domain_stop)
     _rhs_values(p, g, y, f_vals, 0, domain_lo)
     return Solution(
         y=sol_gf,
-        iterations_per_interval=tuple(iterations),
+        iterations_per_interval=tuple(map(len, diff_hist)),
         omega_per_interval=tuple(w for _, w in blocks),
         subinterval_boundaries=tuple(u for u, _ in blocks),
-        method="picard",
-        diff_norms_per_interval=tuple(diff_hist),
+        diff_norms_per_interval=tuple(map(tuple, diff_hist)),
         **_ode_residual(p.orders, sol_gf, anchor, f_vals),
     )
 
@@ -628,5 +627,6 @@ def estimate_lipschitz(p: CauchyProblem, g: LatticeGrid, y_lo: float, y_hi: floa
     x = g.points[m[keep]]
     x.setflags(write=False)  # both calls share the rhs's x-only factors
     y1, y2 = y1[keep], y2[keep]
-    quot = np.abs(_call_rhs(p, x, y1) - _call_rhs(p, x, y2)) / np.abs(y1 - y2)
+    with np.errstate(all="ignore"):  # a non-finite rhs value shows in the estimate
+        quot = np.abs(_call_rhs(p, x, y1) - _call_rhs(p, x, y2)) / np.abs(y1 - y2)
     return float(np.max(quot, initial=0.0))

@@ -21,6 +21,7 @@ from qfrac.qgrid import (
     LatticeGrid,
     LatticePoint,
     _pointwise,
+    _sum_range,
     jackson_integral,
     l1q_norm,
     lattice_locate,
@@ -333,6 +334,16 @@ class TestL1qNorm:
         vals[4] = -2.0
         u = GridFunction(g, vals)
         assert l1q_norm(u, ZERO, LatticePoint(0), warn=False) > 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 128, 129, 801])
+    def test_range_sum_bit_equal_to_np_sum(self, n):
+        # np.add.reduce is np.sum's pairwise sum: the same bits, on both sides
+        # of its 8-wide unroll and its 128-element blocks
+        g = grid(q=0.9, depth=800)
+        vals = np.random.default_rng(n).uniform(-1.0, 3.0, size=801)
+        for start in (0, 801 - n):
+            seg = g.points[start:start + n] * vals[start:start + n]
+            assert _sum_range(g, vals, start, start + n) == float((1 - g.q) * np.sum(seg))
 
 
 # The trusted-window formulas as each call site wrote them out before they

@@ -1,5 +1,6 @@
 """Cauchy-problem solver: Picard machinery, closed form, equivalence checks."""
 
+import dataclasses
 import math
 import sys
 
@@ -396,6 +397,182 @@ def test_sweep_matches_whole_iterate_reference(case, monkeypatch):
     assert lengths == expect
 
 
+def _parent_picard(p, g, tol=1e-10, max_iter=200, y_init=None):
+    """picard_solve's block loop as it was before its sweeps took block views
+    once per block and read finiteness off the increment norm: two
+    ``np.isfinite`` passes per sweep.  The reference the sweeps must match bit for bit."""
+    anchor = lattice_locate(g, p.a)
+    m_a = anchor_index(anchor)
+    nu = p.orders.nu
+    y0 = initial_term(p, g)
+    blocks = solver._split_subintervals(p, g, m_a)
+
+    M = g.depth
+    x = g.points
+    domain_lo = M + 1 if m_a is None else m_a  # one past the deepest unknown index
+    y = (y0.values if y_init is None else np.asarray(y_init.values, dtype=float)).copy()
+    if m_a is not None:
+        y[m_a] = y0.values[m_a]  # Volterra value at the lower limit itself
+        y[m_a + 1:] = 0.0
+
+    iterations: list[int] = []
+    diff_hist: list[tuple[float, ...]] = []
+    f_vals = np.zeros(M + 1)
+    step = np.zeros(M + 1)  # |increment| on the active block
+    frozen_hi = domain_lo  # indices in [frozen_hi, domain_lo) are converged
+
+    # values past double range stay non-finite until the sweep's check names them
+    with np.errstate(over="ignore", invalid="ignore"):
+        w, pref = qfracops._integral_table(g, nu)
+        for upper, omega in blocks:
+            act, B = slice(upper, frozen_hi), frozen_hi - upper
+            solver._rhs_values(p, g, y, f_vals, upper, domain_lo)
+            hist = 0.0
+            if frozen_hi < domain_lo:  # the rows' part from the converged indices
+                s = x[upper:domain_lo] * f_vals[upper:domain_lo]
+                s[:B] = 0.0
+                hist = qfracops._lattice_sums(s, w)[:B]
+            norms: list[float] = []
+            while True:
+                sums = qfracops._lattice_sums(x[act] * f_vals[act], w) + hist
+                new = y0.values[act] + pref[act] * sums
+                if not np.isfinite(new).all():
+                    k = upper + int(np.flatnonzero(~np.isfinite(new))[0])
+                    raise DomainError(f"Picard integral I^{nu:g} f(., y) is not finite at "
+                                      f"lattice index {k} (x={float(x[k])!r}): it leaves "
+                                      "double range")
+                np.abs(new - y[act], out=step[act])
+                y[act] = new
+                d = _sum_range(g, step, upper, frozen_hi)
+                norms.append(d)
+                if d < tol:
+                    break
+                if len(norms) >= max_iter:
+                    raise MaxIterError(
+                        f"subinterval up to index {upper}: |increment|={d:.3e} after "
+                        f"{len(norms)} iterations (tol={tol:.1e})",
+                        diagnostics={"upper_index": upper, "omega": omega,
+                                     "last_increment": d, "tol": tol},
+                    )
+                solver._rhs_values(p, g, y, f_vals, upper, frozen_hi)
+            iterations.append(len(norms))
+            diff_hist.append(tuple(norms))
+            frozen_hi = upper
+
+    sol_gf = GridFunction(g, y, domain_stop=y0.domain_stop)
+    solver._rhs_values(p, g, y, f_vals, 0, domain_lo)
+    return Solution(
+        y=sol_gf,
+        iterations_per_interval=tuple(iterations),
+        omega_per_interval=tuple(w for _, w in blocks),
+        subinterval_boundaries=tuple(u for u, _ in blocks),
+        method="picard",
+        diff_norms_per_interval=tuple(diff_hist),
+        **solver._ode_residual(p.orders, sol_gf, anchor, f_vals),
+    )
+
+
+def _guard_cases():
+    o = FracOrders(alpha=0.8, beta=0.6, mu=0.0, n=1)
+    cases = {}
+    for q, depth, lam in ((0.3, 100, 0.9), (0.5, 200, 0.9), (0.9, 800, 2.5)):
+        for sign in (1.0, -1.0):
+            lam_s = sign * lam
+            cases[f"linear-q{q}-lam{lam_s:+g}"] = (
+                make_problem(orders=o, rhs=lambda x, y, c=lam_s: c * y + x, A=lam,
+                             xi=(1.3,), params=QParams(q)),
+                grid(q=q, depth=depth), None, 1e-12, 500)
+    cases["polynomial"] = (
+        make_problem(orders=o, rhs=lambda x, y: 0.6 * y - 0.3 * y**2 + x**2, A=1.2,
+                     xi=(0.7,), params=QParams(0.7)),
+        grid(q=0.7, depth=300), None, 1e-12, 500)
+    bp = make_example42(P5)
+    g42 = LatticeGrid(b=1.0, depth=40, params=P5)
+    cases["example42-seeded"] = (bp.problem, g42, sample(g42, lambda x: bp.seed_value),
+                                 1e-11, 500)
+    lin2 = make_linear_problem(P5, FracOrders(alpha=1.9, beta=1.3, mu=0.4, n=2), lam=0.3,
+                               forcing=lambda x: 1.0 + x, xi=(0.8, -0.5))
+    cases["two-data-orders"] = (as_cauchy(lin2), grid(), None, 1e-12, 500)
+    cases["max-iter"] = (make_problem(orders=o, rhs=lambda x, y: 2.5 * y + 1.0, A=2.5,
+                                      params=QParams(0.9)),
+                         grid(q=0.9, depth=800), None, 1e-13, 25)
+    return cases
+
+
+def _outcome(solve, *args, **kwargs):
+    try:
+        return solve(*args, **kwargs), None
+    except (MaxIterError, DomainError) as exc:
+        return None, exc
+
+
+@pytest.mark.parametrize("case", list(_guard_cases()))
+def test_sweeps_bit_identical_to_parent_loop(case):
+    p, g, y_init, tol, max_iter = _guard_cases()[case]
+    want, want_err = _outcome(_parent_picard, p, g, tol, max_iter, y_init)
+    got, got_err = _outcome(picard_solve, p, g, tol=tol, max_iter=max_iter, y_init=y_init)
+    assert (want_err is None) == (case != "max-iter")
+    if want_err is not None:
+        assert type(got_err) is type(want_err) and str(got_err) == str(want_err)
+        assert got_err.diagnostics == want_err.diagnostics
+        return
+    assert got_err is None
+    assert np.array_equal(got.y.values, want.y.values)
+    assert got.iterations_per_interval == want.iterations_per_interval
+    assert got.diff_norms_per_interval == want.diff_norms_per_interval
+    assert got.subinterval_boundaries == want.subinterval_boundaries
+    for name in ("residual_l1", "residual_linf", "residual_rel", "residual_stop"):
+        assert getattr(got, name) == getattr(want, name)
+    assert len(got.subinterval_boundaries) > 1 or case == "two-data-orders"
+
+
+def _turns_bad_above(level, bad):
+    """An rhs that returns ``bad`` wherever y has passed ``level``, and counts its calls."""
+    calls = []
+
+    def rhs(x, y):
+        calls.append(1)
+        return np.where(y > level, bad, 0.4 * y + 1.0)
+
+    return rhs, calls
+
+
+@pytest.mark.parametrize("bad, error", [(np.nan, SampleError), (1.7e308, DomainError)])
+def test_mid_iteration_errors_match_parent_loop(bad, error):
+    # from y0 = 0 the iterate's maximum rises 0, 1.07, 1.42, 1.52, ... to 1.554,
+    # so level 1.5 is first passed in the third sweep of the one block
+    g = grid()
+    errors = []
+    for solve in (_parent_picard, picard_solve):
+        rhs, calls = _turns_bad_above(1.5, bad)
+        p = make_problem(rhs=rhs, A=0.4, xi=(0.0,))
+        assert len(solver._split_subintervals(p, g, None)) == 1
+        with pytest.raises(error) as err:
+            solve(p, g, tol=1e-12)
+        assert len(calls) > 3
+        errors.append((err.value, len(calls)))
+    (want, want_calls), (got, got_calls) = errors
+    assert str(got) == str(want) and got_calls == want_calls
+    if error is SampleError:
+        assert (got.index, got.x) == (want.index, want.x)
+        assert "y=" in str(got) and got.x == g.points[got.index]
+    else:
+        assert "Picard integral" in str(got)
+
+
+@pytest.mark.parametrize("b, depth, q", [(1.0, 60, 0.5), (1.0, 40, 0.6), (2.0, 40, 0.5)],
+                         ids=["another-depth", "same-depth-another-q", "same-depth-another-b"])
+def test_y_init_on_another_grid_rejected(b, depth, q):
+    bp = make_example42(P5)
+    g = LatticeGrid(b=1.0, depth=40, params=P5)
+    other = LatticeGrid(b=b, depth=depth, params=QParams(q))
+    seed = sample(other, lambda x: bp.seed_value)
+    with pytest.raises(DomainError, match="y_init lives on") as err:
+        picard_solve(bp.problem, g, tol=1e-11, max_iter=500, y_init=seed)
+    assert repr(other) in str(err.value) and repr(g) in str(err.value)
+    assert len(str(err.value).splitlines()) == 1
+
+
 # The forcing part at x = b = 1 for q = 0.98, orders (0.8, 0.6, mu 0) and xi = 0:
 # y(1) = sum_m lam**m I^(nu(m+1)) f (1), summed by mpmath at 45 digits through
 # the first term below 1e-40 of the largest (term 500), with
@@ -774,6 +951,14 @@ class TestLinearSolveNearQOne:
         assert abs(sol.y.values[0] - want) / scale < 1e-10
 
 
+def _divides_by_zero(rhs):
+    """rhs plus a branch that divides by zero on every point and is never taken."""
+    def wrapped(x, y):
+        return rhs(x, y) + np.where(x > 0.0, 0.0, 1.0 / (x - x))
+
+    return wrapped
+
+
 class TestBundledProblems:
     def test_singular_example_operator_identity(self):
         p = QParams(0.5)
@@ -822,6 +1007,16 @@ class TestBundledProblems:
         assert not rep.passed
         assert max(rep.volterra_residual, rep.ode_residual) > 1e-3
 
+    def test_rhs_dividing_by_zero_warns_nowhere(self):
+        # the rhs's own 1/0 under np.where gives finite values: no numpy warning
+        # may escape (RuntimeWarning is an error here) into the report's detail
+        p = QParams(0.5)
+        bp = make_example42(p)
+        g = LatticeGrid(b=1.0, depth=40, params=p)
+        prob = dataclasses.replace(bp.problem, rhs=_divides_by_zero(bp.problem.rhs))
+        rep = verify_equivalence(prob, sample(g, bp.exact), 1e-5)
+        assert rep.detail == "" and rep.passed
+
     def test_report_never_raises(self):
         p = QParams(0.5)
         bp = make_example42(p)
@@ -834,6 +1029,13 @@ class TestLipschitzEstimator:
     def test_linear_rhs_recovers_slope(self):
         g = grid(depth=40)
         p = make_problem(rhs=lambda x, y: 0.7 * y + x, A=0.7)
+        est = estimate_lipschitz(p, g, -2.0, 2.0, n_samples=400,
+                                 rng=np.random.default_rng(1))
+        assert est == pytest.approx(0.7, rel=1e-6)
+
+    def test_rhs_dividing_by_zero_warns_nowhere(self):
+        g = grid(depth=40)
+        p = make_problem(rhs=_divides_by_zero(lambda x, y: 0.7 * y + x), A=0.7)
         est = estimate_lipschitz(p, g, -2.0, 2.0, n_samples=400,
                                  rng=np.random.default_rng(1))
         assert est == pytest.approx(0.7, rel=1e-6)
