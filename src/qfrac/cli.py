@@ -40,7 +40,7 @@ from .qfracops import (
     rl_derivative,
     rl_integral,
 )
-from .qgrid import LatticeGrid, _pointwise, lattice_locate, sample
+from .qgrid import LatticeGrid, _overwrite, _pointwise, lattice_locate, sample
 from .qml import MLSpec, ml_bound_check, ml_eval
 from .solver import LinearProblem, Solution, linear_solve, picard_solve
 from .problems import make_example41, make_example42
@@ -156,24 +156,25 @@ class ProblemConfig:
         except configparser.Error as exc:
             raise ConfigError(f"unparseable config: {exc}") from exc
         known = {"grid", "orders", "problem", "rhs", "solver"}
-        unknown = set(cp.sections()) - known
+        sections = {name: {} for name in known}  # a known section the file lacks is empty
+        sections.update((name, dict(cp.items(name, raw=True))) for name in cp.sections())
+        unknown = set(sections) - known
         if unknown:
             raise ConfigError(f"unknown config sections: {sorted(unknown)}")
         for section, allowed in (("grid", _GRID_KEYS), ("orders", _ORDER_KEYS),
                                  ("problem", _PROBLEM_KEYS), ("solver", _SOLVER_KEYS)):
-            if cp.has_section(section):
-                bad = set(cp[section]) - allowed
-                if bad:
-                    raise ConfigError(f"unknown keys in [{section}]: {sorted(bad)}")
+            bad = set(sections[section]) - allowed
+            if bad:
+                raise ConfigError(f"unknown keys in [{section}]: {sorted(bad)}")
 
         def need(section: str, key: str) -> str:
-            if not cp.has_option(section, key):
+            if key not in sections[section]:
                 raise ConfigError(f"missing required key {key!r} in [{section}]")
-            return cp[section][key]
+            return sections[section][key]
 
         def fnum(section: str, key: str, default=None) -> float | int:
             """The finite number a key spells; an int for the integer keys."""
-            if default is not None and not cp.has_option(section, key):
+            if default is not None and key not in sections[section]:
                 return default
             try:
                 value = _finite(raw := need(section, key))
@@ -187,7 +188,7 @@ class ProblemConfig:
 
         def given(section: str, *keys: str) -> dict:
             """The keys present in a section; absent keys keep their defaults."""
-            return {key: fnum(section, key) for key in keys if cp.has_option(section, key)}
+            return {key: fnum(section, key) for key in keys if key in sections[section]}
 
         try:
             params = QParams(q=fnum("grid", "q"),
@@ -207,18 +208,17 @@ class ProblemConfig:
         if rhs_kind not in _RHS_KINDS:
             raise ConfigError(f"[problem] rhs must be one of {_RHS_KINDS}, got {rhs_kind!r}")
         rhs_items: dict[str, float | str] = {}
-        if cp.has_section("rhs"):
-            for key, val in cp["rhs"].items():
-                if key in ("forcing",):
-                    rhs_items[key] = val.strip()
-                elif key in _RHS_KEYS or (rhs_kind == "polynomial" and len(key) == 3
-                                          and key[0] == "c" and key[1:].isdigit()):
-                    rhs_items[key] = fnum("rhs", key)
-                else:
-                    raise ConfigError(f"unknown key in [rhs]: {key!r}")
+        for key, val in sections["rhs"].items():
+            if key in ("forcing",):
+                rhs_items[key] = val.strip()
+            elif key in _RHS_KEYS or (rhs_kind == "polynomial" and len(key) == 3
+                                      and key[0] == "c" and key[1:].isdigit()):
+                rhs_items[key] = fnum("rhs", key)
+            else:
+                raise ConfigError(f"unknown key in [rhs]: {key!r}")
         solver = given("solver", "tol", "max_iter", "residual_tol")
-        if cp.has_option("solver", "method"):
-            solver["method"] = cp["solver"]["method"].strip()
+        if "method" in sections["solver"]:
+            solver["method"] = sections["solver"]["method"].strip()
             if solver["method"] not in ("picard", "closed-form"):
                 raise ConfigError("[solver] method must be picard or closed-form, "
                                   f"got {solver['method']!r}")
@@ -232,7 +232,7 @@ class ProblemConfig:
             lipschitz_a=given("problem", "lipschitz_a").get("lipschitz_a"),
             rhs_kind=rhs_kind,
             rhs_params=tuple(sorted(rhs_items.items())),
-            picard_seed=cp.get("solver", "picard_seed", fallback="").strip() or None,
+            picard_seed=sections["solver"].get("picard_seed", "").strip() or None,
             **solver,
         )
         cfg.validate()
@@ -379,16 +379,15 @@ def _output_paths(prefix: Path) -> tuple[Path, Path]:
 
 def _write_solution(sol: Solution, csv_path: Path, diag_path: Path) -> None:
     sol.y.to_csv(str(csv_path))
-    with open(diag_path, "w", encoding="utf-8") as fh:
-        fh.write(f"method={sol.method}\n")
-        fh.write("iterations=" + ",".join(str(i) for i in sol.iterations_per_interval) + "\n")
-        fh.write("omega=" + ",".join(f"{w:.17g}" for w in sol.omega_per_interval) + "\n")
-        fh.write(f"residual_l1={sol.residual_l1:.17g}\n")
-        fh.write(f"residual_rel={sol.residual_rel:.17g}\n")
-        fh.write(f"residual_linf={sol.residual_linf:.17g}\n")
-        fh.write(f"residual_window_stop={sol.residual_stop}\n")
-        fh.write("subinterval_boundaries="
-                 + ",".join(str(i) for i in sol.subinterval_boundaries) + "\n")
+    _overwrite(diag_path,
+               f"method={sol.method}\n"
+               f"iterations={','.join(str(i) for i in sol.iterations_per_interval)}\n"
+               f"omega={','.join(f'{w:.17g}' for w in sol.omega_per_interval)}\n"
+               f"residual_l1={sol.residual_l1:.17g}\n"
+               f"residual_rel={sol.residual_rel:.17g}\n"
+               f"residual_linf={sol.residual_linf:.17g}\n"
+               f"residual_window_stop={sol.residual_stop}\n"
+               f"subinterval_boundaries={','.join(str(i) for i in sol.subinterval_boundaries)}\n")
 
 
 def _cmd_solve(args) -> int:

@@ -20,8 +20,11 @@ as zeros outside it) and ``guard`` counts in-domain indices adjacent to
 
 from __future__ import annotations
 
-import io
+import contextlib
+import functools
 import math
+import os
+import stat
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Union
@@ -194,21 +197,14 @@ class GridFunction:
     # -- CSV interface: header m,x,value; 17 significant digits -------------
 
     def to_csv(self, target) -> None:
-        """Write `m,x,value` rows; floats carry 17 significant digits."""
-        rows = zip(self.grid.points.tolist(), self.values.tolist())
-        body = "".join([f"{m},{x:.17g},{v:.17g}\n" for m, (x, v) in enumerate(rows)])
-        own = isinstance(target, (str, bytes))
-        fh = open(target, "w", encoding="utf-8") if own else target
-        try:
-            fh.write("m,x,value\n" + body)
-        finally:
-            if own:
-                fh.close()
+        """Write `m,x,value` rows to a text handle, or to a str/bytes path in place."""
+        if isinstance(target, (str, bytes)):
+            _overwrite(target, self.to_csv_text())
+        else:
+            target.write(self.to_csv_text())
 
     def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        self.to_csv(buf)
-        return buf.getvalue()
+        return _csv_template(self.grid) % tuple(self.values.tolist())
 
     @classmethod
     def from_csv(cls, source, params: QParams) -> "GridFunction":
@@ -218,23 +214,25 @@ class GridFunction:
         params; values round-trip bit-exactly through the 17-digit format.
         """
         own = isinstance(source, (str, bytes))
-        fh = open(source, "r", encoding="utf-8") if own else source
-        try:
+        with open(source, encoding="utf-8") if own else contextlib.nullcontext(source) as fh:
             header = fh.readline().strip()
             if header != "m,x,value":
                 raise DomainError(f"unexpected CSV header {header!r}")
             ms, xs, vs = [], [], []
-            for line in fh:
+            for lineno, line in enumerate(fh, start=2):
                 line = line.strip()
                 if not line:
                     continue
-                m_s, x_s, v_s = line.split(",")
-                ms.append(int(m_s))
-                xs.append(float(x_s))
-                vs.append(float(v_s))
-        finally:
-            if own:
-                fh.close()
+                try:
+                    m_s, x_s, v_s = line.split(",")
+                    ms.append(int(m_s))
+                    xs.append(float(x_s))
+                    vs.append(float(v_s))
+                except ValueError:
+                    raise DomainError(f"CSV line {lineno}: expected m,x,value, "
+                                      f"got {line!r}") from None
+        if not ms:
+            raise DomainError("CSV has no rows after its header on line 1")
         if ms != list(range(len(ms))):
             raise DomainError("CSV rows must be consecutive lattice indices starting at 0")
         grid = LatticeGrid(b=xs[0], depth=len(ms) - 1, params=params)
@@ -242,6 +240,28 @@ class GridFunction:
         if not np.allclose(xs, expect, rtol=_LATTICE_RTOL, atol=0.0):
             raise DomainError("CSV x column does not match the reconstructed lattice")
         return cls(grid, np.array(vs))
+
+
+@functools.lru_cache(maxsize=16)
+def _csv_template(g: LatticeGrid) -> str:
+    """The CSV text of a function on g, with a `%.17g` slot (as `format(v, ".17g")`) per value."""
+    return "m,x,value\n" + "".join([f"{m},{x:.17g},%.17g\n"
+                                     for m, x in enumerate(g.points.tolist())])
+
+
+def _overwrite(path, text: str) -> None:
+    """Write text (UTF-8) to path as ``open(path, "w")`` would, but in place: a regular
+    file is first cut to the text's length, not to zero (ext4 flushes a file cut to zero
+    at close), so it never ends longer than the text; devices and pipes are not cut."""
+    data = memoryview(text.encode("utf-8"))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
 
 
 def sample(g: LatticeGrid, f: Callable[[float], float], source: str = "sample") -> GridFunction:

@@ -13,7 +13,8 @@ import pytest
 from qfrac.cli import ProblemConfig, main, parse_fn_spec
 from qfrac.errors import ConfigError
 from qfrac.qcore import QParams, q_gamma
-from qfrac.qgrid import GridFunction
+from qfrac.qfracops import rl_integral
+from qfrac.qgrid import ZERO, GridFunction, LatticeGrid, sample
 from qfrac.qml import MLSpec, ml_bound_check
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -640,6 +641,43 @@ class TestSolveCommand:
         den = float(np.sum(g.points * np.abs(b.values)))
         assert num < 1e-7 * den
 
+    def _outputs(self, config, prefix, capsys):
+        """The CSV and diagnostics bytes ``qfrac solve`` writes for a bundled config."""
+        assert main(["solve", "--config", str(REPO_ROOT / "configs" / config),
+                     "--out", str(prefix)]) == 0
+        capsys.readouterr()
+        return (prefix.with_suffix(".solution.csv").read_bytes(),
+                prefix.with_suffix(".diagnostics.txt").read_bytes())
+
+    def test_rerun_into_a_used_prefix_matches_a_fresh_one(self, tmp_path, capsys):
+        # linear.ini writes 201 rows, example42.ini 41: shorter over longer, then longer
+        fresh = {config: self._outputs(config, tmp_path / config, capsys)
+                 for config in ("linear.ini", "example42.ini")}
+        for config in ("linear.ini", "example42.ini", "linear.ini"):
+            assert self._outputs(config, tmp_path / "s", capsys) == fresh[config]
+
+    def test_symlinked_outputs_written_through(self, tmp_path, capsys):
+        want = self._outputs("example42.ini", tmp_path / "fresh", capsys)
+        (tmp_path / "real").mkdir()
+        links = [tmp_path / "s.solution.csv", tmp_path / "s.diagnostics.txt"]
+        targets = [tmp_path / "real" / "u.csv", tmp_path / "real" / "d.txt"]
+        for link, target in zip(links, targets):
+            target.write_bytes(b"stale\n" * 5000)
+            link.symlink_to(target)
+        assert self._outputs("example42.ini", tmp_path / "s", capsys) == want
+        assert all(link.is_symlink() for link in links)
+        assert tuple(target.read_bytes() for target in targets) == want
+
+    @pytest.mark.parametrize("suffix", [".solution.csv", ".diagnostics.txt"])
+    def test_output_path_naming_a_directory_exits_2(self, suffix, tmp_path, capsys):
+        (tmp_path / f"s{suffix}").mkdir()
+        code = main(["solve", "--config", str(REPO_ROOT / "configs" / "linear.ini"),
+                     "--out", str(tmp_path / "s")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert f"s{suffix}" in err
+
 
 class TestVerifyCommand:
     def test_filter_runs_subset(self):
@@ -658,13 +696,21 @@ class TestVerifyCommand:
 class TestCsvEmission:
     def test_emitted_csv_parses_bit_exact(self):
         rng = np.random.default_rng(8)
-        from qfrac.qgrid import LatticeGrid
-
         g = LatticeGrid(b=1.0, depth=25, params=QParams(0.7))
         u = GridFunction(g, rng.standard_normal(26) * np.pi)
         buf = io.StringIO(u.to_csv_text())
         back = GridFunction.from_csv(buf, g.params)
         assert np.array_equal(back.values, u.values)
+
+    def test_eval_op_prints_the_per_row_csv(self, capsys):
+        assert main(["eval-op", "--op", "rl-int", "--q", "0.7", "--b", "2", "--depth", "50",
+                     "--alpha", "0.5", "--fn", "x^1.5"]) == 0
+        params = QParams(0.7)
+        u = sample(LatticeGrid(b=2.0, depth=50, params=params), lambda x: x**1.5)
+        out = rl_integral(u, ZERO, 0.5)
+        assert capsys.readouterr().out == "m,x,value\n" + "".join(
+            f"{m},{x:.17g},{v:.17g}\n" for m, (x, v) in enumerate(zip(out.grid.points,
+                                                                    out.values)))
 
     def test_main_entry_returns_int(self):
         assert main(["verify", "--filter", "no-such-check"]) == 0

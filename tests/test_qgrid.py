@@ -2,6 +2,8 @@
 
 import io
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -20,6 +22,8 @@ from qfrac.qgrid import (
     GridFunction,
     LatticeGrid,
     LatticePoint,
+    _csv_template,
+    _overwrite,
     _pointwise,
     _sum_range,
     jackson_integral,
@@ -146,6 +150,12 @@ class TestPointwise:
         assert f(np.array([1e300])) == math.inf
 
 
+def per_row_csv(u):
+    """The CSV text of u formatted row by row: the reference for the cached template."""
+    return "m,x,value\n" + "".join(f"{m},{x:.17g},{v:.17g}\n"
+                                   for m, (x, v) in enumerate(zip(u.grid.points, u.values)))
+
+
 class TestGridFunction:
     def test_length_validated(self):
         g = grid(depth=10)
@@ -178,13 +188,75 @@ class TestGridFunction:
         vals = np.random.default_rng(4).standard_normal(31) * 1e3
         vals[:6] = [-2.5, 0.0, -0.0, 5e-324, -2.2e-310, 1e300]
         u = GridFunction(g, vals)
-        want = "m,x,value\n" + "".join(f"{m},{x:.17g},{v:.17g}\n"
-                                       for m, (x, v) in enumerate(zip(g.points, u.values)))
-        assert u.to_csv_text() == want
+        assert u.to_csv_text() == per_row_csv(u)
 
     def test_csv_header_checked(self):
         with pytest.raises(DomainError):
             GridFunction.from_csv(io.StringIO("x,y\n0,1\n"), P5)
+
+    @pytest.mark.parametrize("text, fragment", [
+        ("m,x,value\n", "no rows after its header on line 1"),
+        ("m,x,value\n\n", "no rows after its header on line 1"),
+        ("m,x,value\n0,1,2\n1,0.5\n", "CSV line 3: "),
+        ("m,x,value\n0,1,2\n\n1,0.5,abc\n", "CSV line 4: "),
+        ("m,x,value\n0,1,2,3\n", "CSV line 2: "),
+        ("m,x,value\nzero,1,2\n", "CSV line 2: "),
+    ], ids=["header-only", "header-and-blank", "two-fields", "value-abc", "four-fields",
+            "index-not-integer"])
+    def test_malformed_csv_names_its_line(self, text, fragment):
+        with pytest.raises(DomainError, match=fragment):
+            GridFunction.from_csv(io.StringIO(text), P5)
+
+
+class TestCsvFiles:
+    def test_template_keyed_on_the_whole_grid(self):
+        # equal grids share a template; one differing in b, q or depth alone must not
+        grids = [grid(depth=30), grid(depth=30), grid(b=2.0, depth=30), grid(q=0.7, depth=30),
+                 grid(depth=31)]
+        assert grids[0] == grids[1] and grids[0] is not grids[1]
+        rng = np.random.default_rng(5)
+        _csv_template.cache_clear()
+        for _ in range(2):
+            for g in grids + grids[::-1]:
+                u = GridFunction(g, rng.standard_normal(g.depth + 1))
+                assert u.to_csv_text() == per_row_csv(u)
+        assert _csv_template.cache_info().currsize == 4
+
+    def test_handle_receives_the_text(self):
+        u = GridFunction(grid(depth=12), np.linspace(-1.0, 1.0, 13))
+        buf = io.StringIO()
+        buf.write("before\n")
+        u.to_csv(buf)
+        assert buf.getvalue() == "before\n" + per_row_csv(u)
+
+    def test_rewrite_leaves_no_stale_bytes(self, tmp_path):
+        long = GridFunction(grid(depth=60), np.full(61, -1.0 / 3.0))
+        short = GridFunction(grid(depth=20), np.arange(21.0))
+        path = tmp_path / "u.csv"
+        for u in (long, short, long, short):
+            u.to_csv(str(path))
+            assert path.read_bytes() == per_row_csv(u).encode()
+        short.to_csv(bytes(path))
+        assert path.read_text(encoding="utf-8") == per_row_csv(short)
+
+    def test_new_file_created_with_open_mode(self, tmp_path):
+        path = tmp_path / "new.csv"
+        _overwrite(path, "m,x,value\n")
+        probe = tmp_path / "probe"
+        with open(probe, "w"):
+            pass
+        assert path.read_bytes() == b"m,x,value\n"
+        assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(probe.stat().st_mode)
+
+    def test_text_encoded_as_utf8(self, tmp_path):
+        path = tmp_path / "d.txt"
+        path.write_bytes(b"x" * 4096)
+        _overwrite(path, "\u03bb=0.4\n")
+        assert path.read_bytes() == "\u03bb=0.4\n".encode("utf-8")
+
+    @pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
+    def test_device_written_without_truncation(self):
+        _overwrite(os.devnull, "m,x,value\n")
 
 
 class TestQDerivative:
