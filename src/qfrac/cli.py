@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import functools
-import io
 import math
 import re
 import sys
@@ -123,7 +122,7 @@ _INT_KEYS = {"depth", "n", "max_iter", "max_terms"}
 
 @dataclass(frozen=True)
 class ProblemConfig:
-    """Parsed, normalized contents of a problem definition file (see ``validate``)."""
+    """Parsed, normalized contents of a problem definition file (see ``from_text``)."""
 
     params: QParams
     b: float
@@ -133,23 +132,19 @@ class ProblemConfig:
     xi: tuple[float, ...]
     lipschitz_a: float | None
     rhs_kind: str
-    rhs_params: tuple[tuple[str, float | str], ...]  # sorted key/value pairs
+    rhs_params: dict[str, float | str]  # [rhs] by sorted key: the polynomial's term order
     tol: float = 1e-10
     max_iter: int = 200
     residual_tol: float = 1e-5
     method: str = "picard"
     picard_seed: str | None = None
 
-    def rhs_param(self, key: str, default=None):
-        for k, v in self.rhs_params:
-            if k == key:
-                return v
-        return default
-
     # -- parsing ------------------------------------------------------------
 
     @classmethod
-    def from_text(cls, text: str) -> "ProblemConfig":
+    def from_text(cls, text: str, method: str | None = None) -> "ProblemConfig":
+        """Parse a problem file; ``method``, if given, overrides ``[solver] method``
+        before the file's rules are checked."""
         cp = configparser.ConfigParser(interpolation=None)  # values are read literally
         try:
             cp.read_string(text)
@@ -217,11 +212,13 @@ class ProblemConfig:
             else:
                 raise ConfigError(f"unknown key in [rhs]: {key!r}")
         solver = given("solver", "tol", "max_iter", "residual_tol")
-        if "method" in sections["solver"]:
-            solver["method"] = sections["solver"]["method"].strip()
-            if solver["method"] not in ("picard", "closed-form"):
-                raise ConfigError("[solver] method must be picard or closed-form, "
-                                  f"got {solver['method']!r}")
+        for source, value in (("[solver] method", sections["solver"].get("method")),
+                              ("method", method)):  # the override comes last and wins
+            if value is None:
+                continue
+            if (value := value.strip()) not in ("picard", "closed-form"):
+                raise ConfigError(f"{source} must be picard or closed-form, got {value!r}")
+            solver["method"] = value
         cfg = cls(
             params=params,
             b=fnum("grid", "b"),
@@ -231,35 +228,35 @@ class ProblemConfig:
             xi=xi,
             lipschitz_a=given("problem", "lipschitz_a").get("lipschitz_a"),
             rhs_kind=rhs_kind,
-            rhs_params=tuple(sorted(rhs_items.items())),
+            rhs_params=dict(sorted(rhs_items.items())),
             picard_seed=sections["solver"].get("picard_seed", "").strip() or None,
             **solver,
         )
-        cfg.validate()
+        cfg._check_rules()
         return cfg
 
     @classmethod
-    def from_file(cls, path) -> "ProblemConfig":
+    def from_file(cls, path, method: str | None = None) -> "ProblemConfig":
         try:
             text = Path(path).read_text(encoding="utf-8")
         except OSError as exc:
             raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-        return cls.from_text(text)
+        return cls.from_text(text, method)
 
-    def validate(self) -> None:
+    def _check_rules(self) -> None:
         """The rules no runtime object owns; the grid and problem constructors check
         b, a, depth and the rest when ``qfrac solve`` builds them."""
         if self.rhs_kind == "linear":
-            if self.rhs_param("lambda") is None:
+            if "lambda" not in self.rhs_params:
                 raise ConfigError("[rhs] lambda is required for the linear rhs")
         elif self.rhs_kind in ("example41", "example42"):
             for key in ("lambda", "delta"):
-                if self.rhs_param(key) is None:
+                if key not in self.rhs_params:
                     raise ConfigError(f"[rhs] {key} is required for {self.rhs_kind}")
             if self.a == 0.0:
                 raise ConfigError(f"{self.rhs_kind} needs a lattice anchor a > 0")
         elif self.rhs_kind == "polynomial":
-            if not any(k.startswith("c") for k, _ in self.rhs_params):
+            if not any(k.startswith("c") for k in self.rhs_params):
                 raise ConfigError("[rhs] polynomial needs at least one c<ij> coefficient")
         if self.method == "closed-form":
             if self.rhs_kind != "linear":
@@ -269,36 +266,6 @@ class ProblemConfig:
         if self.method == "picard" and self.lipschitz_a is None:
             raise ConfigError("[problem] lipschitz_a is required for the picard method")
 
-    # -- emission (round-trip normal form) -----------------------------------
-
-    def to_text(self) -> str:
-        out = io.StringIO()
-        p = self.params
-        out.write("[grid]\n")
-        out.write(f"q = {p.q!r}\nb = {self.b!r}\ndepth = {self.depth}\n")
-        out.write(f"eps_product = {p.eps_product!r}\neps_series = {p.eps_series!r}\n")
-        out.write(f"max_terms = {p.max_terms}\n\n")
-        out.write("[orders]\n")
-        o = self.orders
-        out.write(f"alpha = {o.alpha!r}\nbeta = {o.beta!r}\nmu = {o.mu!r}\nn = {o.n}\n\n")
-        out.write("[problem]\n")
-        out.write(f"a = {self.a!r}\nxi = {', '.join(repr(v) for v in self.xi)}\n")
-        if self.lipschitz_a is not None:
-            out.write(f"lipschitz_a = {self.lipschitz_a!r}\n")
-        out.write(f"rhs = {self.rhs_kind}\n\n")
-        if self.rhs_params:
-            out.write("[rhs]\n")
-            for key, val in self.rhs_params:
-                out.write(f"{key} = {val!r}\n" if isinstance(val, float)
-                          else f"{key} = {val}\n")
-            out.write("\n")
-        out.write("[solver]\n")
-        out.write(f"tol = {self.tol!r}\nmax_iter = {self.max_iter}\n")
-        out.write(f"residual_tol = {self.residual_tol!r}\nmethod = {self.method}\n")
-        if self.picard_seed:
-            out.write(f"picard_seed = {self.picard_seed}\n")
-        return out.getvalue()
-
     # -- construction of runtime objects -------------------------------------
 
     def build_grid(self) -> LatticeGrid:
@@ -307,8 +274,8 @@ class ProblemConfig:
     def build_cauchy(self) -> CauchyProblem:
         lip = self.lipschitz_a
         if self.rhs_kind == "linear":
-            lam = float(self.rhs_param("lambda"))
-            forcing = _pointwise(parse_fn_spec(str(self.rhs_param("forcing", "zero")),
+            lam = float(self.rhs_params["lambda"])
+            forcing = _pointwise(parse_fn_spec(self.rhs_params.get("forcing", "zero"),
                                                self.params, self.a))
             return CauchyProblem(
                 orders=self.orders, a=self.a, b=self.b,
@@ -319,15 +286,15 @@ class ProblemConfig:
             maker = make_example41 if self.rhs_kind == "example41" else make_example42
             bundled = maker(
                 self.params, b=self.b, anchor=self.a,
-                lam=float(self.rhs_param("lambda")),
-                delta=float(self.rhs_param("delta")),
+                lam=float(self.rhs_params["lambda"]),
+                delta=float(self.rhs_params["delta"]),
                 orders=self.orders,
             )
             return replace(bundled.problem, xi=self.xi, lipschitz_A=lip)
         # polynomial: f(x, y) = sum c_ij x**i y**j, with y**j as j products: numpy and
         # Python floats raise to a power differently, products round alike in both
         terms = [(float(v), _pointwise(lambda x, i=int(k[1]): x**i), int(k[2]))
-                 for k, v in self.rhs_params if k.startswith("c")]
+                 for k, v in self.rhs_params.items() if k.startswith("c")]
 
         def rhs(x, y):
             return sum(math.prod((c, x_pow(x)) + (y,) * j) for c, x_pow, j in terms)
@@ -336,10 +303,9 @@ class ProblemConfig:
                              xi=self.xi, lipschitz_A=lip, params=self.params)
 
     def build_linear(self) -> LinearProblem:
-        forcing = parse_fn_spec(str(self.rhs_param("forcing", "zero")),
-                                self.params, self.a)
+        forcing = parse_fn_spec(self.rhs_params.get("forcing", "zero"), self.params, self.a)
         return LinearProblem(orders=self.orders, a=self.a, b=self.b,
-                             lam=float(self.rhs_param("lambda")),
+                             lam=float(self.rhs_params["lambda"]),
                              forcing=forcing, xi=self.xi, params=self.params)
 
 
@@ -378,25 +344,22 @@ def _output_paths(prefix: Path) -> tuple[Path, Path]:
 
 
 def _write_solution(sol: Solution, csv_path: Path, diag_path: Path) -> None:
-    sol.y.to_csv(str(csv_path))
-    _overwrite(diag_path,
-               f"method={sol.method}\n"
-               f"iterations={','.join(str(i) for i in sol.iterations_per_interval)}\n"
-               f"omega={','.join(f'{w:.17g}' for w in sol.omega_per_interval)}\n"
-               f"residual_l1={sol.residual_l1:.17g}\n"
-               f"residual_rel={sol.residual_rel:.17g}\n"
-               f"residual_linf={sol.residual_linf:.17g}\n"
-               f"residual_window_stop={sol.residual_stop}\n"
-               f"subinterval_boundaries={','.join(str(i) for i in sol.subinterval_boundaries)}\n")
+    diagnostics = (
+        f"method={sol.method}\n"
+        f"iterations={','.join(str(i) for i in sol.iterations_per_interval)}\n"
+        f"omega={','.join(f'{w:.17g}' for w in sol.omega_per_interval)}\n"
+        f"residual_l1={sol.residual_l1:.17g}\n"
+        f"residual_rel={sol.residual_rel:.17g}\n"
+        f"residual_linf={sol.residual_linf:.17g}\n"
+        f"residual_window_stop={sol.residual_stop}\n"
+        f"subinterval_boundaries={','.join(str(i) for i in sol.subinterval_boundaries)}\n")
+    _overwrite((csv_path, sol.y.to_csv_text()), (diag_path, diagnostics))
 
 
 def _cmd_solve(args) -> int:
-    cfg = ProblemConfig.from_file(args.config)
+    cfg = ProblemConfig.from_file(args.config, args.method)
     csv_path, diag_path = _output_paths(Path(args.out) if args.out
                                         else Path(args.config).with_suffix(""))
-    if args.method:
-        cfg = replace(cfg, method=args.method)
-        cfg.validate()
     # the grid first: it owns the b and depth rules, the problem then owns a
     grid = cfg.build_grid()
     if cfg.method == "closed-form":

@@ -199,7 +199,7 @@ class GridFunction:
     def to_csv(self, target) -> None:
         """Write `m,x,value` rows to a text handle, or to a str/bytes path in place."""
         if isinstance(target, (str, bytes)):
-            _overwrite(target, self.to_csv_text())
+            _overwrite((target, self.to_csv_text()))
         else:
             target.write(self.to_csv_text())
 
@@ -249,19 +249,25 @@ def _csv_template(g: LatticeGrid) -> str:
                                      for m, x in enumerate(g.points.tolist())])
 
 
-def _overwrite(path, text: str) -> None:
-    """Write text (UTF-8) to path as ``open(path, "w")`` would, but in place: a regular
-    file is first cut to the text's length, not to zero (ext4 flushes a file cut to zero
-    at close), so it never ends longer than the text; devices and pipes are not cut."""
-    data = memoryview(text.encode("utf-8"))
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+def _overwrite(*files: tuple) -> None:
+    """Write each (path, text) pair (UTF-8) as ``open(path, "w")`` would, but in place: a
+    regular file is first cut to the text's length, not to zero (ext4 flushes a file cut
+    to zero at close), so it never ends longer than the text; devices and pipes are not
+    cut.  Every path is opened before any is written, so a path that cannot be opened
+    leaves the others' bytes as they were (a file the open created stays, empty)."""
+    fds = []
     try:
-        if stat.S_ISREG(os.fstat(fd).st_mode):
-            os.ftruncate(fd, len(data))
-        while data:
-            data = data[os.write(fd, data):]
+        for path, _ in files:
+            fds.append(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666))
+        for fd, (_, text) in zip(fds, files):
+            data = memoryview(text.encode("utf-8"))
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, len(data))
+            while data:
+                data = data[os.write(fd, data):]
     finally:
-        os.close(fd)
+        for fd in fds:
+            os.close(fd)
 
 
 def sample(g: LatticeGrid, f: Callable[[float], float], source: str = "sample") -> GridFunction:

@@ -241,7 +241,7 @@ class TestCsvFiles:
 
     def test_new_file_created_with_open_mode(self, tmp_path):
         path = tmp_path / "new.csv"
-        _overwrite(path, "m,x,value\n")
+        _overwrite((path, "m,x,value\n"))
         probe = tmp_path / "probe"
         with open(probe, "w"):
             pass
@@ -251,12 +251,12 @@ class TestCsvFiles:
     def test_text_encoded_as_utf8(self, tmp_path):
         path = tmp_path / "d.txt"
         path.write_bytes(b"x" * 4096)
-        _overwrite(path, "\u03bb=0.4\n")
+        _overwrite((path, "\u03bb=0.4\n"))
         assert path.read_bytes() == "\u03bb=0.4\n".encode("utf-8")
 
     @pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
     def test_device_written_without_truncation(self):
-        _overwrite(os.devnull, "m,x,value\n")
+        _overwrite((os.devnull, "m,x,value\n"))
 
 
 class TestQDerivative:
