@@ -59,14 +59,13 @@ from .qfracops import (
     rl_derivative,
     rl_integral,
 )
-from .qml import MLBound, MLSpec, ml_bound_check, ml_eval
+from .qml import MLSpec, ml_bound_check, ml_eval
 from .solver import (
     CauchyProblem,
     EquivalenceReport,
     LinearProblem,
     Solution,
     contraction_constant,
-    estimate_lipschitz,
     initial_term,
     linear_solve,
     picard_solve,
@@ -100,7 +99,6 @@ __all__ = [
     "caputo_derivative",
     "hilfer_derivative",
     "MLSpec",
-    "MLBound",
     "ml_eval",
     "ml_bound_check",
     "CauchyProblem",
@@ -112,7 +110,6 @@ __all__ = [
     "picard_solve",
     "linear_solve",
     "verify_equivalence",
-    "estimate_lipschitz",
     "QFracError",
     "DomainError",
     "PoleError",

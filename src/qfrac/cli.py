@@ -197,8 +197,6 @@ class ProblemConfig:
             xi = tuple(_finite(tok) for tok in xi_raw.split(","))
         except argparse.ArgumentTypeError as exc:
             raise ConfigError(f"[problem] xi: expected comma-separated reals, {exc}") from exc
-        if len(xi) != orders.n:
-            raise ConfigError(f"[problem] xi must have n={orders.n} entries, got {len(xi)}")
         rhs_kind = need("problem", "rhs").strip()
         if rhs_kind not in _RHS_KINDS:
             raise ConfigError(f"[problem] rhs must be one of {_RHS_KINDS}, got {rhs_kind!r}")
@@ -245,7 +243,8 @@ class ProblemConfig:
 
     def _check_rules(self) -> None:
         """The rules no runtime object owns; the grid and problem constructors check
-        b, a, depth and the rest when ``qfrac solve`` builds them."""
+        b, a, depth and the xi count, and ``linear_solve`` a = 0, when ``qfrac solve``
+        builds and runs them."""
         if self.rhs_kind == "linear":
             if "lambda" not in self.rhs_params:
                 raise ConfigError("[rhs] lambda is required for the linear rhs")
@@ -258,11 +257,8 @@ class ProblemConfig:
         elif self.rhs_kind == "polynomial":
             if not any(k.startswith("c") for k in self.rhs_params):
                 raise ConfigError("[rhs] polynomial needs at least one c<ij> coefficient")
-        if self.method == "closed-form":
-            if self.rhs_kind != "linear":
-                raise ConfigError("closed-form method requires the linear rhs")
-            if self.a != 0.0:
-                raise ConfigError("closed-form method requires lower limit a = 0")
+        if self.method == "closed-form" and self.rhs_kind != "linear":
+            raise ConfigError("closed-form method requires the linear rhs")
         if self.method == "picard" and self.lipschitz_a is None:
             raise ConfigError("[problem] lipschitz_a is required for the picard method")
 
@@ -360,7 +356,7 @@ def _cmd_solve(args) -> int:
     cfg = ProblemConfig.from_file(args.config, args.method)
     csv_path, diag_path = _output_paths(Path(args.out) if args.out
                                         else Path(args.config).with_suffix(""))
-    # the grid first: it owns the b and depth rules, the problem then owns a
+    # the grid first: it owns the b and depth rules, the problem then owns a and the xi count
     grid = cfg.build_grid()
     if cfg.method == "closed-form":
         sol = linear_solve(cfg.build_linear(), grid)
@@ -392,7 +388,7 @@ def _cmd_ml_eval(args) -> int:
     spec = MLSpec(alpha=args.alpha, beta=args.beta, lam=args.lam, params=QParams(q=args.q))
     value = ml_eval(spec, args.x, args.a)
     print(f"value={value:.17g}")
-    print(f"ratio={ml_bound_check(spec, args.x).ratio:.17g}")
+    print(f"ratio={ml_bound_check(spec, args.x):.17g}")
     return 0
 
 

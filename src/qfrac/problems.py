@@ -48,7 +48,6 @@ DEFAULT_ORDERS = FracOrders(alpha=0.4, beta=0.2, mu=0.5, n=1)
 class BundledProblem:
     """A Cauchy problem together with its exact solution and solve hints."""
 
-    name: str
     problem: CauchyProblem
     exact: Callable[[float], float]
     seed_value: float | None = None  # constant positive Picard seed, if needed
@@ -88,7 +87,7 @@ def make_example41(params: QParams, *, b: float = 1.0, anchor: float | None = No
         orders=orders, a=A, b=b, rhs=rhs, xi=(0.0,) * orders.n,
         lipschitz_A=1.0, params=params,
     )
-    return BundledProblem(name="singular_quadratic", problem=problem, exact=exact)
+    return BundledProblem(problem=problem, exact=exact)
 
 
 def make_example42(params: QParams, *, b: float = 1.0, anchor: float | None = None,
@@ -125,8 +124,7 @@ def make_example42(params: QParams, *, b: float = 1.0, anchor: float | None = No
         orders=orders, a=A, b=b, rhs=rhs, xi=(0.0,) * orders.n,
         lipschitz_A=0.85, params=params,
     )
-    return BundledProblem(name="sqrt_forcing", problem=problem, exact=exact,
-                          seed_value=seed)
+    return BundledProblem(problem=problem, exact=exact, seed_value=seed)
 
 
 def make_linear_problem(params: QParams, orders: FracOrders, lam: float,

@@ -38,12 +38,11 @@ __all__ = [
     "masked_power_basis",
 ]
 
-# Absolute window around nonpositive integers treated as q-gamma poles.
-_POLE_WINDOW = 1e-12
 # Relative window used to detect vanishing denominator factors in the
 # fractional q-Pochhammer ratio.
 _RATIO_POLE_WINDOW = 1e-9
-# Window for snapping nearly-integral orders to exact integers.
+# Absolute window within which a float counts as the nearest integer: nearly-integral
+# orders snap to it, and q-gamma arguments this close to 0, -1, ... are its poles.
 _INT_WINDOW = 1e-12
 # Relative tolerance under which two floats name the same lattice point.
 _LATTICE_RTOL = 1e-12
@@ -250,7 +249,7 @@ def q_gamma(p: QParams, x: float) -> float:
     (detected within an absolute window of 1e-12).
     """
     r = round(x)
-    if r <= 0 and abs(x - r) < _POLE_WINDOW:
+    if r <= 0 and abs(x - r) < _INT_WINDOW:
         raise PoleError(f"q-gamma pole at x={x!r}")
     s_den, l_den = _log_poch(p, 1.0, x)  # no zero factor outside the pole window
     l_num = _log_euler(p.q, p.eps_product, p.max_terms)

@@ -185,14 +185,9 @@ class GridFunction:
         """One past the deepest index not affected by edge padding."""
         return max(self.domain_stop - self.guard, 0)
 
-    def with_values(self, values: np.ndarray, *, domain_stop: int | None = None,
-                    guard: int | None = None) -> "GridFunction":
-        return GridFunction(
-            self.grid,
-            values,
-            domain_stop=self.domain_stop if domain_stop is None else domain_stop,
-            guard=self.guard if guard is None else guard,
-        )
+    def with_values(self, values: np.ndarray, *, guard: int | None = None) -> "GridFunction":
+        return GridFunction(self.grid, values, domain_stop=self.domain_stop,
+                            guard=self.guard if guard is None else guard)
 
     # -- CSV interface: header m,x,value; 17 significant digits -------------
 
@@ -254,17 +249,24 @@ def _overwrite(*files: tuple) -> None:
     regular file is first cut to the text's length, not to zero (ext4 flushes a file cut
     to zero at close), so it never ends longer than the text; devices and pipes are not
     cut.  Every path is opened before any is written, so a path that cannot be opened
-    leaves the others' bytes as they were (a file the open created stays, empty)."""
-    fds = []
+    leaves the others' bytes as they were; an OSError removes the files this call created."""
+    fds, created = [], []
     try:
         for path, _ in files:
+            new = not os.path.lexists(path)  # an existing symlink is written through
             fds.append(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666))
+            if new:
+                created.append(path)
         for fd, (_, text) in zip(fds, files):
             data = memoryview(text.encode("utf-8"))
             if stat.S_ISREG(os.fstat(fd).st_mode):
                 os.ftruncate(fd, len(data))
             while data:
                 data = data[os.write(fd, data):]
+    except OSError:
+        for path in created:
+            os.unlink(path)
+        raise
     finally:
         for fd in fds:
             os.close(fd)

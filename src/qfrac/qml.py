@@ -32,12 +32,12 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DivergenceError, DomainError, NonConvergenceError
-from .qcore import _POLE_WINDOW, QParams, _length_bound, _log_euler, _log_poch
+from .qcore import _INT_WINDOW, QParams, _length_bound, _log_euler, _log_poch
 
 # Largest factor array of one block's product-kernel call: 2**16 doubles, 512 KiB.
 _BLOCK_ENTRIES = 1 << 16
 
-__all__ = ["MLSpec", "MLBound", "ml_eval", "ml_bound_check", "ml_terms"]
+__all__ = ["MLSpec", "ml_eval", "ml_bound_check", "ml_terms"]
 
 
 @dataclass(frozen=True)
@@ -54,18 +54,9 @@ class MLSpec:
             raise DomainError(f"series order alpha must be positive, got {self.alpha!r}")
 
 
-@dataclass(frozen=True)
-class MLBound:
-    """Convergence certificate: the term ratio falls to `ratio`, which must be < 1."""
-
-    ratio: float
-
-
-def ml_bound_check(spec: MLSpec, b: float) -> MLBound:
-    """Certificate for arguments up to b: ratio |lam| b**alpha (1-q)**alpha.
-
-    Callers must treat ratio < 1 as the admissibility condition.
-    """
+def ml_bound_check(spec: MLSpec, b: float) -> float:
+    """The certificate for arguments up to b, |lam| b**alpha (1-q)**alpha: the term ratio
+    falls to it, and callers must treat a value below 1 as the admissibility condition."""
     if b <= 0.0:
         raise DomainError(f"bound point b must be positive, got {b!r}")
     q = spec.params.q
@@ -73,7 +64,7 @@ def ml_bound_check(spec: MLSpec, b: float) -> MLBound:
         r = abs(spec.lam) * b**spec.alpha * (1.0 - q) ** spec.alpha
     except OverflowError:
         raise DomainError(f"b**alpha leaves double range: b={b!r}, alpha={spec.alpha!r}") from None
-    return MLBound(ratio=r)
+    return r
 
 
 def _past_range(alpha: float, beta: float, what: str) -> DomainError:
@@ -119,9 +110,9 @@ def _ml_series(p: QParams, alpha: float, beta: float, lam: float,
     z = lam * s**alpha
     rho = math.inf  # below the blocks
     k = 0
-    while k < p.max_terms and alpha * k + beta < _POLE_WINDOW:
+    while k < p.max_terms and alpha * k + beta < _INT_WINDOW:
         y = alpha * k + beta
-        on_pole = abs(y - round(y)) < _POLE_WINDOW  # round(y) <= 0 here
+        on_pole = abs(y - round(y)) < _INT_WINDOW  # round(y) <= 0 here
         t = 0.0 if on_pole else _fresh_term(p, alpha, beta, z, k, *_log_poch(p, 1.0, y))
         yield k, np.full(1, t), np.full(1, rho)
         k += 1
@@ -164,7 +155,7 @@ def ml_terms(spec: MLSpec, x: float, a: float = 0.0) -> tuple[float, list[float]
         raise DomainError(f"evaluation point x must be positive, got {x!r}")
     if a < 0.0 or a > x:
         raise DomainError(f"lower base a must satisfy 0 <= a <= x, got a={a!r}, x={x!r}")
-    r = ml_bound_check(spec, x).ratio
+    r = ml_bound_check(spec, x)
     if r >= 1.0:
         raise DivergenceError(
             f"divergence: |lambda| x**alpha (1-q)**alpha = {r:.6g} >= 1 violates the "

@@ -90,7 +90,6 @@ __all__ = [
     "picard_solve",
     "linear_solve",
     "verify_equivalence",
-    "estimate_lipschitz",
     "as_cauchy",
 ]
 
@@ -175,7 +174,7 @@ class LinearProblem:
 
     @property
     def ratio(self) -> float:
-        return ml_bound_check(MLSpec(self.orders.nu, 1.0, self.lam, self.params), self.b).ratio
+        return ml_bound_check(MLSpec(self.orders.nu, 1.0, self.lam, self.params), self.b)
 
 
 def as_cauchy(p: LinearProblem) -> CauchyProblem:
@@ -611,22 +610,3 @@ def verify_equivalence(p: CauchyProblem, y: GridFunction, tol: float) -> Equival
             detail=f"{type(exc).__name__}: {exc}",
         )
 
-
-def estimate_lipschitz(p: CauchyProblem, g: LatticeGrid, y_lo: float, y_hi: float,
-                       n_samples: int = 200,
-                       rng: np.random.Generator | None = None) -> float:
-    """Sampled difference-quotient bound of the rhs over a y-box (diagnostic only)."""
-    if not y_hi > y_lo:
-        raise DomainError("need y_hi > y_lo")
-    rng = np.random.default_rng(0) if rng is None else rng
-    m_a = anchor_index(lattice_locate(g, p.a))
-    hi = g.depth + 1 if m_a is None else m_a + 1
-    m = rng.integers(0, hi, size=n_samples)
-    y1, y2 = rng.uniform(y_lo, y_hi, size=(2, n_samples))
-    keep = y1 != y2
-    x = g.points[m[keep]]
-    x.setflags(write=False)  # both calls share the rhs's x-only factors
-    y1, y2 = y1[keep], y2[keep]
-    with np.errstate(all="ignore"):  # a non-finite rhs value shows in the estimate
-        quot = np.abs(_call_rhs(p, x, y1) - _call_rhs(p, x, y2)) / np.abs(y1 - y2)
-    return float(np.max(quot, initial=0.0))

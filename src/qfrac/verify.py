@@ -750,8 +750,8 @@ def _chk_ml_divergence(rng, thorough):
         except DivergenceError:
             raised = True
         assert raised == should_raise, f"ratio {r}: raised={raised}, expected {should_raise}"
-    b = ml_bound_check(MLSpec(1.0, 1.0, 3.0, p), 1.0)
-    assert abs(b.ratio - 1.5) < 1e-14, f"bound ratio {b.ratio} != 1.5"
+    r = ml_bound_check(MLSpec(1.0, 1.0, 3.0, p), 1.0)
+    assert abs(r - 1.5) < 1e-14, f"bound ratio {r} != 1.5"
     return "boundary behaviour exact"
 
 

@@ -67,6 +67,19 @@ def _edit(text, *pairs):
     return text
 
 
+def _refused_solve(text, tmp_path, capsys, *options):
+    """The one `error:` line of a ``qfrac solve`` of a problem file that exits 2 and
+    writes nothing."""
+    (tmp_path / "p.ini").write_text(text, encoding="utf-8")
+    code = main(["solve", "--config", str(tmp_path / "p.ini"), "--out", str(tmp_path / "s"),
+                 *options])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert not list(tmp_path.glob("s.*"))
+    return err
+
+
 def parse_csv(text):
     rows = text.strip().splitlines()
     assert rows[0] == "m,x,value"
@@ -155,7 +168,7 @@ class TestMlEvalCommand:
                         str(beta), "--lambda", str(lam), "--x", str(x)])
         lines = dict(line.split("=") for line in proc.stdout.strip().splitlines())
         assert float(lines["value"]) == pytest.approx(want, rel=1e-10)
-        assert float(lines["ratio"]) == ml_bound_check(MLSpec(alpha, beta, lam, p), x).ratio
+        assert float(lines["ratio"]) == ml_bound_check(MLSpec(alpha, beta, lam, p), x)
 
     @pytest.mark.parametrize("beta", ["-20.5", "0"])
     def test_term_on_a_gamma_pole_is_zero(self, beta, capsys):
@@ -477,9 +490,12 @@ class TestMethodOverride:
                            match="method must be picard or closed-form, got 'newton'"):
             ProblemConfig.from_text(CONFIG_LINEAR, "newton")
 
-    def test_override_is_checked_against_the_file(self):
-        with pytest.raises(ConfigError, match="closed-form method requires lower limit"):
-            ProblemConfig.from_text(_edit(CONFIG_LINEAR, self.ANCHOR), "closed-form")
+    def test_override_is_checked_against_the_file(self, tmp_path, capsys):
+        # linear_solve owns the a = 0 rule: the anchored file parses, the solve refuses it
+        text = _edit(self.LINEAR_INI, self.ANCHOR)
+        assert ProblemConfig.from_text(text, "closed-form").a == 0.0009765625
+        err = _refused_solve(text, tmp_path, capsys, "--method", "closed-form")
+        assert err == "error: closed-form linear solve requires lower limit a = 0\n"
 
     # the anchored solve's row m_a - n keeps the lattice boundary term of the k = n
     # initial-term power, xi_n / ((1-q) x_9) = 1024 (at mu = 0.5 the outer integral
@@ -529,22 +545,28 @@ class TestProblemConfig:
         with pytest.raises(ConfigError):
             ProblemConfig.from_text(CONFIG_LINEAR + "\n[extra]\nx = 1\n")
 
-    def test_xi_count_checked(self):
+    def test_xi_count_checked(self, tmp_path, capsys):
+        # the problems own the rule: each method's problem refuses the file's xi
         bad = CONFIG_LINEAR.replace("xi = 1.0", "xi = 1.0, 2.0")
-        with pytest.raises(ConfigError):
-            ProblemConfig.from_text(bad)
+        assert ProblemConfig.from_text(bad).xi == (1.0, 2.0)
+        example42 = (REPO_ROOT / "configs" / "example42.ini").read_text(encoding="utf-8")
+        for text, options in ((bad, ()), (bad, ("--method", "closed-form")),
+                              (_edit(example42, ("xi = 0.0", "xi = 0.0, 0.0")), ())):
+            err = _refused_solve(text, tmp_path, capsys, *options)
+            assert err == "error: xi must have exactly n=1 entries, got 2\n"
 
     def test_invalid_q_reported_as_config_error(self):
         bad = CONFIG_LINEAR.replace("q = 0.5", "q = 1.5")
         with pytest.raises(ConfigError):
             ProblemConfig.from_text(bad)
 
-    def test_closed_form_requires_origin(self):
+    def test_closed_form_requires_origin(self, tmp_path, capsys):
         bad = CONFIG_LINEAR.replace("a = 0.0", "a = 0.25").replace(
             "method = picard", "method = closed-form"
         )
-        with pytest.raises(ConfigError):
-            ProblemConfig.from_text(bad)
+        assert ProblemConfig.from_text(bad).a == 0.25
+        err = _refused_solve(bad, tmp_path, capsys)
+        assert err == "error: closed-form linear solve requires lower limit a = 0\n"
 
     def test_required_keys_only_take_dataclass_defaults(self):
         text = (
@@ -759,6 +781,14 @@ class TestSolveCommand:
         assert code == 2
         assert "s.diagnostics.txt" in capsys.readouterr().err
         assert (tmp_path / "s.solution.csv").read_bytes() == before
+
+    def test_refused_diagnostics_path_leaves_no_new_csv(self, tmp_path, capsys):
+        (tmp_path / "new.diagnostics.txt").mkdir()
+        code = main(["solve", "--config", str(REPO_ROOT / "configs" / "linear.ini"),
+                     "--out", str(tmp_path / "new")])
+        assert code == 2
+        assert "Is a directory: " in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["new.diagnostics.txt"]
 
     @pytest.mark.parametrize("suffix", [".solution.csv", ".diagnostics.txt"])
     def test_output_path_naming_a_directory_exits_2(self, suffix, tmp_path, capsys):

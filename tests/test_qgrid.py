@@ -239,6 +239,16 @@ class TestCsvFiles:
         short.to_csv(bytes(path))
         assert path.read_text(encoding="utf-8") == per_row_csv(short)
 
+    def test_refused_open_removes_only_the_files_it_created(self, tmp_path):
+        new, old, link, bad = (tmp_path / name for name in ("new", "old", "link", "dir"))
+        old.write_text("kept\n")
+        link.symlink_to(old)  # an existing link is the user's: it stays
+        bad.mkdir()
+        with pytest.raises(IsADirectoryError):
+            _overwrite((new, "a\n"), (link, "b\n"), (bad, "c\n"))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "link", "old"]
+        assert old.read_text() == "kept\n"
+
     def test_new_file_created_with_open_mode(self, tmp_path):
         path = tmp_path / "new.csv"
         _overwrite((path, "m,x,value\n"))

@@ -316,17 +316,17 @@ class TestMLEval:
 
 class TestMLBound:
     def test_zero_lambda(self):
-        b = ml_bound_check(MLSpec(1.0, 1.0, 0.0, P5), 2.0)
-        assert b.ratio == 0.0
+        assert ml_bound_check(MLSpec(1.0, 1.0, 0.0, P5), 2.0) == 0.0
 
     def test_unit_case(self):
-        b = ml_bound_check(MLSpec(1.0, 1.0, 1.0, P5), 1.0)
-        assert b.ratio == pytest.approx(0.5, abs=1e-15)
+        ratio = ml_bound_check(MLSpec(1.0, 1.0, 1.0, P5), 1.0)
+        assert ratio == pytest.approx(0.5, abs=1e-15)
 
     def test_rejection_case(self):
-        b = ml_bound_check(MLSpec(1.0, 1.0, 3.0, P5), 1.0)
-        assert b.ratio == pytest.approx(1.5, abs=1e-15)
-        assert b.ratio >= 1.0  # caller must reject
+        ratio = ml_bound_check(MLSpec(1.0, 1.0, 3.0, P5), 1.0)
+        assert type(ratio) is float
+        assert ratio == pytest.approx(1.5, abs=1e-15)
+        assert ratio >= 1.0  # caller must reject
 
     def test_b_positive(self):
         with pytest.raises(DomainError):

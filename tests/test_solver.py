@@ -33,7 +33,6 @@ from qfrac.solver import (
     Solution,
     as_cauchy,
     contraction_constant,
-    estimate_lipschitz,
     initial_term,
     linear_solve,
     picard_solve,
@@ -1024,23 +1023,3 @@ class TestBundledProblems:
         rep = verify_equivalence(bp.problem, sample(g_wrong, lambda x: x), 1e-5)
         assert not rep.passed and rep.detail
 
-
-class TestLipschitzEstimator:
-    def test_linear_rhs_recovers_slope(self):
-        g = grid(depth=40)
-        p = make_problem(rhs=lambda x, y: 0.7 * y + x, A=0.7)
-        est = estimate_lipschitz(p, g, -2.0, 2.0, n_samples=400,
-                                 rng=np.random.default_rng(1))
-        assert est == pytest.approx(0.7, rel=1e-6)
-
-    def test_rhs_dividing_by_zero_warns_nowhere(self):
-        g = grid(depth=40)
-        p = make_problem(rhs=_divides_by_zero(lambda x, y: 0.7 * y + x), A=0.7)
-        est = estimate_lipschitz(p, g, -2.0, 2.0, n_samples=400,
-                                 rng=np.random.default_rng(1))
-        assert est == pytest.approx(0.7, rel=1e-6)
-
-    def test_box_validated(self):
-        p = make_problem()
-        with pytest.raises(DomainError):
-            estimate_lipschitz(p, grid(depth=40), 1.0, 1.0)
