@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import functools
+import itertools
 import math
 import re
 import sys
@@ -29,7 +30,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
-from .errors import ConfigError, MaxIterError, NoContractionError, QFracError
+from .errors import (ConfigError, MaxIterError, NoContractionError, NonConvergenceError,
+                     QFracError)
 from .qcore import QParams, masked_power_basis
 from .qfracops import (
     FracOrders,
@@ -40,7 +42,7 @@ from .qfracops import (
     rl_integral,
 )
 from .qgrid import LatticeGrid, _overwrite, _pointwise, lattice_locate, sample
-from .qml import MLSpec, ml_bound_check, ml_eval
+from .qml import MLSpec, ml_bound_check, ml_terms
 from .solver import LinearProblem, Solution, linear_solve, picard_solve
 from .problems import make_example41, make_example42
 from .solver import CauchyProblem
@@ -384,9 +386,35 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+def _refuse_cancelled(value: float, terms: list[float], p: QParams) -> None:
+    """NonConvergenceError when the roundoff bound of a sum whose terms change sign
+    passes eps_series |value|, the tolerance the series was cut at.
+
+    Adding the terms in order, as :func:`qfrac.qml.ml_terms` does, errs by at
+    most u sum_(i>=2) |T_i| to first order, T_i the partial sums and u = 2**-53
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002,
+    sec. 4.2).  A term formed as exp(log) from truncated q-products carries
+    about eps_product + |log |t_k|| u of itself.  Terms of one sign lose no
+    digits to cancellation, so their sums are never refused.
+    """
+    if min(terms) >= 0.0 or max(terms) <= 0.0:
+        return
+    u = 2.0**-53
+    size = [abs(t) for t in terms if t]
+    partial = math.fsum(map(abs, itertools.accumulate(terms))) - abs(terms[0])
+    formed = math.fsum(t * (p.eps_product + u * abs(math.log(t))) for t in size)
+    bound = u * partial + formed
+    if not bound <= p.eps_series * abs(value):
+        ratio = math.fsum(size) / abs(value) if value else math.inf
+        raise NonConvergenceError(
+            f"q-Mittag-Leffler sum cancels: sum|terms|/|sum| = {ratio:.3g}, so its roundoff "
+            f"bound {bound:.3g} exceeds eps_series*|sum| = {p.eps_series * abs(value):.3g}")
+
+
 def _cmd_ml_eval(args) -> int:
     spec = MLSpec(alpha=args.alpha, beta=args.beta, lam=args.lam, params=QParams(q=args.q))
-    value = ml_eval(spec, args.x, args.a)
+    value, terms = ml_terms(spec, args.x, args.a)
+    _refuse_cancelled(value, terms, spec.params)
     print(f"value={value:.17g}")
     print(f"ratio={ml_bound_check(spec, args.x):.17g}")
     return 0

@@ -154,7 +154,8 @@ _FAR_FLOOR = 2.0**-33
 # 2-core Xeon (median of 9 x 100 calls, x**p inputs, orders 0.3-1.4): at
 # n = 201 a passing band took 50 us against 18 us for the full correlation; at
 # n = 401-513 the two were about even; at n = 801 the band took 52-110 us
-# against 102-472 us, and a band found too wide added 10-20 us.
+# against 102-472 us, and a failed band added 10-20 us.  Past it a band of any
+# width L < n pays: n L multiply-adds against the full correlation's n**2.
 _BAND_MIN = 512
 
 
@@ -166,17 +167,15 @@ def _band_width(s: np.ndarray, w: np.ndarray) -> tuple[int, np.ndarray | None, n
     which is at most d_L S_(m+L) with d_j = max(|w_j - 1|, 2**-33), non-increasing
     as w tends monotonically to 1.  L is the smallest L >= 1 with
     d_L S_L <= 2**-63 |row 0|, a margin of 2**-10 on the 2**-53 every row is
-    held to.
+    held to, and len(s) when no L < len(s) qualifies.
 
-    Returns (len(s), None, None), no band, when that L would exceed len(s)/2
-    (one sum over the second half of s tells) or row 0 is not finite.
+    Returns (len(s), None, None), no band, when row 0 is not finite.
     """
     n = len(s)
-    h = n // 2
-    d = np.maximum(np.abs(w[:n] - 1.0), _FAR_FLOOR)
     tol = _FAR_EPS * abs(float(np.dot(w[:n], s)))
-    if not (tol < math.inf and d[h] * np.sum(np.abs(s[h:])) <= tol):
+    if not tol < math.inf:
         return n, None, None
+    d = np.maximum(np.abs(w[:n] - 1.0), _FAR_FLOOR)
     suffix = np.cumsum(np.abs(s[::-1]))[::-1]
     return max(int(np.searchsorted(-(d * suffix), -tol)), 1), d, suffix
 
@@ -189,13 +188,14 @@ def _lattice_sums(s: np.ndarray, w: np.ndarray) -> np.ndarray:
     plain Jackson sum: row m is sum_(j<L) w_j s_(m+j) plus the plain tail
     sum_(k>=m+L) s_k (one reversed cumsum), and only the far field
     sum_(j>=L) (w_j - 1) s_(m+j) is dropped, at most d_L S_(m+L) with
-    d_j = max(|w_j - 1|, 2**-33).  L comes from row 0 (:func:`_band_width`);
-    the banded sums are returned only when L <= n/2 and the dropped part is at
-    most 2**-53 of the banded sum on every row.  Otherwise (s that changes sign,
-    whose rows may cancel; a row that cancels, L > n/2, s of at most _BAND_MIN
-    entries, a non-finite row 0) the result is the full correlation.  So the
-    sums are within 2**-53 of the full ones plus summation-order roundoff;
-    they are not bit-identical to per-row dot products.
+    d_j = max(|w_j - 1|, 2**-33).  L comes from row 0 (:func:`_band_width`),
+    at any width below n; the banded sums are returned when the dropped part
+    is at most 2**-53 of the banded sum on every row.  Otherwise (s that
+    changes sign, whose rows may cancel; a row that cancels, no L < n, s of at
+    most _BAND_MIN entries, a non-finite row 0) the result is the full
+    correlation.  So the sums are within 2**-53 of the full ones plus
+    summation-order roundoff; they are not bit-identical to per-row dot
+    products.
 
     w holds at least len(s) positive weights that tend monotonically to 1,
     as the kernel tables do (w_(j+1)/w_j = (1-q**(j+alpha))/(1-q**(j+1)) is
@@ -207,7 +207,7 @@ def _lattice_sums(s: np.ndarray, w: np.ndarray) -> np.ndarray:
             positive = bool(s.min() >= 0.0)  # nan: neither positive nor negative
             if positive or s.max() <= 0.0:
                 L, d, suffix = _band_width(s, w)
-                if 2 * L <= n:
+                if L < n:
                     sums = np.correlate(s, w[:L], "full")[L - 1:]
                     sums[:n - L] += suffix[L:] if positive else -suffix[L:]
                     drop = d[L] * suffix[L:]
@@ -305,21 +305,23 @@ def rl_integral(u: GridFunction, a: Anchor, alpha: float) -> GridFunction:
     geometrically decaying deep values.  No dense operator matrix: it costs
     (M+1)**2 memory.
     """
+    return _integral(u, a, alpha, u.grid.depth + 1)
+
+
+def _integral(u: GridFunction, a: Anchor, alpha: float, rows: int) -> GridFunction:
+    """:func:`rl_integral` over the first ``rows`` rows and summands; later rows stay 0."""
     if alpha <= 0.0:
         raise DomainError(f"integral order must be positive, got {alpha!r}")
     g = u.grid
     m_a = anchor_index(a)
-    M = g.depth
-    x = g.points
     w, pref = _integral_table(g, alpha)
-    out = np.zeros(M + 1)
-    stop = M + 1 if m_a is None else m_a  # sum over indices m..stop-1
-    top = M + 1 if m_a is None else m_a + 1
+    out = np.zeros(g.depth + 1)
+    stop = min(rows, g.depth + 1 if m_a is None else m_a)  # sum over indices m..stop-1
+    top = g.depth + 1 if m_a is None else m_a + 1
     # values past double range stay non-finite; GridFunction names the first index
     with np.errstate(over="ignore", invalid="ignore"):
-        s = x * u.values
         if stop > 0:
-            out[:stop] = pref[:stop] * _lattice_sums(s[:stop], w)
+            out[:stop] = pref[:stop] * _lattice_sums(g.points[:stop] * u.values[:stop], w)
     return GridFunction(g, out, domain_stop=min(top, u.domain_stop), guard=u.guard)
 
 
@@ -395,17 +397,15 @@ def _integrate_stage(d: GridFunction, u: GridFunction, a: Anchor, orders: FracOr
 
     A vanishing step returns d.  Values of d at indices >= the stage cut
     (see :func:`derivative_stage_cut`) are edge padding or amplified
-    truncation noise; zeroing them keeps the kernel from spreading noise
-    into the trusted window, at the price of dropping a true contribution
-    that is deep-tail-weighted and below the stage target there.
+    truncation noise; summing only the first ``cut`` summands and rows (the
+    rest are exact zeros) keeps the kernel from spreading noise into the
+    trusted window, at the price of dropping a true contribution that is
+    deep-tail-weighted and below the stage target there.
     """
     if step < _INT_WINDOW:
         return d
     cut = min(derivative_stage_cut(u, a, orders), d.trusted_stop)
-    clean = d.values.copy()
-    clean[cut:] = 0.0
-    staged = GridFunction(d.grid, clean, domain_stop=d.domain_stop)
-    out = rl_integral(staged, a, step)
+    out = _integral(d, a, step, cut)
     return out.with_values(out.values, guard=max(out.domain_stop - cut, 0))
 
 

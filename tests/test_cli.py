@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qfrac.cli import ProblemConfig, main, parse_fn_spec
+from qfrac.cli import ProblemConfig, _refuse_cancelled, main, parse_fn_spec
 from qfrac.errors import ConfigError
 from qfrac.qcore import QParams, q_gamma
 from qfrac.qfracops import rl_integral
@@ -198,6 +198,24 @@ class TestMlEvalCommand:
         assert float(lines["value"]) == pytest.approx(want, rel=1e-10)
         assert float(lines["ratio"]) == pytest.approx(0.888, abs=1e-3)
 
+    def test_one_signed_sum_is_never_refused(self):
+        # 10**4 terms, and no tolerance met: a sum of one sign still passes
+        p = QParams(0.5, eps_product=1e-3, eps_series=1e-300)
+        for sign in (1.0, -1.0):
+            assert _refuse_cancelled(sign * 1e4, [sign] * 10**4, p) is None
+
+    def test_mild_cancellation_prints_its_value(self, capsys):
+        # terms of both signs whose roundoff bound stays within eps_series |sum|
+        import mpmath as mp
+
+        with mp.workdps(30):
+            q = mp.mpf("0.5")
+            want = float(mp.fsum(mp.mpf(-1) ** k / mp.qgamma(k + 1, q) for k in range(200)))
+        assert main(["ml-eval", "--q", "0.5", "--alpha", "1", "--beta", "1",
+                     "--lambda", "-1", "--x", "1"]) == 0
+        lines = dict(line.split("=") for line in capsys.readouterr().out.splitlines())
+        assert float(lines["value"]) == pytest.approx(want, rel=1e-12)
+
     def test_nonpositive_x_keeps_ml_eval_message(self, capsys):
         assert main(["ml-eval", "--q", "0.5", "--alpha", "1", "--beta", "1",
                      "--lambda", "3", "--x", "0"]) == 2
@@ -372,6 +390,10 @@ class TestOutsideInputFailures:
                               "violates the convergence condition"),
         "ml-eval-x-zero": (ML_EVAL + ["--lambda", "3", "--x", "0"], None, 2,
                            "must be positive"),
+        # certificate 0.9, yet the terms, 2.8e28 in absolute sum, cancel to 4.9e-17
+        "ml-eval-cancelled-sum": (["ml-eval", "--q", "0.98", "--alpha", "1", "--beta", "1",
+                                   "--lambda", "-45", "--x", "1"], None, 2,
+                                  "q-Mittag-Leffler sum cancels: sum|terms|/|sum| = "),
         # G_q(beta) underflows; at -1100.5 the leading q-Pochhammer factors pass e**709 too
         "ml-eval-gamma-underflows": (["ml-eval", "--q", "0.5", "--alpha", "0.5", "--beta",
                                       "-800.5", "--lambda", "0.2", "--x", "1"], None, 2,

@@ -350,6 +350,20 @@ class TestFarField:
         assert correlate_calls == [L]  # the band alone, not the band and then the full sum
         TestBandCertificate.assert_within_bound(s, w)
 
+    @pytest.mark.parametrize("alpha", [0.75, 1.5])
+    def test_band_wider_than_half_the_sum(self, alpha, correlate_calls):
+        # x**0.5 at q = 0.98 decays too slowly for a band of n/2: L is about 2050 of 4001
+        g = grid(q=0.98, depth=4000)
+        s = g.points**0.5
+        n = len(s)
+        w = _weights_for(g, alpha)
+        L = _band_width(s, w)[0]
+        got = _lattice_sums(s, w)
+        assert n / 2 < L < n and correlate_calls == [L]  # the band alone
+        want = np.array([math.fsum(w[:n - m] * s[m:]) for m in range(n)])
+        # the 2**-53 certificate plus 16 eps of summation order, as in assert_within_bound
+        assert np.all(np.abs(got - want) <= 17.0 * EPS * want)
+
     @pytest.mark.parametrize("q, depth", [(0.5, 1000), (0.98, 4000)])
     def test_plain_tail_is_at_most_2_20_of_each_row(self, q, depth, correlate_calls):
         # at alpha = 1 every w_j is 1 and the far field is 0: only the floor of d_j bounds L
@@ -613,6 +627,53 @@ class TestHilfer:
         o2 = FracOrders(alpha=1.9, beta=1.9, mu=0.5, n=2)
         u = sample(g, lambda x: x)
         assert derivative_stage_cut(u, ZERO, o2) <= derivative_stage_cut(u, ZERO, o1)
+
+
+@pytest.fixture
+def summand_counts(monkeypatch):
+    """Summand counts of the _lattice_sums calls made while the test runs."""
+    calls = []
+    lattice_sums = qfracops._lattice_sums
+
+    def counted(s, w):
+        calls.append(len(s))
+        return lattice_sums(s, w)
+
+    monkeypatch.setattr(qfracops, "_lattice_sums", counted)
+    return calls
+
+
+class TestStageIntegral:
+    """The outer integral of a two-order derivative sums only the stage rows above its cut."""
+
+    @pytest.mark.parametrize("q, depth, anchor", [
+        (0.98, 4000, "zero"), (0.5, 1000, "zero"), (0.5, 1000, "0.85M")])
+    @pytest.mark.parametrize("orders", [(0.7, 0.4, 0.5, 1), (1.7, 1.4, 0.5, 2)])
+    def test_rows_above_the_cut_only(self, q, depth, anchor, orders, summand_counts):
+        g = grid(q=q, depth=depth)
+        a = ZERO if anchor == "zero" else LatticePoint(round(0.85 * depth))
+        o = FracOrders(*orders)
+        assert abs(o.gamma - round(o.gamma)) > 0.1  # a fractional gamma
+        for power in (0.5, 1.0, 1.6):
+            u = sample(g, lambda x: x**power)
+            d = rl_derivative(u, a, o.gamma)
+            cut = min(derivative_stage_cut(u, a, o), d.trusted_stop)
+            summand_counts.clear()
+            got = hilfer_derivative(u, a, o)
+            assert summand_counts[-1] == cut < depth + 1
+            assert not np.any(got.values[cut:])
+            # the stage zeroed from the cut on, integrated over every row
+            clean = d.values.copy()
+            clean[cut:] = 0.0
+            staged = GridFunction(g, clean, domain_stop=d.domain_stop)
+            step = o.gamma - o.nu
+            want = rl_integral(staged, a, step)
+            pref = g.points[:cut] ** (step - 1.0) * (1.0 - q) / q_gamma(g.params, step)
+            _, mag = per_row_sums(g.points[:cut] * clean[:cut], _weights_for(g, step))
+            assert_rows_close(got.values[:cut], want.values[:cut], pref * mag, cut)
+            guard = max(want.domain_stop - cut, 0)
+            assert (got.domain_stop, got.guard) == (want.domain_stop, guard)
+            assert got.trusted_stop == max(want.domain_stop - guard, 0)
 
 
 class TestQDerivativeOverflow:
