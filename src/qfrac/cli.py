@@ -42,7 +42,7 @@ from .qfracops import (
     rl_integral,
 )
 from .qgrid import LatticeGrid, _overwrite, _pointwise, lattice_locate, sample
-from .qml import MLSpec, ml_bound_check, ml_terms
+from .qml import MLSpec, _summation_bound, ml_bound_check, ml_terms
 from .solver import LinearProblem, Solution, linear_solve, picard_solve
 from .problems import make_example41, make_example42
 from .solver import CauchyProblem
@@ -245,8 +245,8 @@ class ProblemConfig:
 
     def _check_rules(self) -> None:
         """The rules no runtime object owns; the grid and problem constructors check
-        b, a, depth and the xi count, and ``linear_solve`` a = 0, when ``qfrac solve``
-        builds and runs them."""
+        b, a, depth and the xi count, and the solvers that a is 0 or a lattice point,
+        when ``qfrac solve`` builds and runs them."""
         if self.rhs_kind == "linear":
             if "lambda" not in self.rhs_params:
                 raise ConfigError("[rhs] lambda is required for the linear rhs")
@@ -391,19 +391,16 @@ def _refuse_cancelled(value: float, terms: list[float], p: QParams) -> None:
     passes eps_series |value|, the tolerance the series was cut at.
 
     Adding the terms in order, as :func:`qfrac.qml.ml_terms` does, errs by at
-    most u sum_(i>=2) |T_i| to first order, T_i the partial sums and u = 2**-53
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002,
-    sec. 4.2).  A term formed as exp(log) from truncated q-products carries
-    about eps_product + |log |t_k|| u of itself.  Terms of one sign lose no
-    digits to cancellation, so their sums are never refused.
+    most :func:`qfrac.qml._summation_bound` of their partial sums.  A term
+    formed as exp(log) from truncated q-products carries about
+    eps_product + |log |t_k|| u of itself, u = 2**-53.  Terms of one sign lose
+    no digits to cancellation, so their sums are never refused.
     """
     if min(terms) >= 0.0 or max(terms) <= 0.0:
         return
-    u = 2.0**-53
     size = [abs(t) for t in terms if t]
-    partial = math.fsum(map(abs, itertools.accumulate(terms))) - abs(terms[0])
-    formed = math.fsum(t * (p.eps_product + u * abs(math.log(t))) for t in size)
-    bound = u * partial + formed
+    formed = math.fsum(t * (p.eps_product + 2.0**-53 * abs(math.log(t))) for t in size)
+    bound = _summation_bound(list(itertools.accumulate(terms))) + formed
     if not bound <= p.eps_series * abs(value):
         ratio = math.fsum(size) / abs(value) if value else math.inf
         raise NonConvergenceError(

@@ -135,10 +135,6 @@ def _integral_table(grid, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     return _kernel_weights(p.q, p.eps_product, p.max_terms, alpha, grid.b, grid.depth + 1)
 
 
-def _weights_for(grid, alpha: float) -> np.ndarray:
-    return _integral_table(grid, alpha)[0]
-
-
 # A banded row may drop at most this fraction of itself: one unit roundoff.
 _BAND_EPS = 2.0**-53
 # Row 0's target for the band, 2**-10 below _BAND_EPS, so that deeper rows that

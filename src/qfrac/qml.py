@@ -15,12 +15,14 @@ log-space product kernel ``qcore._log_poch``, and its Pochhammer factors
 term or partial sum past double range is a DomainError that names it.
 
 Every q-Mittag-Leffler series of the package is summed by :func:`ml_terms`
-(the closed-form linear solve takes its homogeneous terms from it at s = b)
-and stops by one rule.  Term k+1 is at most rho_k = |lam| s**A
+(the closed-form linear solve takes its head terms from it at the deepest
+grid point) and stops by one rule.  Term k+1 is at most rho_k = |lam| s**A
 G_q(Ak+B)/G_q(Ak+A+B) times term k, and rho_k falls towards r but never grows
 because G_q is log-convex (Askey, Applicable Anal. 8, 1978).  So once rho_k < 1
 the tail is at most |term k| rho_k/(1 - rho_k); the sum stops when that is
 within eps_series * |sum|, or raises NonConvergenceError after max_terms terms.
+The tail rule certifies the truncation, not the digits: ``qfrac ml-eval`` and the
+closed form refuse a sum whose :func:`_summation_bound` passes eps_series * |sum|.
 """
 
 from __future__ import annotations
@@ -65,6 +67,13 @@ def ml_bound_check(spec: MLSpec, b: float) -> float:
     except OverflowError:
         raise DomainError(f"b**alpha leaves double range: b={b!r}, alpha={spec.alpha!r}") from None
     return r
+
+
+def _summation_bound(partials, norm=abs) -> float:
+    """u sum_(i>=2) norm(T_i) over the running sums T_i (scalars, or arrays with a norm) of
+    adding terms in order, u = 2**-53: the first-order bound on its roundoff (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, sec. 4.2)."""
+    return 2.0**-53 * math.fsum(map(norm, partials[1:]))
 
 
 def _past_range(alpha: float, beta: float, what: str) -> DomainError:

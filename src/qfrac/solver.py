@@ -19,26 +19,22 @@ on which the contraction constant
 stays below 0.9 (a safety margin under 1); a single lattice step with
 omega >= 1 means no admissible split exists.
 
-For the linear right-hand side lam*y + f(x) with lower limit 0 the closed
-form is evaluated instead: the Neumann series of I^v collapses to
+For the linear right-hand side lam*y + f(x) the closed form is evaluated
+instead: anchored at 0, the Neumann series of I^v collapses to
 q-Mittag-Leffler kernels,
 
     y(x) = sum_k xi_k x**(g-k) E_{v,g-k+1}[lam x**v; q]
          + int_0^x x**(v-1) (qt/x; q)_{v-1} E_{v,v}[lam x**v (q**v t/x; q)_v; q] f(t) d_q t,
 
-which requires the convergence certificate |lam| b**v (1-q)**v < 1.  With
-g = v the initial-value sum is literally the two-parameter Mittag-Leffler
-solution formula; for g > v it is the continuation carrying the same
-initial data (the pure-v form would attach the data to the wrong powers).
-The forcing integral is not summed as its Neumann series
-sum_m lam**m I^(v(m+1)) f: it is the solution u of u = I^v f + lam I^v u on
-the truncated lattice, a triangular system whose diagonal
-1 - lam x**v (1-q)**v the certificate keeps at least 1 - r > 0, solved
-exactly by one blocked forward substitution from the deepest row.
+under the convergence certificate |lam| b**v (1-q)**v < 1 (for g > v the
+first sum is the continuation carrying the same initial data).
+:func:`linear_solve` does not sum these series at b: it solves the Volterra
+equation exactly on the lattice, below any anchor Picard takes.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -50,6 +46,7 @@ from .errors import (
     DomainError,
     MaxIterError,
     NoContractionError,
+    NonConvergenceError,
     PoleError,
     QFracError,
     SampleError,
@@ -60,13 +57,11 @@ from .qfracops import (
     _integral_table,
     _lattice_solve,
     _lattice_sums,
-    _weights_for,
     hilfer_derivative,
     rl_integral,
 )
-from .qml import MLSpec, _past_range, ml_bound_check, ml_terms
+from .qml import MLSpec, _summation_bound, ml_bound_check, ml_terms
 from .qgrid import (
-    ZERO,
     Anchor,
     GridFunction,
     LatticeGrid,
@@ -76,7 +71,6 @@ from .qgrid import (
     lattice_locate,
     q_derivative_n,
     roundoff_window,
-    sample,
     tail_window,
 )
 
@@ -152,7 +146,7 @@ class LinearProblem:
     """Linear problem D^{(alpha,beta)mu} y - lam*y = f(x) with data xi.
 
     The convergence certificate |lam| b**v (1-q)**v < 1 is enforced at
-    construction; the closed-form solver additionally requires a = 0.
+    construction.  ``a`` must be 0 or a lattice point of the solve grid.
     """
 
     orders: FracOrders
@@ -207,9 +201,8 @@ class Solution:
     norm is 0); the CLI's status reads it.  ``subinterval_boundaries`` lists the
     upper lattice index of each Picard subinterval in processing order
     (deep to shallow); the closed-form path reports a single interval with
-    the term count of its longer homogeneous series in
-    ``iterations_per_interval`` (the terms :func:`qfrac.qml.ml_terms` keeps
-    at s = b; 0 when every xi_k is 0, as the forcing part sums no series) and
+    its head-term count max_k J_k in ``iterations_per_interval`` (1 with a
+    lattice anchor, 0 when every xi_k is 0; see :func:`linear_solve`) and
     the convergence ratio as its omega.
     """
 
@@ -243,11 +236,17 @@ class EquivalenceReport:
     detail: str = ""
 
 
-def initial_term(p: CauchyProblem, g: LatticeGrid) -> GridFunction:
+def initial_term(p: CauchyProblem | LinearProblem, g: LatticeGrid) -> GridFunction:
     """Leading Volterra term sum_k xi_k/G_q(g-k+1) (x - a)^(g-k)_q on the grid."""
     m_a = anchor_index(lattice_locate(g, p.a))
-    gamma = p.orders.gamma
-    vals = np.zeros(g.depth + 1)
+    vals, _ = _initial_parts(p, g, m_a)
+    return GridFunction(g, vals, domain_stop=g.depth + 1 if m_a is None else m_a + 1)
+
+
+def _initial_parts(p, g: LatticeGrid, m_a: int | None) -> tuple[np.ndarray, dict]:
+    """The initial term's values, summed in order of k, and its part for each nonzero xi_k;
+    the first k whose addition leaves double range is one DomainError naming it."""
+    gamma, vals, parts = p.orders.gamma, np.zeros(g.depth + 1), {}
     for k in range(1, p.orders.n + 1):
         xi_k = p.xi[k - 1]
         if xi_k == 0.0:
@@ -256,8 +255,14 @@ def initial_term(p: CauchyProblem, g: LatticeGrid) -> GridFunction:
             coef = xi_k / q_gamma(p.params, gamma - k + 1.0)
         except PoleError as exc:
             raise PoleError(f"initial term k={k}: G_q({gamma - k + 1.0!r}) is a pole") from exc
-        vals += coef * _lattice_power(g, m_a, gamma - k)
-    return GridFunction(g, vals, domain_stop=g.depth + 1 if m_a is None else m_a + 1)
+        with np.errstate(over="ignore", invalid="ignore"):  # named just below
+            parts[k] = coef * _lattice_power(g, m_a, gamma - k)
+            vals += parts[k]
+        if not np.isfinite(vals).all():
+            i = int(np.flatnonzero(~np.isfinite(vals))[0])
+            raise DomainError(f"initial term k={k} (xi_{k} (x - a)^({gamma - k:.6g})_q) leaves "
+                              f"double range at lattice index {i} (x={g.point(i)!r})")
+    return vals, parts
 
 
 def _lattice_power(g: LatticeGrid, m_base: int | None, s: float) -> np.ndarray:
@@ -270,7 +275,7 @@ def _lattice_power(g: LatticeGrid, m_base: int | None, s: float) -> np.ndarray:
     if m_base is None:
         return g.points**s
     out = np.zeros(g.depth + 1)
-    out[:m_base] = g.points[:m_base] ** s * _weights_for(g, s + 1.0)[:m_base][::-1]
+    out[:m_base] = g.points[:m_base] ** s * _integral_table(g, s + 1.0)[0][:m_base][::-1]
     out[m_base:m_base + 1] = 1.0 if abs(s) < _INT_WINDOW else 0.0
     return out
 
@@ -354,8 +359,8 @@ def _ode_residual(orders: FracOrders, y: GridFunction, anchor: Anchor,
                 residual_stop=stop)
 
 
-def _rhs_name(p: CauchyProblem) -> str:
-    return getattr(p.rhs, "__qualname__", repr(p.rhs))
+def _name(fn: Callable) -> str:
+    return getattr(fn, "__qualname__", repr(fn))
 
 
 def _call_rhs(p: CauchyProblem, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -369,12 +374,12 @@ def _call_rhs(p: CauchyProblem, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     except QFracError:
         raise
     except (TypeError, ValueError, ArithmeticError) as exc:
-        raise DomainError(f"rhs {_rhs_name(p)} failed on arrays of x and y "
+        raise DomainError(f"rhs {_name(p.rhs)} failed on arrays of x and y "
                           f"(it must be elementwise): {exc}") from None
     if vals.shape == x.shape:
         return vals
     if vals.shape:
-        raise DomainError(f"rhs {_rhs_name(p)} returned shape {vals.shape}, "
+        raise DomainError(f"rhs {_name(p.rhs)} returned shape {vals.shape}, "
                           f"expected {x.shape} or a scalar")
     return np.broadcast_to(vals, x.shape)
 
@@ -392,7 +397,7 @@ def _check_rhs(p: CauchyProblem, g: LatticeGrid, y, f_vals, lo: int, hi: int) ->
     if not np.isfinite(f_vals[lo:hi]).all():
         k = lo + int(np.flatnonzero(~np.isfinite(f_vals[lo:hi]))[0])
         raise SampleError(k, g.point(k), float(f_vals[k]),
-                          source=f"rhs {_rhs_name(p)}(x, y={float(y[k])!r}) value")
+                          source=f"rhs {_name(p.rhs)}(x, y={float(y[k])!r}) value")
 
 
 def picard_solve(p: CauchyProblem, g: LatticeGrid, tol: float = 1e-10,
@@ -478,73 +483,57 @@ def picard_solve(p: CauchyProblem, g: LatticeGrid, tol: float = 1e-10,
 
 
 def linear_solve(p: LinearProblem, g: LatticeGrid) -> Solution:
-    """Closed-form solution of the linear problem via q-Mittag-Leffler kernels.
+    """Closed-form solution of the linear problem: y = sum_k sum_(j<J_k) t_(k,j) + u.
 
-    Requires lower limit 0 (the closed form integrates from the origin);
-    problems anchored elsewhere route through picard_solve.  The homogeneous
-    part takes the terms of each nonzero xi_k's q-Mittag-Leffler series from
-    :func:`qfrac.qml.ml_terms` at s = b, stopped there against |sum at b|, and
-    forms every row as their running-power sum.  The forcing part, the
-    E_{nu,nu} kernel integral, is the solution u of u = I^nu f + lam I^nu u on
-    the truncated lattice, solved exactly by one blocked forward substitution
-    (:func:`qfrac.qfracops._lattice_solve`) with the weight table and row
-    prefactor of I^nu, read once per solve; there is no series to stop, and
-    lambda < 0 cancels nothing.  ``iterations_per_interval`` is the longer
-    homogeneous series' term count, ``len`` of ml_terms' terms, 0 when every
-    xi_k is 0.
+    The head terms t_(k,j) = lam**j (I^nu)^j t_(k,0), exact q-power bases, lead
+    xi_k's q-Mittag-Leffler series; t_(k,0) summed over k is :func:`initial_term`.
+    u solves u = I^nu (f + lam t) + lam I^nu u, t = sum_k t_(k,J_k-1), on the rows
+    below the anchor by one :func:`qfrac.qfracops._lattice_solve`.  With a lattice
+    anchor every sum is finite and J_k = 1; anchored at 0, the truncated lattice
+    drops each series' part below x_M, so J_k counts the terms ml_terms certifies
+    at x_M.  Summands that cancel past eps_series |y|, both in L^1_q over the
+    solved rows (:func:`qfrac.qml._summation_bound`), raise NonConvergenceError.
+    ``iterations_per_interval`` is max_k J_k, 0 when every xi_k is 0.
     """
-    if p.a != 0.0:
-        raise DomainError("closed-form linear solve requires lower limit a = 0")
     _check_grid(p, g)
-    params = p.params
-    nu, gamma, n = p.orders.nu, p.orders.gamma, p.orders.n
-    lam = p.lam
-    M = g.depth
-    x = g.points
-    xnu = (x / g.b) ** nu  # the series terms come scaled to s = b
-    y = np.zeros(M + 1)
-    terms_used = 0
+    anchor = lattice_locate(g, p.a)
+    m_a = anchor_index(anchor)
+    params, nu, lam, x = p.params, p.orders.nu, p.lam, g.points
+    rows = g.depth + 1 if m_a is None else m_a  # the rows below the anchor
+    y0, parts = _initial_parts(p, g, m_a)
+    summands, last, count = [y0], np.zeros(g.depth + 1), 0
+    with np.errstate(over="ignore", invalid="ignore"):  # values past range are named below
+        for k, t in parts.items():
+            terms = [1.0] if m_a is not None else ml_terms(
+                MLSpec(nu, p.orders.gamma - k + 1.0, lam, params), float(x[-1]))[1]
+            heads = [t * (c / terms[0]) * (x / x[-1]) ** (nu * j) for j, c in enumerate(terms)]
+            summands += heads[1:]  # heads[0] is t itself, already in y0
+            last += heads[-1]
+            count = max(count, len(terms))
+        f_vals = np.where(np.arange(g.depth + 1) < rows, _pointwise(p.forcing)(x), 0.0)
+        if not np.isfinite(f_vals).all():  # values past the anchor are never read
+            i = int(np.flatnonzero(~np.isfinite(f_vals))[0])
+            raise SampleError(i, g.point(i), float(f_vals[i]),
+                              source=f"forcing {_name(p.forcing)}(x) value")
+        u = np.zeros(g.depth + 1)
+        u[:rows] = _lattice_solve((f_vals + lam * last)[:rows], x, *_integral_table(g, nu), lam,
+                                  f"the lattice part u = I^{nu:g} (f + lam t) + lam I^{nu:g} u")
+        sums = list(itertools.accumulate(summands + [u]))
+    y = sums[-1]
+    if not np.isfinite(y).all():
+        i = int(np.flatnonzero(~np.isfinite(y))[0])
+        raise DomainError(f"the head terms plus the lattice part leave double range at "
+                          f"lattice index {i} (x={g.point(i)!r})")
+    norm = lambda v: _sum_range(g, np.abs(v), 0, rows)
+    bound, tol = _summation_bound(sums, norm), params.eps_series * norm(y)
+    if not bound <= tol:
+        raise NonConvergenceError(f"closed form cancels: the roundoff bound {bound:.3g} of its "
+                                  f"summands exceeds eps_series*|y| = {tol:.3g} in L^1_q")
 
-    # homogeneous part: sum_k xi_k x**(gamma-k) E_{nu, gamma-k+1}[lam x**nu]
-    for k in range(1, n + 1):
-        xi_k = p.xi[k - 1]
-        if xi_k == 0.0:
-            continue
-        _, terms = ml_terms(MLSpec(nu, gamma - k + 1.0, lam, params), g.b)
-        acc = np.zeros(M + 1)
-        power = np.ones(M + 1)  # xnu**m for term m
-        with np.errstate(over="ignore", invalid="ignore"):  # values past range are named below
-            for t in terms:
-                acc += t * power
-                power *= xnu
-            y += xi_k * x ** (gamma - k) * acc
-        terms_used = max(terms_used, len(terms))
-        if not np.isfinite(y).all():
-            raise _past_range(nu, gamma - k + 1.0, f"xi_{k} x**{gamma - k:.6g} times the sum")
-
-    # forcing part: u = I^nu f + lam I^nu u, deepest row first
-    name = getattr(p.forcing, "__qualname__", repr(p.forcing))
-    f_vals = sample(g, p.forcing, source=f"forcing {name}(x) value").values
-    if np.any(f_vals != 0.0):
-        w, pref = _integral_table(g, nu)
-        u = _lattice_solve(f_vals, x, w, pref, lam,
-                           f"the forcing part u = I^{nu:g} f + lam I^{nu:g} u")
-        with np.errstate(over="ignore"):  # named just below
-            y += u
-        if not np.isfinite(y).all():
-            i = int(np.flatnonzero(~np.isfinite(y))[0])
-            raise DomainError(f"the homogeneous part plus the forcing part leaves double "
-                              f"range at lattice index {i} (x={float(x[i])!r})")
-
-    y_gf = GridFunction(g, y)
-    return Solution(
-        y=y_gf,
-        iterations_per_interval=(terms_used,),
-        omega_per_interval=(p.ratio,),
-        subinterval_boundaries=(0,),
-        method="closed-form",
-        **_ode_residual(p.orders, y_gf, ZERO, lam * y + f_vals),
-    )
+    y_gf = GridFunction(g, y, domain_stop=min(rows + 1, g.depth + 1))
+    return Solution(y=y_gf, iterations_per_interval=(count,), omega_per_interval=(p.ratio,),
+                    subinterval_boundaries=(0,), method="closed-form",
+                    **_ode_residual(p.orders, y_gf, anchor, lam * y + f_vals))
 
 
 def verify_equivalence(p: CauchyProblem, y: GridFunction, tol: float) -> EquivalenceReport:

@@ -912,7 +912,7 @@ def _chk_picard_zero_rhs(rng, thorough):
 @_register("solver.linear-vs-picard")
 def _chk_linear_vs_picard(rng, thorough):
     count = 10 if thorough else 4
-    worst = 0.0
+    worst = worst_b = 0.0
     rate_ok = True
     fns = [lambda x: 0.0, lambda x: 1.0, lambda x: x]
     for i in range(count):
@@ -935,9 +935,16 @@ def _chk_linear_vs_picard(rng, thorough):
         worst = max(worst, _rel_l1(sc.y.values - sp.y.values, sc.y.values, g, g.depth + 1))
         floor = 1e-13 * max(_sum_range(g, np.abs(sc.y.values), 0, g.depth + 1), 1.0)
         rate_ok = rate_ok and _rate_violation(sp, floor) is None
+        # y(b) vs the paper's xi E_{nu,gamma}[lam] + E_{nu,nu+1}[lam] (f=1) or E_{nu,nu+2} (f=x)
+        parts = [(xi1, ords.gamma)] + ([(1.0, ords.nu + i % 3)] if i % 3 else [])
+        series = [(c, *ml_terms(MLSpec(ords.nu, beta, lam, p), 1.0)) for c, beta in parts]
+        want = sum(c * total for c, total, _ in series)
+        size = sum(abs(c) * math.fsum(map(abs, terms)) for c, _, terms in series)
+        worst_b = max(worst_b, abs(sc.y.values[0] - want) / max(abs(want), 1e-2 * size))
     assert worst < 1e-7, f"closed form vs Picard rel err {worst:.3e} >= 1e-7"
+    assert worst_b < 1e-9, f"closed form y(b) vs series rel err {worst_b:.3e} >= 1e-9"
     assert rate_ok, "iterate norms decayed slower than omega + 0.05"
-    return f"max rel err {worst:.2e}"
+    return f"max rel err {worst:.2e}, y(b) vs series {worst_b:.2e}"
 
 
 @_register("solver.superposition")

@@ -101,8 +101,9 @@ def test_c07_singular_example_operator():
 def test_c08_linear_closed_form_vs_picard():
     _run_criterion(
         8,
-        "closed-form linear solution vs Picard within 1e-7 in L1_q, 10 random "
-        "admissible problems; geometric iterate decay within omega + 0.05",
+        "closed-form linear solution vs Picard within 1e-7 in L1_q and its y(b) vs "
+        "the q-Mittag-Leffler series within 1e-9, 10 random admissible problems; "
+        "geometric iterate decay within omega + 0.05",
         ["solver.linear-vs-picard"],
     )
 

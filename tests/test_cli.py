@@ -290,14 +290,17 @@ class TestOutsideInputFailures:
     RL_INT = ["eval-op", "--op", "rl-int", "--q", "0.5", "--alpha", "0.5"]
     ML_EVAL = ["ml-eval", "--q", "0.5", "--alpha", "1", "--beta", "1"]
 
-    # q 0.998, lambda -495: certificate 0.99 < 1, yet the series terms pass 1e308
-    # before they fall
+    # q 0.998, lambda -495: certificate 0.99 < 1, yet the series terms at b pass 1e308
+    # before they fall; the closed form's 50 head terms cancel to y(b) = 8.7e-178
     SERIES_PEAK_INI = _edit(LINEAR_INI, ("q = 0.5", "q = 0.998"),
                             ("depth = 200", "depth = 2000\nmax_terms = 50000"),
                             ("alpha = 0.8", "alpha = 1.0"), ("beta = 0.6", "beta = 1.0"),
                             ("lipschitz_a = 0.4", "lipschitz_a = 495.0"),
                             ("lambda = 0.4", "lambda = -495.0"),
                             ("forcing = const:1", "forcing = zero"))
+
+    INITIAL_TERM_OVERFLOWS = ("initial term k=1 (xi_1 (x - a)^(-0.4)_q) leaves double range "
+                              "at lattice index 70 (x=8.470329472543003e-22)")
 
     CASES = {
         # large finite numbers from the command line
@@ -337,23 +340,26 @@ class TestOutsideInputFailures:
         "closed-form-term-overflows": (SOLVE + ["--method", "closed-form"], _edit(
             LINEAR_INI, ("b = 1.0", "b = 1e300"), ("depth = 200", "depth = 40"),
             ("lambda = 0.4", "lambda = 1e-200"), ("forcing = const:1", "forcing = const:1e300")),
-            2, "forcing part u = I^0.6 f + lam I^0.6 u leaves double range: non-finite value "
-            "at lattice index 40"),
+            2, "lattice part u = I^0.6 (f + lam t) + lam I^0.6 u leaves double range: "
+            "non-finite value at lattice index 40"),
         "closed-form-series-term-overflows": (
             SOLVE + ["--method", "closed-form"], SERIES_PEAK_INI, 2,
-            "q-Mittag-Leffler series E_{1,1}: term 831 leaves double range"),
+            "closed form cancels: the roundoff bound 1.35e+52 of its summands exceeds "
+            "eps_series*|y| = 2.24e+41 in L^1_q"),
         "closed-form-series-sum-overflows": (
             SOLVE + ["--method", "closed-form"], _edit(SERIES_PEAK_INI, ("-495", "495")), 2,
-            "q-Mittag-Leffler series E_{1,1}: the partial sum through term 823 leaves double "
-            "range"),
+            "the lattice part u = I^1 (f + lam t) + lam I^1 u leaves double range: non-finite "
+            "value at lattice index 24 (x=0.953087976664442)"),
         "closed-form-forcing-series-overflows": (
             SOLVE + ["--method", "closed-form"], _edit(SERIES_PEAK_INI, ("-495", "495"),
             ("xi = 1.0", "xi = 0.0"), ("forcing = zero", "forcing = const:1")), 2,
-            "the forcing part u = I^1 f + lam I^1 u leaves double range: non-finite value at "
-            "lattice index 19 (x=0.962676309645634)"),
+            "the lattice part u = I^1 (f + lam t) + lam I^1 u leaves double range: non-finite "
+            "value at lattice index 19 (x=0.962676309645634)"),
         "closed-form-homogeneous-part-overflows": (
             SOLVE + ["--method", "closed-form"], _edit(LINEAR_INI, ("xi = 1.0", "xi = 1e300")),
-            2, "E_{0.6,0.6}: xi_1 x**-0.4 times the sum leaves double range"),
+            2, INITIAL_TERM_OVERFLOWS),
+        "picard-initial-term-overflows": (SOLVE, _edit(LINEAR_INI, ("xi = 1.0", "xi = 1e300")),
+                                          2, INITIAL_TERM_OVERFLOWS),
         "picard-integral-overflows": (SOLVE, _edit(LINEAR_INI, ("forcing = const:1",
                                       "forcing = const:1e308")), 2,
                                       "Picard integral I^0.6 f(., y) is not finite at lattice "
@@ -478,10 +484,12 @@ class TestMethodOverride:
     LINEAR_INI = TestOutsideInputFailures.LINEAR_INI
     ANCHOR = ("a = 0.0", "a = 0.0009765625")  # b q**10, a lattice point
 
-    # files valid only for the requested method
+    # files valid for the requested method; all but anchored-picard break their own
     RESCUED = {
         "no-lipschitz-closed-form": (_edit(LINEAR_INI, ("lipschitz_a = 0.4\n", ""),
                                            ("method = picard\n", "")), "closed-form"),
+        "anchored-closed-form": (_edit(LINEAR_INI, ANCHOR, ("xi = 1.0", "xi = 0.0"),
+                                       ("lipschitz_a = 0.4\n", "")), "closed-form"),
         "anchored-picard": (_edit(LINEAR_INI, ANCHOR, ("xi = 1.0", "xi = 0.0"),
                                   ("method = picard", "method = closed-form")), "picard"),
         "polynomial-picard": (_edit(LINEAR_INI, ("rhs = linear", "rhs = polynomial"),
@@ -513,21 +521,24 @@ class TestMethodOverride:
             ProblemConfig.from_text(CONFIG_LINEAR, "newton")
 
     def test_override_is_checked_against_the_file(self, tmp_path, capsys):
-        # linear_solve owns the a = 0 rule: the anchored file parses, the solve refuses it
-        text = _edit(self.LINEAR_INI, self.ANCHOR)
-        assert ProblemConfig.from_text(text, "closed-form").a == 0.0009765625
+        # a Picard file with a polynomial rhs is valid, but not for the closed form
+        text = _edit(self.LINEAR_INI, ("rhs = linear", "rhs = polynomial"),
+                     ("lambda = 0.4\nforcing = const:1", "c00 = 1.0\nc01 = 0.4"))
+        assert ProblemConfig.from_text(text).method == "picard"
         err = _refused_solve(text, tmp_path, capsys, "--method", "closed-form")
-        assert err == "error: closed-form linear solve requires lower limit a = 0\n"
+        assert err == "error: closed-form method requires the linear rhs\n"
 
     # the anchored solve's row m_a - n keeps the lattice boundary term of the k = n
     # initial-term power, xi_n / ((1-q) x_9) = 1024 (at mu = 0.5 the outer integral
-    # carries it into every row); it passes with xi = 0 or mu = 1
+    # carries it into every row); it passes with xi = 0 or mu = 1.  Both methods
+    # solve the same lattice equations, so both read residual_rel 0.4757.
     @pytest.mark.xfail(strict=True, reason="lattice-anchored xi_n != 0 with non-integer "
                                            "gamma fails its own residual check")
-    def test_anchored_solve_with_nonzero_data(self, tmp_path, capsys):
+    @pytest.mark.parametrize("method", ["picard", "closed-form"])
+    def test_anchored_solve_with_nonzero_data(self, method, tmp_path, capsys):
         (tmp_path / "p.ini").write_text(_edit(self.LINEAR_INI, self.ANCHOR),
                                         encoding="utf-8")
-        code = main(["solve", "--config", str(tmp_path / "p.ini"),
+        code = main(["solve", "--config", str(tmp_path / "p.ini"), "--method", method,
                      "--out", str(tmp_path / "s")])
         assert "status=ok" in capsys.readouterr().out
         assert code == 0
@@ -582,13 +593,14 @@ class TestProblemConfig:
         with pytest.raises(ConfigError):
             ProblemConfig.from_text(bad)
 
-    def test_closed_form_requires_origin(self, tmp_path, capsys):
-        bad = CONFIG_LINEAR.replace("a = 0.0", "a = 0.25").replace(
+    def test_closed_form_off_lattice_anchor_refused(self, tmp_path, capsys):
+        # the closed form takes every anchor Picard takes: 0 or a lattice point
+        bad = CONFIG_LINEAR.replace("a = 0.0", "a = 0.3").replace(
             "method = picard", "method = closed-form"
         )
-        assert ProblemConfig.from_text(bad).a == 0.25
+        assert ProblemConfig.from_text(bad).a == 0.3
         err = _refused_solve(bad, tmp_path, capsys)
-        assert err == "error: closed-form linear solve requires lower limit a = 0\n"
+        assert err == "error: 0.3 is not a lattice point of (b=1.0, q=0.5, M=120)\n"
 
     def test_required_keys_only_take_dataclass_defaults(self):
         text = (

@@ -17,7 +17,6 @@ from qfrac.qfracops import (
     _band_width,
     _integral_table,
     _lattice_sums,
-    _weights_for,
     caputo_derivative,
     derivative_stage_cut,
     hilfer_derivative,
@@ -127,7 +126,7 @@ def per_row_rl_integral(u, a, alpha):
     M = g.depth
     x = g.points
     m_a = None if a is ZERO else a.index
-    w = _weights_for(g, alpha)
+    w = _integral_table(g, alpha)[0]
     pref = x ** (alpha - 1.0) * (1.0 - g.q) / q_gamma(g.params, alpha)
     s = x * u.values
     out = np.zeros(M + 1)
@@ -178,7 +177,7 @@ class TestRLIntegralMatchesPerRowSum:
                 assert not np.any(out.values)  # empty sums
                 continue
             pref = g.points[:stop] ** (alpha - 1.0) * (1.0 - q) / q_gamma(g.params, alpha)
-            _, mag = per_row_sums(g.points[:stop] * vals[:stop], _weights_for(g, alpha))
+            _, mag = per_row_sums(g.points[:stop] * vals[:stop], _integral_table(g, alpha)[0])
             assert_rows_close(out.values[:stop], want[:stop], pref * mag, stop)
             assert not np.any(out.values[stop:])
 
@@ -222,7 +221,7 @@ class TestBandCertificate:
     def test_power_inputs(self, q, depth, anchor, p):
         g, s = self.summands(q, depth, anchor, p)
         for alpha in (0.3, 0.75, 1.0, 1.4):
-            w = _weights_for(g, alpha)
+            w = _integral_table(g, alpha)[0]
             L = _band_width(s, w)[0]
             self.assert_within_bound(s, w)
             # s ~ q**(k(p+1)) is one-signed: the band of w - 1 is taken, also for slow decay
@@ -235,11 +234,11 @@ class TestBandCertificate:
         k = np.arange(len(s))
         s = s * ((-1.0) ** k if sign == "alternating" else np.cos(3.0 * k))
         for alpha in (0.3, 0.75, 1.4):
-            self.assert_within_bound(s, _weights_for(g, alpha))
+            self.assert_within_bound(s, _integral_table(g, alpha)[0])
 
     def test_cancelled_row_falls_back_to_full_sums(self):
         g, s = self.summands(0.5, 1000, "zero", 0.4)
-        w = _weights_for(g, 0.75)
+        w = _integral_table(g, 0.75)[0]
         L = _band_width(s, w)[0]
         s[100:100 + L] = 0.0  # row 100's band sums to 0 while its tail does not
         assert _band_width(s, w)[0] == L
@@ -250,7 +249,7 @@ class TestBandCertificate:
     def test_non_finite_deep_summand_gives_full_sums(self, bad):
         g, s = self.summands(0.5, 1000, "zero", 0.4)
         s[700] = bad
-        w = _weights_for(g, 0.75)
+        w = _integral_table(g, 0.75)[0]
         with np.errstate(over="ignore", invalid="ignore"):
             assert _band_width(s, w) == (len(s), None, None)  # no band is tried
         got, want = _lattice_sums(s, w), full_sums(s, w)
@@ -260,7 +259,7 @@ class TestBandCertificate:
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_overflowing_suffix_sum_is_quiet_and_full(self, sign):
         s = 1e306 * sign ** np.arange(1001)  # finite, but sum|s| overflows
-        w = _weights_for(grid(depth=1000), 0.75)
+        w = _integral_table(grid(depth=1000), 0.75)[0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = _lattice_sums(s, w)
@@ -304,7 +303,7 @@ class TestFarField:
         s = g.points ** (p + 1.0)
         n = len(s)
         for alpha in (0.3, 1.4):
-            w = _weights_for(g, alpha)
+            w = _integral_table(g, alpha)[0]
             want = np.array([math.fsum(w[:n - m] * s[m:]) for m in range(n)])
             for sign in (1.0, -1.0):
                 got = _lattice_sums(sign * s, w)
@@ -325,7 +324,7 @@ class TestFarField:
                 k = np.flatnonzero(s)[-1]  # the deepest summand that is not 0
                 s[k] = -s[k]
             for alpha in (0.3, 0.75, 1.4):
-                w = _weights_for(g, alpha)
+                w = _integral_table(g, alpha)[0]
                 correlate_calls.clear()
                 got = _lattice_sums(s, w)
                 assert correlate_calls == [len(s)]  # no band is tried
@@ -336,7 +335,7 @@ class TestFarField:
         g = grid(q=0.98, depth=1000)
         s = g.points[:n] ** 0.6
         for alpha in (0.3, 1.4):
-            w = _weights_for(g, alpha)
+            w = _integral_table(g, alpha)[0]
             assert np.array_equal(_lattice_sums(s, w), full_sums(s, w))
 
     @pytest.mark.parametrize("alpha", [0.3, 0.75, 1.4])
@@ -344,7 +343,7 @@ class TestFarField:
         # s_k = 2**-k to k = 100, then 2**-(3/4) per step: deeper rows keep more of their tail
         k = np.arange(1001.0)
         s = 2.0 ** -np.minimum(k, 100.0 + 0.75 * (k - 100.0))
-        w = _weights_for(grid(depth=1000), alpha)
+        w = _integral_table(grid(depth=1000), alpha)[0]
         L = _band_width(s, w)[0]
         _lattice_sums(s, w)
         assert correlate_calls == [L]  # the band alone, not the band and then the full sum
@@ -356,7 +355,7 @@ class TestFarField:
         g = grid(q=0.98, depth=4000)
         s = g.points**0.5
         n = len(s)
-        w = _weights_for(g, alpha)
+        w = _integral_table(g, alpha)[0]
         L = _band_width(s, w)[0]
         got = _lattice_sums(s, w)
         assert n / 2 < L < n and correlate_calls == [L]  # the band alone
@@ -372,7 +371,7 @@ class TestFarField:
         for p in (-0.3, 0.4, 1.6):
             s = g.points ** (p + 1.0)
             for alpha in (0.3, 1.0, 1.4):
-                w = _weights_for(g, alpha)
+                w = _integral_table(g, alpha)[0]
                 L, _, suffix = _band_width(s, w)
                 correlate_calls.clear()
                 got = _lattice_sums(s, w)
@@ -669,7 +668,7 @@ class TestStageIntegral:
             step = o.gamma - o.nu
             want = rl_integral(staged, a, step)
             pref = g.points[:cut] ** (step - 1.0) * (1.0 - q) / q_gamma(g.params, step)
-            _, mag = per_row_sums(g.points[:cut] * clean[:cut], _weights_for(g, step))
+            _, mag = per_row_sums(g.points[:cut] * clean[:cut], _integral_table(g, step)[0])
             assert_rows_close(got.values[:cut], want.values[:cut], pref * mag, cut)
             guard = max(want.domain_stop - cut, 0)
             assert (got.domain_stop, got.guard) == (want.domain_stop, guard)

@@ -13,6 +13,7 @@ from qfrac.errors import (
     MaxIterError,
     NoContractionError,
     NonConvergenceError,
+    OffLatticeError,
     SampleError,
 )
 from qfrac.qcore import QParams, masked_power_basis, q_gamma, q_power_basis
@@ -714,24 +715,31 @@ class TestLinearSolve:
         assert sol.iterations_per_interval == (0,)
         assert abs(sol.y.values[0] - want) <= 1e-12 * abs(want)
 
+    # y(1) for xi = 1, f = 1 at q = 0.98, orders (0.8, 0.6, mu 0): E_{0.6,0.6}[lam]
+    # + E_{0.6,1.6}[lam], summed by mpmath at 60 digits
+    @pytest.mark.parametrize("lam, want", [(-8.0, 0.12226186699211326754),
+                                           (8.0, 1.1053217714532590678e18)])
+    def test_deep_solve_at_b_against_mpmath(self, lam, want):
+        g = grid(q=0.98, depth=4000)
+        o = FracOrders(alpha=0.8, beta=0.6, mu=0.0, n=1)
+        sol = linear_solve(make_linear_problem(g.params, o, lam, lambda x: 1.0, (1.0,)), g)
+        assert sol.iterations_per_interval == (1,)
+        assert abs(sol.y.values[0] - want) <= 1e-12 * want
+
     def test_one_weight_table_per_solve(self):
-        # the forcing solve reads the one order-nu table whatever lam is, and the
-        # homogeneous series reads none, however long it grows
+        # the lattice solve reads the one order-nu table whatever lam is
         g = grid(q=0.9, depth=800)
         o = FracOrders(alpha=0.8, beta=0.6, mu=0.0, n=1)
-        misses, terms = [], []
+        misses = []
         for lam in (0.2, 3.0, -3.0):
             qfracops._kernel_weights.cache_clear()
-            sol = linear_solve(make_linear_problem(g.params, o, lam, lambda x: 1.0 + x,
-                                                   (1.3,)), g)
+            linear_solve(make_linear_problem(g.params, o, lam, lambda x: 1.0 + x, (1.3,)), g)
             misses.append(qfracops._kernel_weights.cache_info().misses)
-            terms.append(sol.iterations_per_interval[0])
-        assert terms[1] >= 3 * terms[0] and terms[2] >= 3 * terms[0]
         assert misses[0] == misses[1] == misses[2]
 
     def test_q_gamma_calls_do_not_grow_with_the_series(self, monkeypatch):
         # a solve reads the prefactor's G_q(nu) once, whatever |lam| and however
-        # long the homogeneous series
+        # long xi's q-Mittag-Leffler series at b
         calls = [0]
 
         def counted(*args):
@@ -743,91 +751,51 @@ class TestLinearSolve:
                 monkeypatch.setattr(mod, "q_gamma", counted)
         g = grid(q=0.9, depth=800)
         o = FracOrders(alpha=0.8, beta=0.6, mu=0.0, n=1)
-        counts, terms = [], []
+        counts = []
         for lam in (2.0, 3.0, -3.0):
             calls[0] = 0
-            sol = linear_solve(make_linear_problem(g.params, o, lam, lambda x: 1.0 + x,
-                                                   (1.3,)), g)
+            linear_solve(make_linear_problem(g.params, o, lam, lambda x: 1.0 + x, (1.3,)), g)
             counts.append(calls[0])
-            terms.append(sol.iterations_per_interval[0])
-        assert 40 <= terms[0] < terms[1]
         assert counts[0] == counts[1] == counts[2]
-
-    @staticmethod
-    def _pow_per_term(g, o, lam, xi):
-        """The homogeneous rows and term count with each power formed as xnu**m."""
-        params, nu, gamma = g.params, o.nu, o.gamma
-        xnu = (g.points / g.b) ** nu
-        y, count = np.zeros(g.depth + 1), 0
-        for k, xi_k in enumerate(xi, 1):
-            _, terms = qml.ml_terms(qml.MLSpec(nu, gamma - k + 1.0, lam, params), g.b)
-            acc = np.zeros(g.depth + 1)
-            for m, t in enumerate(terms):
-                acc += t * xnu ** float(m)
-            y += xi_k * g.points ** (gamma - k) * acc
-            count = max(count, len(terms))
-        return y, count
 
     HOMOGENEOUS_CASES = [
         (0.5, 200, (0.8, 0.6, 0.0, 1), 0.4, (1.0,)),
         (0.3, 200, (0.9, 0.5, 0.5, 1), -0.5, (0.7,)),
         (0.9, 800, (0.8, 0.6, 0.0, 1), 1.5, (1.3,)),
         (0.7, 300, (1.9, 1.3, 0.4, 2), 0.9, (0.8, -0.5)),
+        (0.98, 200, (0.8, 0.6, 0.0, 1), 0.3 / 0.02**0.6, (1.0,)),  # x_M = 0.018
     ]
 
     @pytest.mark.parametrize("q, depth, orders, lam, xi", HOMOGENEOUS_CASES)
-    def test_homogeneous_running_power_matches_pow_per_term(self, q, depth, orders, lam, xi):
-        g = grid(q=q, depth=depth)
-        o = FracOrders(*orders)
-        sol = linear_solve(make_linear_problem(g.params, o, lam, lambda x: 0.0, xi), g)
-        want, count = self._pow_per_term(g, o, lam, xi)
-        assert sol.iterations_per_interval == (count,)
-        assert np.all(np.abs(sol.y.values - want) <= 1e-14 * np.abs(want))
-
-    @staticmethod
-    def _grid_max_stop(g, o, lam, xi):
-        """The homogeneous rows and term count of the loop that stopped against max |sum| on g.
-
-        A copy of the per-term loop linear_solve ran before it took its terms from
-        ml_terms, with its one-term iterator and tail test written out.
-        """
-        params, nu, gamma = g.params, o.nu, o.gamma
-        xnu = (g.points / g.b) ** nu
-        y, terms_used = np.zeros(g.depth + 1), 0
-        for k in range(1, o.n + 1):
-            xi_k = xi[k - 1]
-            if xi_k == 0.0:
-                continue
-            acc = np.zeros(g.depth + 1)
-            power = np.ones(g.depth + 1)
-            series = qml._ml_series(params, nu, gamma - k + 1.0, lam, g.b)
-            for m, t, rho in ((k0 + i, float(t[i]), float(r[i]))
-                              for k0, t, r in series for i in range(len(t))):
-                acc += t * power
-                top = float(np.max(np.abs(acc)))
-                if rho < 1.0 and abs(t) * rho <= params.eps_series * abs(top) * (1.0 - rho):
-                    break
-                power *= xnu
-            y += xi_k * g.points ** (gamma - k) * acc
-            terms_used = max(terms_used, m + 1)
-        return y, terms_used
-
-    @pytest.mark.parametrize("q, depth, orders, lam, xi", HOMOGENEOUS_CASES)
-    def test_stop_at_b_against_the_grid_max_stop(self, q, depth, orders, lam, xi):
-        # lam > 0: every term is positive, |sum at b| is the grid max and nothing moves;
-        # lam < 0: stopping against |sum at b| takes at least as many terms
+    def test_homogeneous_part_at_b_is_the_series(self, q, depth, orders, lam, xi):
+        # y(b) = sum_k xi_k E_{nu, gamma-k+1}[lam] for either sign of lam, with as many
+        # head terms as ml_terms certifies at x_M; an alternating sum is only as exact
+        # as eps * sum|terms|, so the scale keeps a floor at 1e-2 of it (as verify's
+        # qml.series-oracle does)
         g = grid(q=q, depth=depth)
         o = FracOrders(*orders)
         for lam in (abs(lam), -abs(lam)):
             sol = linear_solve(make_linear_problem(g.params, o, lam, lambda x: 0.0, xi), g)
-            old_rows, old_count = self._grid_max_stop(g, o, lam, xi)
-            count = sol.iterations_per_interval[0]
-            if lam > 0.0:
-                assert np.array_equal(sol.y.values, old_rows) and count == old_count
-            else:
-                lens = [len(qml.ml_terms(qml.MLSpec(o.nu, o.gamma - k + 1.0, lam, g.params),
-                                         g.b)[1]) for k in range(1, o.n + 1)]
-                assert old_count <= count == max(lens)
+            specs = [qml.MLSpec(o.nu, o.gamma - k + 1.0, lam, g.params)
+                     for k in range(1, o.n + 1)]
+            series = [qml.ml_terms(spec, g.b) for spec in specs]
+            want = sum(xi_k * total for xi_k, (total, _) in zip(xi, series))
+            size = sum(abs(xi_k) * sum(map(abs, terms)) for xi_k, (_, terms) in zip(xi, series))
+            heads = max(len(qml.ml_terms(spec, g.point(depth))[1]) for spec in specs)
+            assert sol.iterations_per_interval == (heads,)
+            assert abs(sol.y.values[0] - want) <= 1e-10 * max(abs(want), 1e-2 * size)
+
+    def test_shallow_two_data_fold_each_last_head_term(self):
+        # x_M = 0.018 needs 7 head terms for xi_1 and 8 for xi_2; the lattice part
+        # takes lam t_(k, J_k - 1) of each k (folding only the last k's was off by 7.5e-2)
+        g = grid(q=0.98, depth=200)
+        o = FracOrders(alpha=1.9, beta=1.3, mu=0.4, n=2)
+        lam = 0.3 / (1.0 - g.q) ** o.nu
+        xi = (0.8, -0.5)
+        sol = linear_solve(make_linear_problem(g.params, o, lam, lambda x: 0.0, xi), g)
+        want = sum(xi_k * qml.ml_eval(qml.MLSpec(o.nu, o.gamma - k + 1.0, lam, g.params), g.b)
+                   for k, xi_k in enumerate(xi, 1))
+        assert abs(sol.y.values[0] - want) <= 1e-10 * abs(want)
 
     def test_relative_residual(self):
         # residual_l1 over L^1_q(|lam y + f|) on the residual window
@@ -851,15 +819,22 @@ class TestLinearSolve:
         resid = full.y.values - hom.y.values - frc.y.values
         assert l1(g, resid) < 1e-9 * l1(g, full.y.values)
 
-    def test_series_cap_before_tolerance_raises(self):
-        # ratio 0.9995 needs ~70000 terms for a tail below eps_series
+    def test_ratio_near_one_needs_no_series_at_b(self):
+        # ratio 0.9995: the series at b needs ~70000 terms for a tail below eps_series,
+        # past max_terms; the solve needs the few head terms certified at x_M = 2**-50
         g = grid(depth=50)
         o = FracOrders(alpha=0.9, beta=0.75, mu=0.0, n=1)  # nu = 0.75
         lam = 0.9995 / (1.0 - P5.q) ** o.nu
         lin = make_linear_problem(P5, o, lam=lam, forcing=lambda x: 0.0, xi=(1.0,))
         assert lin.ratio == pytest.approx(0.9995, rel=1e-14)
+        spec = qml.MLSpec(o.nu, o.gamma, lam, P5)
         with pytest.raises(NonConvergenceError, match="max_terms=10000"):
-            linear_solve(lin, g)
+            qml.ml_terms(spec, g.b)
+        sol = linear_solve(lin, g)
+        want = qml.ml_eval(dataclasses.replace(spec, params=QParams(0.5, max_terms=100_000)),
+                           g.b)
+        assert sol.iterations_per_interval == (len(qml.ml_terms(spec, g.point(50))[1]),)
+        assert abs(sol.y.values[0] - want) <= 1e-10 * want
 
     def test_non_finite_forcing_named(self):
         g = grid(depth=50)
@@ -881,16 +856,50 @@ class TestLinearSolve:
         g = grid(depth=50)
         o = FracOrders(alpha=1.0, beta=1.0, mu=0.0, n=1)  # nu = gamma = 1
         lin = make_linear_problem(P5, o, lam=0.0, forcing=lambda x: 0.5e308, xi=(1.5e308,))
-        with pytest.raises(DomainError, match=r"the homogeneous part plus the forcing part "
-                           r"leaves double range at lattice index 0 \(x=1.0\)"):
+        with pytest.raises(DomainError, match=r"the head terms plus the lattice part "
+                           r"leave double range at lattice index 0 \(x=1.0\)"):
             linear_solve(lin, g)
 
-    def test_nonzero_anchor_rejected(self):
+    def test_off_lattice_anchor_rejected(self):
         o = FracOrders(alpha=0.9, beta=0.7, mu=0.0, n=1)
-        lin = LinearProblem(orders=o, a=0.25, b=1.0, lam=0.2,
+        lin = LinearProblem(orders=o, a=0.3, b=1.0, lam=0.2,
                             forcing=lambda x: 0.0, xi=(1.0,), params=P5)
-        with pytest.raises(DomainError):
+        with pytest.raises(OffLatticeError, match="0.3 is not a lattice point"):
             linear_solve(lin, grid())
+
+    # (q, depth, anchor index, orders, lam): the grids of the anchored comparison
+    ANCHORED_CASES = [
+        (0.5, 200, 40, (0.8, 0.6, 0.0, 1), 0.4),
+        (0.9, 800, 300, (0.8, 0.6, 0.5, 1), -1.5),
+        (0.7, 300, 100, (1.6, 1.2, 0.4, 2), 2.0),
+        (0.98, 4000, 2500, (0.8, 0.6, 0.0, 1), 3.0),
+    ]
+
+    def test_anchored_forcing_is_read_above_the_anchor_only(self):
+        # x**-3 leaves double range at index 342, far below the anchor x_10: neither
+        # solver reads it there
+        g = grid(depth=1000)
+        o = FracOrders(alpha=0.8, beta=0.6, mu=0.0, n=1)
+        lin = LinearProblem(orders=o, a=g.point(10), b=1.0, lam=0.4, forcing=lambda x: x**-3,
+                            xi=(0.0,), params=P5)
+        sc = linear_solve(lin, g)
+        sp = picard_solve(as_cauchy(lin), g, tol=1e-15)
+        assert np.all(np.abs(sc.y.values - sp.y.values) <= 1e-12 * np.abs(sp.y.values))
+
+    @pytest.mark.parametrize("q, depth, m_a, orders, lam", ANCHORED_CASES)
+    def test_anchored_closed_form_matches_picard(self, q, depth, m_a, orders, lam):
+        # with a lattice anchor both solve the same finite lattice equations: rows
+        # 0..m_a agree to roundoff, and the rows past the anchor are 0 in both
+        g = grid(q=q, depth=depth)
+        o = FracOrders(*orders)
+        lin = LinearProblem(orders=o, a=g.point(m_a), b=1.0, lam=lam, forcing=lambda x: 1.0,
+                            xi=(1.0,) * o.n, params=g.params)
+        sc = linear_solve(lin, g)
+        sp = picard_solve(as_cauchy(lin), g, tol=1e-15, max_iter=1000)
+        got, want = sc.y.values, sp.y.values
+        assert sc.y.domain_stop == sp.y.domain_stop == m_a + 1
+        assert sc.iterations_per_interval == (1,)
+        assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want))
 
     @pytest.mark.parametrize(
         "orders",
