@@ -758,6 +758,55 @@ class TestLinearSolve:
             counts.append(calls[0])
         assert counts[0] == counts[1] == counts[2]
 
+    @staticmethod
+    def _pow_per_term(g, o, lam, xi):
+        """The homogeneous rows, term count and sum of |terms| per row of xi's series.
+
+        Each xi_k's q-Mittag-Leffler series is stopped at b by ml_terms, each power
+        formed as xnu**m.
+        """
+        params, nu, gamma = g.params, o.nu, o.gamma
+        xnu = (g.points / g.b) ** nu
+        y, size, count = np.zeros(g.depth + 1), np.zeros(g.depth + 1), 0
+        for k, xi_k in enumerate(xi, 1):
+            _, terms = qml.ml_terms(qml.MLSpec(nu, gamma - k + 1.0, lam, params), g.b)
+            acc, acc_abs = np.zeros(g.depth + 1), np.zeros(g.depth + 1)
+            for m, t in enumerate(terms):
+                acc += t * xnu ** float(m)
+                acc_abs += abs(t) * xnu ** float(m)
+            y += xi_k * g.points ** (gamma - k) * acc
+            size += abs(xi_k) * g.points ** (gamma - k) * acc_abs
+            count = max(count, len(terms))
+        return y, count, size
+
+    @staticmethod
+    def _grid_max_stop(g, o, lam, xi):
+        """The homogeneous rows and term count of the loop that stopped against max |sum| on g.
+
+        A copy of the per-term loop linear_solve once ran, with its running power,
+        its one-term iterator and its tail test written out.
+        """
+        params, nu, gamma = g.params, o.nu, o.gamma
+        xnu = (g.points / g.b) ** nu
+        y, terms_used = np.zeros(g.depth + 1), 0
+        for k in range(1, o.n + 1):
+            xi_k = xi[k - 1]
+            if xi_k == 0.0:
+                continue
+            acc = np.zeros(g.depth + 1)
+            power = np.ones(g.depth + 1)
+            series = qml._ml_series(params, nu, gamma - k + 1.0, lam, g.b)
+            for m, t, rho in ((k0 + i, float(t[i]), float(r[i]))
+                              for k0, t, r in series for i in range(len(t))):
+                acc += t * power
+                top = float(np.max(np.abs(acc)))
+                if rho < 1.0 and abs(t) * rho <= params.eps_series * abs(top) * (1.0 - rho):
+                    break
+                power *= xnu
+            y += xi_k * g.points ** (gamma - k) * acc
+            terms_used = max(terms_used, m + 1)
+        return y, terms_used
+
     HOMOGENEOUS_CASES = [
         (0.5, 200, (0.8, 0.6, 0.0, 1), 0.4, (1.0,)),
         (0.3, 200, (0.9, 0.5, 0.5, 1), -0.5, (0.7,)),
@@ -765,6 +814,37 @@ class TestLinearSolve:
         (0.7, 300, (1.9, 1.3, 0.4, 2), 0.9, (0.8, -0.5)),
         (0.98, 200, (0.8, 0.6, 0.0, 1), 0.3 / 0.02**0.6, (1.0,)),  # x_M = 0.018
     ]
+
+    @pytest.mark.parametrize("q, depth, orders, lam, xi", HOMOGENEOUS_CASES)
+    def test_homogeneous_running_power_matches_pow_per_term(self, q, depth, orders, lam, xi):
+        # the head terms plus the lattice part, in place of the running-power sum,
+        # give the series' value on every row, each power formed as xnu**m; an
+        # alternating row is only as exact as eps * sum|terms|, so the scale keeps a
+        # floor at 1e-2 of it
+        g = grid(q=q, depth=depth)
+        o = FracOrders(*orders)
+        sol = linear_solve(make_linear_problem(g.params, o, lam, lambda x: 0.0, xi), g)
+        want, _, size = self._pow_per_term(g, o, lam, xi)
+        scale = np.maximum(np.abs(want), 1e-2 * size)
+        assert np.all(np.abs(sol.y.values - want) <= 1e-11 * scale)
+
+    @pytest.mark.parametrize("q, depth, orders, lam, xi", HOMOGENEOUS_CASES)
+    def test_stop_at_b_against_the_grid_max_stop(self, q, depth, orders, lam, xi):
+        # lam > 0: every term is positive, |sum at b| is the grid max and ml_terms at b
+        # stops where the grid-max loop did; lam < 0: stopping against |sum at b| takes
+        # at least as many terms.  Either way the solve's rows are the grid-max rows.
+        g = grid(q=q, depth=depth)
+        o = FracOrders(*orders)
+        for lam in (abs(lam), -abs(lam)):
+            sol = linear_solve(make_linear_problem(g.params, o, lam, lambda x: 0.0, xi), g)
+            old_rows, old_count = self._grid_max_stop(g, o, lam, xi)
+            _, count, size = self._pow_per_term(g, o, lam, xi)
+            if lam > 0.0:
+                assert count == old_count
+            else:
+                assert old_count <= count
+            scale = np.maximum(np.abs(old_rows), 1e-2 * size)
+            assert np.all(np.abs(sol.y.values - old_rows) <= 1e-11 * scale)
 
     @pytest.mark.parametrize("q, depth, orders, lam, xi", HOMOGENEOUS_CASES)
     def test_homogeneous_part_at_b_is_the_series(self, q, depth, orders, lam, xi):
