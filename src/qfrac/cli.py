@@ -13,14 +13,28 @@ Exit codes: 0 success, 1 verification failure or relative residual not below
 exists, 4 iteration cap hit.
 
 Grid functions print/serialize as CSV with header ``m,x,value`` and floats
-at 17 significant digits (bit-exact round trips).  Problems are defined in
-INI-style ``key = value`` section files; see ``ProblemConfig``.
+at 17 significant digits (bit-exact round trips).
+
+A problem file (``ProblemConfig``) is read in one pass, line by line:
+
+* ``[section]`` opens a section, each at most once; the known ones are
+  ``grid``, ``orders``, ``problem``, ``rhs`` and ``solver``;
+* ``key = value`` or ``key: value`` sets a key of the open section, at most
+  once.  The line splits at its first ``=`` or ``:``, both sides are
+  stripped, the key is lower-cased, and the value is read literally (``%``
+  is an ordinary character);
+* blank lines, lines whose first non-blank character is ``#`` or ``;``, and
+  the rest of a line from a ``#`` that follows whitespace are comments.
+
+Anything else -- text before the first section, text after a section header,
+a line with no delimiter or no key, an indented line (a value does not
+continue on the next line), a repeated section or key -- exits 2 with one
+``unparseable config: line N`` error.
 """
 
 from __future__ import annotations
 
 import argparse
-import configparser
 import functools
 import itertools
 import math
@@ -122,6 +136,46 @@ _RHS_KINDS = ("linear", "example41", "example42", "polynomial")
 _INT_KEYS = {"depth", "n", "max_iter", "max_terms"}
 
 
+_SECTION = re.compile(r"\[(.+)\]")
+_INLINE_COMMENT = re.compile(r"\s#")
+_KEY_VALUE = re.compile(r"([^=:]*)[=:](.*)")  # split at the first delimiter
+
+
+def _read_sections(text: str) -> dict[str, dict[str, str]]:
+    """The sections of a problem file as ``{section: {key: value}}``, read in one pass.
+
+    The language is the module doc's.  ConfigError names the first line outside it.
+    """
+    sections: dict[str, dict[str, str]] = {}
+    current = None
+    for number, line in enumerate(text.splitlines(), start=1):
+        body = line.strip()
+        if not body or body[0] in "#;":
+            continue
+        if "#" in body:
+            body = _INLINE_COMMENT.split(body, 1)[0].rstrip()
+        if line[0].isspace():
+            why = "an indented line (a value does not continue on the next line)"
+        elif header := _SECTION.fullmatch(body):
+            if header[1] not in sections:
+                current = sections[header[1]] = {}
+                continue
+            why = f"repeated section [{header[1]}]"
+        elif body[0] == "[":
+            why = "expected a [section] header alone on its line"
+        elif current is None:
+            why = "text before the first [section]"
+        elif not (pair := _KEY_VALUE.fullmatch(body)) or not pair[1].strip():
+            why = "expected key = value or key: value"
+        elif (key := pair[1].strip().lower()) in current:
+            why = f"repeated key {key!r}"
+        else:
+            current[key] = pair[2].strip()
+            continue
+        raise ConfigError(f"unparseable config: line {number}: {why}: {line!r}")
+    return sections
+
+
 @dataclass(frozen=True)
 class ProblemConfig:
     """Parsed, normalized contents of a problem definition file (see ``from_text``)."""
@@ -147,14 +201,9 @@ class ProblemConfig:
     def from_text(cls, text: str, method: str | None = None) -> "ProblemConfig":
         """Parse a problem file; ``method``, if given, overrides ``[solver] method``
         before the file's rules are checked."""
-        cp = configparser.ConfigParser(interpolation=None)  # values are read literally
-        try:
-            cp.read_string(text)
-        except configparser.Error as exc:
-            raise ConfigError(f"unparseable config: {exc}") from exc
         known = {"grid", "orders", "problem", "rhs", "solver"}
         sections = {name: {} for name in known}  # a known section the file lacks is empty
-        sections.update((name, dict(cp.items(name, raw=True))) for name in cp.sections())
+        sections.update(_read_sections(text))
         unknown = set(sections) - known
         if unknown:
             raise ConfigError(f"unknown config sections: {sorted(unknown)}")

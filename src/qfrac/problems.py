@@ -13,8 +13,8 @@ a lattice point A > 0, so every operator evaluation is an exact finite sum):
   (lam * Gr)**2 * (x - A)^(2v+2d)_q.  The bundled problem carries such a
   seed value.
 
-Both rhs are elementwise over arrays of x and y; their x-only weights come from the
-scalar q-power bases, once per grid.
+Both rhs are elementwise over arrays of x and y; their x-only weights come from one
+array call of each q-power basis, once per grid.
 
 ``make_linear_problem`` builds the q-Mittag-Leffler-solvable linear case.
 """
@@ -29,7 +29,7 @@ import numpy as np
 from .errors import DomainError
 from .qcore import _LATTICE_RTOL, QParams, masked_power_basis, q_gamma, q_power_basis
 from .qfracops import FracOrders
-from .qgrid import _pointwise
+from .qgrid import _once_per_grid
 from .solver import CauchyProblem, LinearProblem
 
 __all__ = [
@@ -71,13 +71,14 @@ def make_example41(params: QParams, *, b: float = 1.0, anchor: float | None = No
     den_base = q ** (-2 * nu - dl) * A
     R = q_gamma(params, 1.0 - nu - dl) / q_gamma(params, 1.0 - 2.0 * nu - dl)
 
-    @_pointwise
-    def weight(x: float) -> float:
-        if x <= A * (1.0 + _LATTICE_RTOL):  # 0*inf limit of the weight at the anchor
-            return 0.0
-        num = q_power_basis(params, x, num_base, nu + dl)
-        den = q_power_basis(params, x, den_base, nu)
-        return lam * num / den
+    @_once_per_grid
+    def weight(x: np.ndarray) -> np.ndarray:
+        out = np.zeros(len(x))
+        above = x > A * (1.0 + _LATTICE_RTOL)  # at the anchor: the 0*inf limit, 0
+        xa = x[above]
+        out[above] = (lam * q_power_basis(params, xa, num_base, nu + dl)
+                      / q_power_basis(params, xa, den_base, nu))
+        return out
 
     def rhs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return weight(x) * y * y
@@ -107,13 +108,14 @@ def make_example42(params: QParams, *, b: float = 1.0, anchor: float | None = No
     Gr = q_gamma(params, nu + 2 * dl + 1.0) / q_gamma(params, 2 * nu + 2 * dl + 1.0)
     amp = (lam * Gr) ** 2
 
-    @_pointwise
-    def weight(x: float) -> float:
-        if x < A * (1.0 - _LATTICE_RTOL):
-            return 0.0
-        num = q_power_basis(params, x, A, 2 * nu + 2 * dl)
-        den = q_power_basis(params, x, den_base, nu)
-        return lam * max(num, 0.0) ** 0.5 / den
+    @_once_per_grid
+    def weight(x: np.ndarray) -> np.ndarray:
+        out = np.zeros(len(x))
+        kept = ~(x < A * (1.0 - _LATTICE_RTOL))
+        xk = x[kept]
+        num = np.maximum(q_power_basis(params, xk, A, 2 * nu + 2 * dl), 0.0)
+        out[kept] = lam * np.sqrt(num) / q_power_basis(params, xk, den_base, nu)
+        return out
 
     def rhs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return weight(x) * np.sqrt(np.maximum(y, 0.0))

@@ -124,7 +124,7 @@ def _capped_length(p: QParams, log_mag: float) -> int:
     _length_bound rounded up; NonConvergenceError when the tail after
     max_terms factors still exceeds eps_product.
     """
-    n = max(0, math.ceil(_length_bound(p, log_mag)))
+    n = math.ceil(max(_length_bound(p, log_mag), 0.0))  # 0 for log_mag = -inf
     if n > p.max_terms:
         n, lq = p.max_terms, math.log(p.q)
         head = _safe_exp(log_mag + n * lq)
@@ -159,7 +159,7 @@ def q_pochhammer_infinite(p: QParams, a: float | np.ndarray) -> float | np.ndarr
     return float(out) if a.ndim == 0 else out
 
 
-def _log_poch(p: QParams, a: float, s: float | np.ndarray) -> tuple:
+def _log_poch(p: QParams, a: float | np.ndarray, s: float | np.ndarray) -> tuple:
     """(sign, log|value|) of (a q**s; q)_inf; sign 0.0 marks an exact zero.
 
     Factor k is 1 - a q**(k+s) = 1 - sign(a) e**t_k with t_k = log|a| + (k+s) log q,
@@ -168,25 +168,45 @@ def _log_poch(p: QParams, a: float, s: float | np.ndarray) -> tuple:
     leading factors with t_k > 709, where e**t_k would overflow, have
     log|factor| = t_k to double precision; they are summed in closed form.
 
-    A 1-D array of shifts s gives one product per shift, as arrays of signs and
-    logs: row i of the factor array keeps the _capped_length its own shift
-    gives, and its factors past that length are exactly 1.  Every factor of
-    every row must be positive (a < 0, or a > 0 with a q**s < 1 on each row);
-    the overflowing head, zero and negative factors are served for a float s.
+    A 1-D array of shifts s, or of bases a (s a float), gives one product per
+    entry, as arrays of signs and logs: row i keeps the _capped_length its own
+    entry gives, and its factors past that length are exactly 1.  Every factor
+    of a row of shifts must be positive (a < 0, or a > 0 with a q**s < 1 on each
+    row), and the row is summed over the longest row.  A row of bases takes
+    zero and negative factors, and is summed over its own length from log|a|
+    formed as a float call forms it, so it carries the float call's bits.  The
+    bases share one sign; the overflowing head is served for a float a only.
     """
-    rows = isinstance(s, np.ndarray)
-    if a == 0.0:
+    bases = isinstance(a, np.ndarray)
+    rows = bases or isinstance(s, np.ndarray)
+    if not bases and a == 0.0:
         return (np.ones(len(s)), np.zeros(len(s))) if rows else (1.0, 0.0)
-    log_a, lq = math.log(abs(a)), math.log(p.q)
+    if bases:
+        if a.min(initial=0.0) < 0.0 < a.max(initial=0.0):
+            raise DomainError("array rows of (a q**s; q)_inf need bases of one sign")
+        negative = a.min(initial=0.0) < 0.0
+        # every factor amplifies a one-ulp change of log|a|; a = 0 is a product of 1
+        log_a = np.array([math.log(abs(v)) if v else -math.inf for v in a.tolist()])
+    else:
+        negative, log_a = a < 0.0, math.log(abs(a))
+    lq = math.log(p.q)
     head = log_a + s * lq
     if rows:
-        if np.any(head >= 0.0 if a > 0.0 else head > _EXP_SAFE):
-            raise DomainError(f"array rows of (a q**s; q)_inf need positive factors: a={a!r}")
+        if np.any(head > _EXP_SAFE if negative or bases else head >= 0.0):
+            need = "|a q**s| <= e**709" if bases else "positive factors"
+            raise DomainError(f"array rows of (a q**s; q)_inf need {need}: a={a!r}")
         # each row's _capped_length: its own bound, clipped at the largest row's length
-        top = _capped_length(p, float(head.max())) if len(s) else 0
+        top = _capped_length(p, float(head.max(initial=-math.inf)))
         n = np.clip(np.ceil(_length_bound(p, head)), 0, top).astype(int)
         k = np.arange(n.max(initial=0), dtype=float)
-        t = np.add.outer(s, k)
+        if bases:
+            t = np.add.outer(log_a, (k + s) * lq)
+        else:
+            t = np.add.outer(s, k)
+            t *= lq
+            t += log_a
+        t[k >= n[:, None]] = -math.inf  # a factor of exactly 1 past the row's length
+        sign = np.ones(len(head))
     else:
         if head > _EXP_SAFE:
             j = math.ceil((head - _EXP_SAFE) / -lq)
@@ -198,21 +218,30 @@ def _log_poch(p: QParams, a: float, s: float | np.ndarray) -> tuple:
             return 1.0, 0.0
         t = np.arange(n, dtype=float)
         t += s
-    t *= lq
-    t += log_a
-    if rows:
-        t[k >= n[:, None]] = -math.inf  # a factor of exactly 1 past the row's length
-    sign = 1.0
-    if a < 0.0:
-        log = np.log1p(np.exp(t, out=t), out=t).sum(axis=-1)
+        t *= lq
+        t += log_a
+        sign = 1.0
+    # t falls with k, so only a > 0 with a q**s >= 1 leads to factors <= 0
+    if not negative and (head.max(initial=-math.inf) if rows else head) >= 0.0:
+        if rows:  # of bases
+            sign[np.count_nonzero(t > 0.0, axis=1) % 2 == 1] = -1.0
+            sign[(t == 0.0).any(axis=1)] = 0.0
+            t[sign == 0.0] = -math.inf  # summed as a product of 1; its log is set below
+        elif not t.all():
+            return 0.0, -math.inf
+        elif head > 0.0 and np.count_nonzero(t > 0.0) % 2:
+            sign = -1.0
+    if negative:
+        np.log1p(np.exp(t, out=t), out=t)
     else:
-        # t falls with k, so only a q**s >= 1 leads to factors <= 0
-        if not rows and head >= 0.0:
-            if not t.all():
-                return 0.0, -math.inf
-            sign = -1.0 if head > 0.0 and np.count_nonzero(t > 0.0) % 2 else 1.0
-        log = np.log(np.abs(np.expm1(t, out=t), out=t), out=t).sum(axis=-1)
-    return (np.ones(len(s)), log) if rows else (sign, float(log))
+        np.log(np.abs(np.expm1(t, out=t), out=t), out=t)
+    if not rows:  # np.sum's pairwise sum, without its wrapper
+        return sign, float(np.add.reduce(t))
+    if not bases:
+        return sign, np.add.reduce(t, axis=-1)
+    log = np.array([np.add.reduce(row[:m]) for row, m in zip(t, n.tolist())], dtype=float)
+    log[sign == 0.0] = -math.inf
+    return sign, log
 
 
 @lru_cache(maxsize=512)
@@ -221,22 +250,38 @@ def _log_euler(q: float, eps_product: float, max_terms: int) -> float:
     return _log_poch(QParams(q, eps_product=eps_product, max_terms=max_terms), 1.0, 1.0)[1]
 
 
-def q_pochhammer_fractional(p: QParams, a: float, alpha: float) -> float:
+def q_pochhammer_fractional(p: QParams, a: float | np.ndarray,
+                            alpha: float) -> float | np.ndarray:
     """q-shifted factorial of real order: (a; q)_alpha = (a;q)_inf / (a q**alpha; q)_inf.
 
     Raises PoleError when a denominator factor vanishes, i.e. when
     a q**(alpha + k) = 1 for some integer k >= 0.  Computed as a ratio in
     log space, which stays finite even where the individual products leave
-    double range.
+    double range.  A 1-D array of a gives one value per entry from one row of
+    the product kernel each; PoleError names the first entry on a pole.
     """
     s_den, l_den = _log_poch(p, a, alpha)
     # factor 1 - shifted * q**k vanishes iff shifted = q**(-k) for some k >= 0,
     # i.e. log_q(shifted) is a nonpositive integer (window-based)
     shifted = p.q**alpha * a
-    t = math.log(shifted) / math.log(p.q) if shifted > 0.0 else 1.0
-    if s_den == 0.0 or (t < _RATIO_POLE_WINDOW and abs(t - round(t)) < _RATIO_POLE_WINDOW):
-        raise PoleError(f"(a;q)_alpha pole: a={a!r}, alpha={alpha!r} puts a q**alpha on q**(-k)")
+    array = isinstance(a, np.ndarray)
+    if array:
+        with np.errstate(divide="ignore", invalid="ignore"):  # shifted <= 0: no pole
+            t = np.log(shifted) / math.log(p.q)
+            pole = (s_den == 0.0) | ((t < _RATIO_POLE_WINDOW)
+                                     & (np.abs(t - np.round(t)) < _RATIO_POLE_WINDOW))
+        on_pole = float(a[pole][0]) if pole.any() else None
+    else:
+        t = math.log(shifted) / math.log(p.q) if shifted > 0.0 else 1.0
+        on_pole = a if s_den == 0.0 or (t < _RATIO_POLE_WINDOW
+                                        and abs(t - round(t)) < _RATIO_POLE_WINDOW) else None
+    if on_pole is not None:
+        raise PoleError(f"(a;q)_alpha pole: a={on_pole!r}, alpha={alpha!r} puts a q**alpha "
+                        "on q**(-k)")
     s_num, l_num = _log_poch(p, a, 0.0)
+    if array:
+        with np.errstate(over="ignore"):  # past double range: inf, as _safe_exp gives it
+            return np.where(s_num == 0.0, 0.0, s_num * s_den * np.exp(l_num - l_den))
     if s_num == 0.0:
         return 0.0
     return s_num * s_den * _safe_exp(l_num - l_den)
@@ -256,29 +301,47 @@ def q_gamma(p: QParams, x: float) -> float:
     return s_den * _safe_exp(l_num - l_den + (1.0 - x) * math.log(1.0 - p.q))
 
 
-def q_power_basis(p: QParams, x: float, a: float, alpha: float) -> float:
+def q_power_basis(p: QParams, x: float | np.ndarray, a: float,
+                  alpha: float) -> float | np.ndarray:
     """q-power basis (x - a)^alpha_q = x**alpha * (a/x; q)_alpha.
 
     For nonnegative integer alpha this telescopes to the exact finite
     product prod_{k<alpha} (x - a q**k), valid for any real x.  Otherwise
     x must be positive and the ratio form is used; the singular limit
     x -> a from above of negative orders surfaces as a large finite value.
+    A 1-D array of x gives one value per entry through one array call of each
+    product; an entry differs from the float call only by the last rounding of
+    numpy's power and exp.
     """
+    array = isinstance(x, np.ndarray)
     r = round(alpha)
     if abs(alpha - r) < _INT_WINDOW and r >= 0:
-        if r == 0:
+        if r == 0 and not array:
             return 1.0
         with np.errstate(over="ignore"):  # past double range: inf, for the caller to name
-            return float(np.prod(x - a * p.q ** np.arange(r)))
-    if x <= 0.0:
+            value = np.prod((x[:, None] if array else x) - a * p.q ** np.arange(r), axis=-1)
+        return value if array else float(value)
+    low = x.min(initial=math.inf) if array else x
+    if low <= 0.0:
         raise DomainError(
-            f"q-power basis with non-integer order {alpha!r} needs x > 0, got {x!r}"
+            f"q-power basis with non-integer order {alpha!r} needs x > 0, got {float(low)!r}"
         )
-    return x**alpha * q_pochhammer_fractional(p, a / x, alpha)
+    poch = q_pochhammer_fractional(p, a / x, alpha)
+    if array:
+        with np.errstate(over="ignore"):  # past double range: inf, for the caller to name
+            return x**alpha * poch
+    return x**alpha * poch
 
 
-def masked_power_basis(p: QParams, x: float, base: float, alpha: float) -> float:
-    """(x - base)^alpha_q, but 0 below a positive base (relative tolerance _LATTICE_RTOL)."""
+def masked_power_basis(p: QParams, x: float | np.ndarray, base: float,
+                       alpha: float) -> float | np.ndarray:
+    """(x - base)^alpha_q, but 0 below a positive base (relative tolerance _LATTICE_RTOL);
+    a 1-D array of x gives one value per entry, as q_power_basis does."""
+    if isinstance(x, np.ndarray):
+        out = np.zeros(len(x))
+        kept = ~(x < base * (1.0 - _LATTICE_RTOL)) if base > 0.0 else np.ones(len(x), bool)
+        out[kept] = q_power_basis(p, x[kept], base, alpha)
+        return out
     if base > 0.0 and x < base * (1.0 - _LATTICE_RTOL):
         return 0.0
     return q_power_basis(p, x, base, alpha)

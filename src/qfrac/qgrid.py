@@ -296,13 +296,13 @@ def _value_at(f: Callable[[float], float], x: float) -> float:
         return math.inf
 
 
-def _pointwise(f: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
-    """f applied to each element of an array of x, reused while the same read-only array
-    comes back.
+def _once_per_grid(values_of: Callable[[np.ndarray], np.ndarray]
+                   ) -> Callable[[np.ndarray], np.ndarray]:
+    """values_of on an array of x, reused while the same read-only array comes back.
 
     The solvers pass the grid's read-only ``points`` on every sweep, so an x-only factor
-    of a right-hand side is computed once per grid.  f is called on Python floats, so the
-    values carry the bits of the scalar f; an overflow reads as inf, as in ``sample``.
+    of a right-hand side is formed once per grid.  values_of takes the x as one flat
+    float array and gives a value per entry; the result has the shape of x.
     """
     last: tuple = (None, None)
 
@@ -312,13 +312,22 @@ def _pointwise(f: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray
         if x is seen and not x.flags.writeable:
             return vals
         xs = np.asarray(x, dtype=float)
-        vals = np.array([_value_at(f, t) for t in xs.ravel().tolist()]).reshape(xs.shape)
+        vals = np.asarray(values_of(xs.ravel()), dtype=float).reshape(xs.shape)
         vals.setflags(write=False)
         if isinstance(x, np.ndarray) and not x.flags.writeable:
             last = (x, vals)
         return vals
 
     return values
+
+
+def _pointwise(f: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
+    """f applied to each element of an array of x, once per grid (``_once_per_grid``).
+
+    f is called on Python floats, so the values carry the bits of the scalar f; an
+    overflow reads as inf, as in ``sample``.
+    """
+    return _once_per_grid(lambda xs: [_value_at(f, t) for t in xs.tolist()])
 
 
 def q_derivative(u: GridFunction) -> GridFunction:

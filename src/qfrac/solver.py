@@ -467,7 +467,7 @@ def picard_solve(p: CauchyProblem, g: LatticeGrid, tol: float = 1e-10,
                         diagnostics={"upper_index": upper, "omega": omega,
                                      "last_increment": d, "tol": tol},
                     )
-                f_b[...] = _call_rhs(p, g.points, y)[act]  # all of x: _pointwise caches it
+                f_b[...] = _call_rhs(p, g.points, y)[act]  # all of x: _once_per_grid caches it
             frozen_hi = upper
 
     sol_gf = GridFunction(g, y, domain_stop=y0.domain_stop)

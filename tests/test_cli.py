@@ -1,6 +1,7 @@
 """CLI subcommands, config files, CSV emission, and exit codes."""
 
 import argparse
+import configparser
 import dataclasses
 import io
 import subprocess
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qfrac import cli
 from qfrac.cli import ProblemConfig, _refuse_cancelled, main, parse_fn_spec
 from qfrac.errors import ConfigError
 from qfrac.qcore import QParams, q_gamma
@@ -424,6 +426,26 @@ class TestOutsideInputFailures:
                              "forcing = const:5%")), 2, "'const:5%'"),
         "interpolation-reference": (SOLVE, _edit(LINEAR_INI, ("b = 1.0", "b = %(q)s")), 2,
                                     "[grid] b"),
+        # outside the problem-file language: one line naming the line number
+        "text-before-first-section": (SOLVE, "q = 0.5\n" + LINEAR_INI, 2,
+                                      "unparseable config: line 1: text before the first "
+                                      "[section]: 'q = 0.5'"),
+        "line-without-delimiter": (SOLVE, _edit(LINEAR_INI, ("b = 1.0", "b 1.0")), 2,
+                                   "unparseable config: line 9: expected key = value or "
+                                   "key: value: 'b 1.0'"),
+        "indented-continuation": (SOLVE, _edit(LINEAR_INI, ("forcing = const:1",
+                                  "forcing = const:1\n    x^2")), 2,
+                                  "unparseable config: line 27: an indented line"),
+        "header-with-trailing-text": (SOLVE, _edit(LINEAR_INI, ("[orders]", "[orders] n")), 2,
+                                      "unparseable config: line 12: expected a [section] "
+                                      "header alone on its line: '[orders] n'"),
+        "repeated-section": (SOLVE, LINEAR_INI + "\n[grid]\n", 2,
+                             "unparseable config: line 34: repeated section [grid]: '[grid]'"),
+        "repeated-key": (SOLVE, _edit(LINEAR_INI, ("b = 1.0", "b = 1.0\nB: 2.0")), 2,
+                         "unparseable config: line 10: repeated key 'b': 'B: 2.0'"),
+        # configparser merged [DEFAULT] into every section; now it is one more section
+        "default-section": (SOLVE, "[DEFAULT]\n" + LINEAR_INI, 2,
+                            "unknown config sections: ['DEFAULT']"),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -623,6 +645,76 @@ class TestProblemConfig:
         cfg = ProblemConfig.from_text(text)
         prob = cfg.build_cauchy()
         assert prob.rhs(2.0, 3.0) == pytest.approx(1.0 + 0.5 * 2.0 * 3.0)
+
+
+def _configparser_sections(text):
+    """The sections configparser reads, values literal: the former reader of problem files."""
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read_string(text)
+    return {name: dict(cp.items(name, raw=True)) for name in cp.sections()}
+
+
+class TestProblemFileReader:
+    """The one-pass reader against configparser, on files in the language both accept."""
+
+    BASES = {
+        "linear": TestOutsideInputFailures.LINEAR_INI,
+        "example42": TestOutsideInputFailures.EXAMPLE42_INI,
+        "polynomial": TestProblemConfig.POLYNOMIAL,
+        "seeded": _edit(CONFIG_LINEAR, ("method = picard",
+                                        "method = picard\npicard_seed = const:1.5")),
+    }
+    DELIMITERS = ("=", ":", " = ", " : ", "= ", " =", "\t=\t", ":  ")
+    COMMENTS = ("", "# a comment", "; a comment", "#", "    # indented comment",
+                "\t; indented comment", "# key = value [x]")
+    # % and : inside values, and a # that follows no whitespace, are value text
+    SEEDS = ("const:1.5", "const:5%", "x^1#1", "50%:x")
+
+    @classmethod
+    def _restyled(cls, text, rng):
+        """text's sections in a random order, with mixed-case keys, both delimiters and
+        blank and comment lines between them."""
+        def filler():
+            return "\n".join(str(rng.choice(cls.COMMENTS)) for _ in range(rng.integers(0, 3)))
+
+        sections = list(_configparser_sections(text).items())
+        rng.shuffle(sections)
+        lines = [filler()]
+        for name, items in sections:
+            lines.append(f"[{name}]")
+            for key, value in items.items():
+                if key == "picard_seed":
+                    value = str(rng.choice(cls.SEEDS))
+                key = "".join(c.upper() if rng.random() < 0.4 else c for c in key)
+                lines += [f"{key}{rng.choice(cls.DELIMITERS)}{value}", filler()]
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("base", BASES)
+    def test_same_sections_and_config_as_configparser(self, base, monkeypatch):
+        rng = np.random.default_rng(list(self.BASES).index(base))
+        for _ in range(40):
+            text = self._restyled(self.BASES[base], rng)
+            assert cli._read_sections(text) == _configparser_sections(text), text
+            ours = ProblemConfig.from_text(text)
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "_read_sections", _configparser_sections)
+                assert ProblemConfig.from_text(text) == ours, text
+
+    def test_inline_comments_are_stripped(self):
+        text = _edit(CONFIG_LINEAR, ("[grid]", "[grid]   # the lattice"),
+                     ("q = 0.5", "q = 0.5\t# base"), ("forcing = const:1", "forcing = const:1 #"))
+        assert ProblemConfig.from_text(text) == ProblemConfig.from_text(CONFIG_LINEAR)
+
+    def test_readme_problem_file_solves(self, tmp_path, capsys):
+        readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Problem configuration files", 1)[1]
+        block = section.split("```ini\n", 1)[1].split("```", 1)[0]
+        assert "#" in block.split("xi =", 1)[1].splitlines()[0]  # it uses inline comments
+        (tmp_path / "readme.ini").write_text(block, encoding="utf-8")
+        code = main(["solve", "--config", str(tmp_path / "readme.ini"),
+                     "--out", str(tmp_path / "s")])
+        assert "status=ok" in capsys.readouterr().out
+        assert code == 0
 
 
 class TestArrayRhs:

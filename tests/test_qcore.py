@@ -13,6 +13,7 @@ from qfrac.qcore import (
     QParams,
     _capped_length,
     _log_poch,
+    masked_power_basis,
     q_factorial,
     q_gamma,
     q_number,
@@ -153,6 +154,72 @@ class TestLogPochRows:
         p = QParams(0.9999, max_terms=50)
         with pytest.raises(NonConvergenceError):
             _log_poch(p, 0.5, np.array([3.0, 0.5]))
+
+
+class TestLogPochRowsOfBases:
+    """The product kernel on a 1-D array of bases a: each row carries the float call's bits."""
+
+    @pytest.mark.parametrize("p", [P3, P5, P9, QParams(0.98)])
+    @pytest.mark.parametrize("s", [0.0, 0.7, -0.6])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_rows_equal_float_calls(self, p, s, sign):
+        # a > 1 gives negative factors, a = 1 at s = 0 a zero one, a = 0 a product of 1
+        a = sign * np.concatenate([p.q ** np.arange(-3.0, 80.0, 0.37), [1.0, 0.0, 1e-300]])
+        got_sign, got_log = _log_poch(p, a, s)
+        want = [_log_poch(p, float(v), s) for v in a]
+        assert got_sign.tolist() == [w[0] for w in want]
+        assert got_log.tolist() == [w[1] for w in want]
+        assert -1.0 in got_sign.tolist() or sign < 0.0 or s == 0.7
+
+    def test_empty_and_all_zero_bases(self):
+        sign, log = _log_poch(P5, np.array([]), 0.5)
+        assert sign.shape == log.shape == (0,)
+        sign, log = _log_poch(P5, np.zeros(3), 0.5)
+        assert sign.tolist() == [1.0] * 3 and log.tolist() == [0.0] * 3
+
+    @pytest.mark.parametrize("a, need", [([0.5, -0.5], "one sign"),
+                                         ([1e308, 0.5], r"\|a q\*\*s\| <= e\*\*709")])
+    def test_mixed_signs_and_overflowing_head_refused(self, a, need):
+        # the overflowing head is served for a float base only
+        with pytest.raises(DomainError, match=need):
+            _log_poch(P5, np.array(a), -2000.0 if a[0] > 1.0 else 0.0)
+
+
+class TestPowerBasisOnArrays:
+    """An array of x through one array call of each product, within 4 ulp of the floats."""
+
+    @staticmethod
+    def _within_4_ulp(got, want):
+        assert np.array_equal(got == 0.0, want == 0.0)
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
+
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.9, 0.98])
+    @pytest.mark.parametrize("alpha", [-0.6, 0.3, 1.4, 2.0])
+    @pytest.mark.parametrize("offset", [0.0, 0.37], ids=["on-lattice", "off-lattice"])
+    def test_entries_match_float_calls(self, q, alpha, offset):
+        p = QParams(q)
+        depth = {0.3: 40, 0.5: 60, 0.9: 250, 0.98: 1200}[q]
+        x = q ** np.arange(depth + 1.0)
+        m = depth // 3
+        base = float(x[m]) * q**offset
+        got = q_power_basis(p, x, base, alpha)
+        self._within_4_ulp(got, np.array([q_power_basis(p, float(v), base, alpha) for v in x]))
+        masked = masked_power_basis(p, x, base, alpha)
+        want = np.array([masked_power_basis(p, float(v), base, alpha) for v in x])
+        self._within_4_ulp(masked, want)
+        # at and below the base the masked basis is 0; above it, the plain one
+        assert np.all(masked[x <= base] == 0.0) and np.array_equal(masked[:m], got[:m])
+
+    def test_order_zero_and_origin_base(self):
+        x = 0.5 ** np.arange(5.0)
+        assert q_power_basis(P5, x, 0.3, 0.0).tolist() == [1.0] * 5
+        assert masked_power_basis(P5, x, 0.0, 0.5).tolist() == (x**0.5).tolist()
+
+    def test_pole_and_nonpositive_x_name_an_entry(self):
+        with pytest.raises(PoleError, match="a=2.0"):
+            q_pochhammer_fractional(P5, np.array([0.25, 2.0]), -1.0)
+        with pytest.raises(DomainError, match="needs x > 0, got -1.0"):
+            q_power_basis(P5, np.array([0.5, -1.0]), 0.25, 0.5)
 
 
 class TestPochhammerFractional:

@@ -1047,7 +1047,40 @@ def _divides_by_zero(rhs):
     return wrapped
 
 
+def _example_weight(kind, p, A, lam, delta, orders, x):
+    """The x-only weight of example41/42's rhs at one point, by scalar q-power bases."""
+    q, nu, dl = p.q, orders.nu, delta
+    if kind == "example41":
+        if x <= A * (1.0 + 1e-12):
+            return 0.0
+        return (lam * q_power_basis(p, x, q ** (-nu - dl) * A, nu + dl)
+                / q_power_basis(p, x, q ** (-2 * nu - dl) * A, nu))
+    if x < A * (1.0 - 1e-12):
+        return 0.0
+    num = q_power_basis(p, x, A, 2 * nu + 2 * dl)
+    return lam * max(num, 0.0) ** 0.5 / q_power_basis(p, x, q ** (nu + 2 * dl) * A, nu)
+
+
 class TestBundledProblems:
+    # (q, depth, anchor index or None for the maker's default b q**10 / b q**20)
+    WEIGHT_GRIDS = [(0.5, 40, None), (0.3, 30, 12), (0.7, 80, None), (0.9, 300, 100),
+                    (0.98, 1500, 600)]
+
+    @pytest.mark.parametrize("q, depth, m_a", WEIGHT_GRIDS)
+    @pytest.mark.parametrize("kind", ["example41", "example42"])
+    def test_weights_within_4_ulp_of_per_point_formula(self, kind, q, depth, m_a):
+        # one array call of each q-power basis per grid; y = 1 leaves the weight alone
+        p, orders, lam, delta = QParams(q), FracOrders(0.38, 0.22, 0.45, 1), 1.3, 0.15
+        g = LatticeGrid(b=1.0, depth=depth, params=p)
+        maker = make_example41 if kind == "example41" else make_example42
+        bp = maker(p, anchor=None if m_a is None else g.point(m_a), lam=lam, delta=delta,
+                   orders=orders)
+        got = bp.problem.rhs(g.points, np.ones(depth + 1))
+        want = np.array([_example_weight(kind, p, bp.problem.a, lam, delta, orders, x)
+                         for x in g.points.tolist()])
+        assert np.array_equal(got == 0.0, want == 0.0) and np.count_nonzero(want) > 5
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
+
     def test_singular_example_operator_identity(self):
         p = QParams(0.5)
         bp = make_example41(p)
