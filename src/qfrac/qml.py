@@ -109,9 +109,10 @@ def _ml_series(p: QParams, alpha: float, beta: float, lam: float,
     While alpha k + beta is within the pole window of 0 or below it, where G_q
     is not log-convex and rho_k is infinite, each block is one term formed
     afresh by one product-kernel call (0 on a pole of G_q).  From there on,
-    block lengths double from 8; a block of C terms takes its gamma ratios
-    G_q(y_k)/G_q(y_k+alpha) from one array call over y_k = alpha k + beta for
-    k0..k0+C, row k+1 serving as term k's numerator and term k+1's
+    block lengths double from 8, or follow the caller's sent estimate of the
+    terms still needed where that is shorter; a block of C terms takes its gamma
+    ratios G_q(y_k)/G_q(y_k+alpha) from one array call over y_k = alpha k + beta
+    for k0..k0+C, row k+1 serving as term k's numerator and term k+1's
     denominator, and only the first block forms its first term afresh.
     DomainError names the first term past double range; NonConvergenceError
     when the caller asks for more than max_terms terms.
@@ -129,12 +130,12 @@ def _ml_series(p: QParams, alpha: float, beta: float, lam: float,
     width = min(p.max_terms, max(1, math.ceil(_length_bound(p, 0.0))))
     most = max(1, _BLOCK_ENTRIES // width - 1)
     step = alpha * math.log(1.0 - p.q)
-    size = 8
+    size, want, first = 8, None, True
     while k < p.max_terms:
-        n = min(size, most, p.max_terms - k)
+        n = min(size, want or size, most, p.max_terms - k)
         _, lg = _log_poch(p, 1.0, alpha * np.arange(k, k + n + 1) + beta)
         v = np.empty(n + 1)
-        v[0] = t if size > 8 else _fresh_term(p, alpha, beta, z, k, 1.0, float(lg[0]))
+        v[0] = _fresh_term(p, alpha, beta, z, k, 1.0, float(lg[0])) if first else t
         with np.errstate(over="ignore", invalid="ignore"):  # named just below
             np.exp(lg[1:] - lg[:-1] + step, out=v[1:])
             v[1:] *= z  # z G_q(y_k)/G_q(y_k + alpha), the ratio of term k+1 to term k
@@ -142,8 +143,8 @@ def _ml_series(p: QParams, alpha: float, beta: float, lam: float,
             np.cumprod(v, out=v)
         if not np.isfinite(v[:n]).all():  # v[n] is the next block's to check
             raise _past_range(alpha, beta, f"term {k + int(np.flatnonzero(~np.isfinite(v))[0])}")
-        yield k, v[:n], rhos
-        t, rho = float(v[n]), float(rhos[-1])
+        want = yield k, v[:n], rhos
+        t, rho, first = float(v[n]), float(rhos[-1]), False
         k += n
         size *= 2
     raise NonConvergenceError(
@@ -173,7 +174,10 @@ def ml_terms(spec: MLSpec, x: float, a: float = 0.0) -> tuple[float, list[float]
     l_c = _log_poch(p, c, 0.0)[1] if 0.0 < c < 1.0 else 0.0  # log (c; q)_inf
     total = 0.0
     terms: list[float] = []
-    for k0, t, rho in _ml_series(p, spec.alpha, spec.beta, spec.lam, x):
+    series = _ml_series(p, spec.alpha, spec.beta, spec.lam, x)
+    block = next(series)
+    while True:
+        k0, t, rho = block
         if c == 1.0:
             t = np.where(np.arange(k0, k0 + len(t)) == 0, t, 0.0)
         elif c != 0.0:
@@ -194,8 +198,14 @@ def ml_terms(spec: MLSpec, x: float, a: float = 0.0) -> tuple[float, list[float]
         terms.extend(t[:n].tolist())
         total = float(acc[n - 1])
         if stop.size:
-            break
-    return total, terms
+            return total, terms
+        # the next block: the fewest j with |t_k| rho**j rho/(1 - rho) <= eps_series |sum|
+        # for the last term k (the terms fall at least by rho from there), plus 2
+        # (the stop failed there, so |t_k| rho > 0)
+        last, r = abs(float(t[-1])), float(rho[-1])
+        bound = p.eps_series * abs(total) * (1.0 - r) / (last * r) if 0.0 < r < 1.0 else 0.0
+        block = series.send(max(math.ceil(math.log(bound) / math.log(r)), 0) + 2
+                            if bound > 0.0 else None)
 
 
 def ml_eval(spec: MLSpec, x: float, a: float = 0.0) -> float:

@@ -55,6 +55,7 @@ from .qcore import _INT_WINDOW, _LATTICE_RTOL, QParams, q_gamma, q_power_basis
 from .qfracops import (
     FracOrders,
     _integral_table,
+    _kernel_weights,
     _lattice_solve,
     _lattice_sums,
     hilfer_derivative,
@@ -275,7 +276,10 @@ def _lattice_power(g: LatticeGrid, m_base: int | None, s: float) -> np.ndarray:
     if m_base is None:
         return g.points**s
     out = np.zeros(g.depth + 1)
-    out[:m_base] = g.points[:m_base] ** s * _integral_table(g, s + 1.0)[0][:m_base][::-1]
+    if m_base:  # a table of m_base weights is the full table's prefix, bit for bit
+        p = g.params
+        w = _kernel_weights(p.q, p.eps_product, p.max_terms, s + 1.0, g.b, m_base)[0]
+        out[:m_base] = g.points[:m_base] ** s * w[::-1]
     out[m_base:m_base + 1] = 1.0 if abs(s) < _INT_WINDOW else 0.0
     return out
 

@@ -1,13 +1,14 @@
 """Scalar q-special functions: frozen examples and algebraic properties."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfrac import qml
+from qfrac import qcore, qfracops, qml
 from qfrac.errors import DomainError, NonConvergenceError, PoleError
 from qfrac.qcore import (
     QParams,
@@ -26,6 +27,24 @@ from qfrac.qcore import (
 P5 = QParams(0.5)
 P3 = QParams(0.3)
 P9 = QParams(0.9)
+
+
+def log_sum(q: float, a: float, s: float, digits: int = 40) -> tuple[float, float]:
+    """(sign, log|value|) of (a q**s; q)_inf as a product of its factors in decimal arithmetic.
+
+    Every factor is multiplied out, to within 1e-22 of the log, at `digits` + 5
+    significant digits: an oracle independent of the kernel's truncation rules.
+    """
+    with localcontext() as ctx:
+        ctx.prec = digits + 5
+        qd = Decimal(q)
+        z = Decimal(a) * qd ** Decimal(s)
+        stop = Decimal("1e-22") * (1 - qd)
+        prod = Decimal(1)
+        while abs(z) > stop:
+            prod *= 1 - z
+            z *= qd
+        return (1.0 if prod > 0 else -1.0), float(abs(prod).ln())
 
 
 def brute_poch(a: float, q: float, n: int) -> float:
@@ -183,6 +202,101 @@ class TestLogPochRowsOfBases:
         # the overflowing head is served for a float base only
         with pytest.raises(DomainError, match=need):
             _log_poch(P5, np.array(a), -2000.0 if a[0] > 1.0 else 0.0)
+
+
+class TestEulerTail:
+    """Long products: K factors above 1/2 multiplied out, the rest by Euler's series."""
+
+    @pytest.mark.parametrize("q, eps", [(0.9, 1e-15), (0.98, 1e-15), (0.995, 1e-15),
+                                        (0.999, 1e-15), (0.9999, 1e-9)])
+    @pytest.mark.parametrize("a", [1.0, 0.7, 0.3, -0.5, -2.0])
+    def test_against_log_sums(self, q, eps, a, monkeypatch):
+        # every float call takes the tail; a = 1 at s = -0.4 leads with a negative factor
+        monkeypatch.setattr(qcore, "_TAIL_MIN", 0)
+        p = QParams(q, eps_product=eps, max_terms=100_000)  # a = -2 at q 0.9999: K = 13863
+        for s in [1.5] if q == 0.9999 else [-0.4, 0.37, 2.5]:
+            sign, log = _log_poch(p, a, s)
+            want_sign, want = log_sum(q, a, s)
+            assert sign == want_sign
+            assert abs(log - want) <= 1e-15 * max(1.0, abs(want)), (s, log, want)
+
+    @pytest.mark.parametrize("q", [0.98, 0.995, 0.999])
+    @pytest.mark.parametrize("s", [0.0, 0.7, -0.6])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_rows_of_bases_equal_float_calls(self, q, s, sign):
+        # rows on both sides of _TAIL_MIN in one call; a > 1 leads with negative factors
+        p = QParams(q)
+        a = sign * np.concatenate([np.geomspace(1e-40, 3.0, 60), [1.0, 0.0]])
+        lengths = [math.ceil(max(qcore._length_bound(p, math.log(abs(v)) + s * math.log(q)),
+                                 0.0)) if v else 0 for v in a]
+        assert min(lengths) <= qcore._TAIL_MIN < max(lengths)
+        got_sign, got_log = _log_poch(p, a, s)
+        want = [_log_poch(p, float(v), s) for v in a]
+        assert got_sign.tolist() == [w[0] for w in want]
+        assert got_log.tolist() == [w[1] for w in want]
+
+    @pytest.mark.parametrize("q", [0.98, 0.995, 0.999])
+    @pytest.mark.parametrize("a", [1.0, 0.3, -0.5, -2.0])
+    def test_rows_of_shifts_match_float_calls(self, q, a):
+        # both on the tail: they differ in the order of summation only
+        p = QParams(q)
+        s = np.concatenate([0.41 * np.arange(1, 30), [3.0 / (1.0 - q)]])
+        _, log = _log_poch(p, a, s)
+        want = np.array([_log_poch(p, a, float(v))[1] for v in s])
+        assert np.all(np.abs(log - want) <= 1e-15 * np.maximum(1.0, np.abs(want)))
+
+    @pytest.mark.parametrize("a", [1.0, 0.3, -0.5, -2.0])
+    def test_rows_of_shifts_past_their_switch_against_log_sums(self, a):
+        # at q 0.9 the float calls stay direct, whose dropped tail reaches eps_product
+        p = QParams(0.9)
+        s = np.array([0.41, 2.87, 7.0, 30.0])
+        _, log = _log_poch(p, a, s)
+        want = np.array([log_sum(0.9, a, float(v))[1] for v in s])
+        assert np.all(np.abs(log - want) <= 1e-15 * np.maximum(1.0, np.abs(want)))
+
+    @pytest.mark.parametrize("switch, q", [("_TAIL_MIN", 0.963), ("_TAIL_MIN_ROWS", 0.836)])
+    @pytest.mark.parametrize("a", [1.0, -2.0])
+    def test_float_calls_and_rows_agree_across_each_switch(self, switch, q, a):
+        # shifts that put the direct length at the switch and one factor past it; q is
+        # chosen so that both sit near s = 0, where |log| is a few units or more
+        p, n = QParams(q), getattr(qcore, switch)
+        bound = qcore._length_bound(p, math.log(abs(a)))  # the direct length at s = 0, unrounded
+        s = np.array([bound - n + 0.5, bound - n - 0.5])
+        assert [math.ceil(qcore._length_bound(p, math.log(abs(a)) + v * math.log(q)))
+                for v in s] == [n, n + 1]
+        _, rows = _log_poch(p, a, s)
+        _, bases = _log_poch(p, np.full(2, a), float(s[0]))
+        floats = np.array([_log_poch(p, a, float(v))[1] for v in s])
+        assert bases[0] == floats[0]
+        assert np.all(np.abs(rows - floats) <= 1e-15 * np.maximum(1.0, np.abs(floats)))
+
+    @pytest.mark.parametrize("max_terms, a, s", [
+        (50, 0.5, 0.0),  # K = 0, about 60 terms of the series
+        (1000, 1.0, 0.001),  # about 6900 factors above 1/2
+    ])
+    def test_max_terms_caps_factors_and_terms_in_every_call_shape(self, max_terms, a, s):
+        p = QParams(0.9999, max_terms=max_terms)
+        with pytest.raises(NonConvergenceError, match=f"past max_terms={max_terms}"):
+            _log_poch(p, a, s)
+        with pytest.raises(NonConvergenceError, match=f"past max_terms={max_terms}"):
+            _log_poch(p, a, np.array([s, s + 3.0]))
+        with pytest.raises(NonConvergenceError, match=f"past max_terms={max_terms}"):
+            _log_poch(p, np.array([a, 0.5 * a]), s)
+
+    @pytest.mark.parametrize("q", [0.998, 0.999])
+    @pytest.mark.parametrize("alpha", [0.6, 1.7])
+    def test_kernel_weights_near_one_against_log_sums(self, q, alpha):
+        # at M = 20000 the direct products need more than the default 10000 factors
+        depth = 20_000
+        w, pref = qfracops._kernel_weights(q, 1e-15, 10_000, alpha, 1.0, depth + 1)
+
+        def ratio(s_num, s_den):  # (q**s_num; q)_inf / (q**s_den; q)_inf
+            return math.exp(log_sum(q, 1.0, s_num, 30)[1] - log_sum(q, 1.0, s_den, 30)[1])
+
+        for j in (0, 1, 500, depth):
+            assert w[j] == pytest.approx(ratio(j + 1.0, j + alpha), rel=1e-12, abs=0.0), j
+        want = (1.0 - q) ** alpha * ratio(alpha, 1.0)  # (1-q)/G_q(alpha) at x = b = 1
+        assert pref[0] == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestPowerBasisOnArrays:

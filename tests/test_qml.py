@@ -105,6 +105,28 @@ class TestBlockSeries:
         _, terms = ml_terms(spec, x)
         assert blocks[:2] == [8, 16] and len(terms) > sum(blocks[:3])
 
+    @pytest.mark.parametrize("q, r, a", [(0.5, 0.98, 0.0), (0.5, -0.9, 0.0), (0.9, 0.95, 0.0),
+                                         (0.5, 0.9, 0.8 * 0.5**2)])
+    def test_blocks_sized_by_the_stop_rule(self, q, r, a, monkeypatch):
+        # after a block, ml_terms asks for the terms its tail bound predicts plus 2, so the
+        # last block ends at most 2 terms past the stop (plain doubling formed 2040 for 1370
+        # at q 0.5, r 0.98); no block is longer than the doubling gives
+        lengths, series = [], qml._ml_series
+
+        def recording(*args):
+            blocks = series(*args)
+            block = next(blocks)
+            while True:
+                lengths.append(len(block[1]))
+                block = blocks.send((yield block))
+
+        monkeypatch.setattr(qml, "_ml_series", recording)
+        spec = _spec(q, r)
+        _, terms = ml_terms(spec, 0.8, a)
+        assert len(terms) <= sum(lengths) <= len(terms) + 2
+        assert all(n <= 8 * 2**i for i, n in enumerate(lengths))
+        assert len(terms) == len(scalar_recurrence(spec, 0.8, a)[1])
+
     def test_cap_mid_block_raises_and_forms_no_later_term(self, monkeypatch):
         # blocks of 8 and 16 terms, then 13 of a 32-term block
         p = QParams(0.3, max_terms=37)

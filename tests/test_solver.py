@@ -140,6 +140,28 @@ def test_lattice_power_matches_scalar_basis(q, depth, base):
         assert err.max() <= 1e-13, (s, err.max())
 
 
+@pytest.mark.parametrize("q,depth", [(0.5, 200), (0.98, 4000)])
+def test_lattice_power_reads_only_its_rows(q, depth, monkeypatch):
+    # a table of m weights is the full table's first m entries, bit for bit (the
+    # recurrence is a cumulative product), so _lattice_power asks for m_base of them
+    g, lengths = grid(q=q, depth=depth), []
+    p, kernel = g.params, qfracops._kernel_weights
+
+    def recording(*args):
+        lengths.append(args[-1])
+        return kernel(*args)
+
+    monkeypatch.setattr(solver, "_kernel_weights", recording)
+    for s in (-0.4, 0.6, 1.3):
+        full_w, full_pref = kernel(p.q, p.eps_product, p.max_terms, s + 1.0, g.b, depth + 1)
+        for m in (1, 4, depth // 2, depth + 1):
+            w, pref = kernel(p.q, p.eps_product, p.max_terms, s + 1.0, g.b, m)
+            assert w.tolist() == full_w[:m].tolist() and pref.tolist() == full_pref[:m].tolist()
+            got = solver._lattice_power(g, m, s)
+            assert lengths[-1] == m
+            assert got[:m].tolist() == (g.points[:m] ** s * full_w[:m][::-1]).tolist()
+
+
 def scalar_split(p, g, m_a):
     """The greedy split one lattice step at a time, on contraction_constant."""
     blocks, lo = [], p.a
