@@ -212,9 +212,31 @@ def _lattice_sums(s: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.correlate(s, w[:n], "full")[n - 1:]
 
 
-# Rows per block of :func:`_lattice_solve`: two correlations and one dense solve
-# of the block's own rows each.
+# Rows per block of :func:`_lattice_solve` and of :func:`qfrac.solver.picard_solve`:
+# each block sums its history from the deeper rows in one correlation
+# (:func:`_block_history`) and works on its own rows through one dense
+# :func:`_block_toeplitz`, a triangular solve there and a product per Picard sweep.
 _SOLVE_BLOCK = 64
+
+
+def _block_toeplitz(w: np.ndarray, size: int) -> np.ndarray:
+    """The size x size upper-triangular Toeplitz of the weights: entry (i, j) is w_(j-i).
+
+    Row i of a block of rows lo.. sums its own rows' part sum_(j>=i) w_(j-i) s_(lo+j).
+    """
+    i = np.arange(size)
+    d = i - i[:, None]
+    return np.where(d >= 0, w[np.maximum(d, 0)], 0.0)
+
+
+def _block_history(w: np.ndarray, s: np.ndarray, rows: int) -> np.ndarray:
+    """A block's history: row i < rows reads sum_k w_(rows-i+k) s_k from the summands below it.
+
+    s holds the deeper rows' summands from the block's end on, so row lo + i of
+    the block [lo, lo + rows) gets the part sum_(k>=lo+rows) w_(k-lo-i) s_k of its
+    lattice sum: one "valid" np.correlate of about rows * len(s) multiply-adds.
+    """
+    return np.correlate(w[1:rows + len(s)], s, "valid")[::-1]
 
 
 def _triangular_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -259,16 +281,14 @@ def _lattice_solve(f: np.ndarray, x: np.ndarray, w: np.ndarray, pref: np.ndarray
     u = np.empty(n)
     s = np.empty(n)  # the summands x_k (f_k + lam u_k) of the solved rows
     size = min(_SOLVE_BLOCK, n)
-    i = np.arange(size)
-    d = i - i[:, None]
-    toeplitz = np.where(d >= 0, w[np.maximum(d, 0)], 0.0)  # entry (i, j) is w_(j-i)
+    toeplitz = _block_toeplitz(w, size)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows are named below
         for hi in range(n, 0, -size):
             lo = max(hi - size, 0)
             t, xb, pb = toeplitz[:hi - lo, :hi - lo], x[lo:hi], pref[lo:hi]
             rows = np.correlate(xb * f[lo:hi], w[:hi - lo], "full")[hi - lo - 1:]
             if hi < n:
-                rows += np.correlate(w[1:n - lo], s[hi:], "valid")[::-1]
+                rows += _block_history(w, s[hi:], hi - lo)
             rows *= pb
             a = t * xb
             a *= (-lam * pb)[:, None]

@@ -17,7 +17,10 @@ on which the contraction constant
     omega = A * (hi - q lo)^v_q / G_q(v + 1)
 
 stays below 0.9 (a safety margin under 1); a single lattice step with
-omega >= 1 means no admissible split exists.
+omega >= 1 means no admissible split exists.  Any part of a contracting
+subinterval contracts, so each is then cut into blocks of at most 64 rows,
+the blocks of the closed form's lattice solve: a block's history is one
+correlation and each sweep one dense 64 x 64 product.
 
 For the linear right-hand side lam*y + f(x) the closed form is evaluated
 instead: anchored at 0, the Neumann series of I^v collapses to
@@ -53,11 +56,13 @@ from .errors import (
 )
 from .qcore import _INT_WINDOW, _LATTICE_RTOL, QParams, q_gamma, q_power_basis
 from .qfracops import (
+    _SOLVE_BLOCK,
     FracOrders,
+    _block_history,
+    _block_toeplitz,
     _integral_table,
     _kernel_weights,
     _lattice_solve,
-    _lattice_sums,
     hilfer_derivative,
     rl_integral,
 )
@@ -303,27 +308,46 @@ def _split_subintervals(p: CauchyProblem, g: LatticeGrid,
                         m_a: int | None) -> list[tuple[int, float]]:
     """Greedy left-to-right split; returns (upper_index, omega) per block.
 
-    Blocks run from the deep end towards index 0.  Each block is the longest
-    lattice extension with omega < 0.9, but never shorter than one step;
-    a single step with omega >= 1 raises NoContractionError.  omega comes as
-    one array per block, a power of base q x_lo = x_(lo+1) for lower end x_lo.
+    Blocks run from the deep end towards index 0.  Each omega-block is the
+    longest lattice extension with omega < 0.9, but never shorter than one
+    step; a single step with omega >= 1 raises NoContractionError.  Each
+    omega-block is then cut from its deep end into blocks of at most
+    _SOLVE_BLOCK rows, the block of :func:`qfrac.qfracops._lattice_solve`, each
+    with the omega of its own lower end, so the split refines the paper's: any
+    part of a contracting subinterval contracts.  omega for a lower end x_lo is
+    a power of base q x_lo = x_(lo+1), x_m**nu w_(lo-m) with w the kernel weights
+    of order nu + 1: one x**nu array and one weight table serve every block, with
+    :func:`_lattice_power`'s bits.
     """
+    nu, gamma_nu1 = p.orders.nu, q_gamma(p.params, p.orders.nu + 1.0)
+    xnu = g.points**nu
+    w = _kernel_weights(g.q, g.params.eps_product, g.params.max_terms, nu + 1.0, g.b,
+                        g.depth + 1)[0]
+
+    def omega(base: int | None, lo: int, hi: int) -> np.ndarray:
+        """omega of [x_(base-1), x_m] for the rows m in [lo, hi); base None: the origin."""
+        power = xnu[lo:hi] if base is None else xnu[lo:hi] * w[base - hi:base - lo][::-1]
+        return p.lipschitz_A * power / gamma_nu1
+
     blocks: list[tuple[int, float]] = []
-    gamma_nu1 = q_gamma(p.params, p.orders.nu + 1.0)
     lo_val = p.a
     base, cand = (None, g.depth) if m_a is None else (m_a + 1, m_a - 1)
     if cand < 0:
         raise DomainError("lower limit sits at the top of the grid; nothing to solve")
     while cand >= 0:
-        omega = p.lipschitz_A * _lattice_power(g, base, p.orders.nu)[:cand + 1] / gamma_nu1
-        if omega[cand] >= 1.0:
+        om = omega(base, 0, cand + 1)
+        if om[cand] >= 1.0:
             raise NoContractionError(
-                f"omega={omega[cand]:.4g} >= 1 on the single lattice step up from "
+                f"omega={om[cand]:.4g} >= 1 on the single lattice step up from "
                 f"{lo_val!r}; no admissible split exists"
             )
-        over = np.flatnonzero(omega[:cand] >= _OMEGA_MARGIN)  # the nearest above cand ends it
+        over = np.flatnonzero(om[:cand] >= _OMEGA_MARGIN)  # the nearest above cand ends it
         m = int(over[-1]) + 1 if over.size else 0
-        blocks.append((m, float(omega[m])))
+        upper = max(cand + 1 - _SOLVE_BLOCK, m)
+        blocks.append((upper, float(om[upper])))
+        while upper > m:
+            base, upper = upper + 1, max(upper - _SOLVE_BLOCK, m)
+            blocks.append((upper, float(omega(base, upper, upper + 1)[0])))
         lo_val = g.point(m)
         base, cand = m + 1, m - 1
     return blocks
@@ -410,13 +434,18 @@ def picard_solve(p: CauchyProblem, g: LatticeGrid, tol: float = 1e-10,
 
     Starts from the Volterra initial term (or from ``y_init`` on g, for rhs whose
     trivial fixed point must be avoided) and iterates y <- y0 + I^v f(., y)
-    until the L^1_q increment over the active block drops below tol.  The
-    block's rows are its own row sums plus its frozen history (the converged
-    deeper indices' share, summed once per block), both by
-    :func:`qfrac.qfracops._lattice_sums`.  A sweep is one rhs call, one
-    ``_lattice_sums`` and one increment norm, which is also its finiteness
-    test: only a non-finite norm sends it looking for the value to name.
-    Deterministic: identical inputs produce bit-identical solutions.
+    until the L^1_q increment over the active block, at most _SOLVE_BLOCK rows
+    (:func:`_split_subintervals`), drops below tol.  A block's rows are
+    y0 + pref (K f + hist), summed as :func:`qfrac.qfracops._lattice_solve` sums
+    its forcing rows: the frozen history hist (the converged deeper indices'
+    share) is one :func:`qfrac.qfracops._block_history` per block, and K is the
+    block's Toeplitz of weights times x by column, one dense operator per
+    block.  The prefactor multiplies finished sums, as in :func:`rl_integral`,
+    so a sweep leaves double range exactly where I^v f does.  A sweep is one
+    rhs call, one product K f and one x-weighted dot for the L^1_q increment,
+    which is also its finiteness test: only a non-finite norm sends it looking
+    for the value to name.  Deterministic: identical inputs produce
+    bit-identical solutions.
     """
     _check_grid(p, g)
     if y_init is not None and y_init.grid != g:
@@ -433,26 +462,27 @@ def picard_solve(p: CauchyProblem, g: LatticeGrid, tol: float = 1e-10,
         y[m_a + 1:] = 0.0
 
     diff_hist: list[list[float]] = []
-    f_vals, step = np.zeros((2, g.depth + 1))  # step: |increment| on the active block
+    f_vals = np.zeros(g.depth + 1)
     frozen_hi = domain_lo  # indices in [frozen_hi, domain_lo) are converged
 
     with np.errstate(all="ignore"):  # values past double range are named by the sweep
         w, pref = _integral_table(g, p.orders.nu)
+        toeplitz = _block_toeplitz(w, min(_SOLVE_BLOCK, domain_lo))
+        l1_weights = (1.0 - g.q) * g.points
         for upper, omega in blocks:
             act, B = slice(upper, frozen_hi), frozen_hi - upper
             _rhs_values(p, g, y, f_vals, upper, domain_lo)
+            pref_b, y0_b, y_b, f_b, l1_b = (  # views, once per block
+                a[act] for a in (pref, y0.values, y, f_vals, l1_weights))
             hist = 0.0
             if frozen_hi < domain_lo:  # the rows' part from the converged indices
-                s = g.points[upper:domain_lo] * f_vals[upper:domain_lo]
-                s[:B] = 0.0
-                hist = _lattice_sums(s, w)[:B]
-            x_b, pref_b, y0_b, y_b, f_b, step_b = (  # views, once per block
-                a[act] for a in (g.points, pref, y0.values, y, f_vals, step))
+                deep = slice(frozen_hi, domain_lo)
+                hist = _block_history(w, g.points[deep] * f_vals[deep], B)
+            K = toeplitz[:B, :B] * g.points[act]  # entry (i, j) is w_(j-i) x_(upper+j)
             diff_hist.append(norms := [])
             while True:
-                new = y0_b + pref_b * (_lattice_sums(x_b * f_b, w) + hist)
-                np.abs(new - y_b, out=step_b)
-                d = _sum_range(g, step, upper, frozen_hi)
+                new = y0_b + pref_b * (K @ f_b + hist)
+                d = float(np.dot(l1_b, np.abs(new - y_b)))
                 if not d < math.inf:
                     _check_rhs(p, g, y, f_vals, upper, frozen_hi)
                     if not np.isfinite(new).all():

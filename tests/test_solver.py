@@ -163,7 +163,9 @@ def test_lattice_power_reads_only_its_rows(q, depth, monkeypatch):
 
 
 def scalar_split(p, g, m_a):
-    """The greedy split one lattice step at a time, on contraction_constant."""
+    """The greedy split one lattice step at a time, on contraction_constant; each
+    omega-block then cut from its deep end into runs of at most 64 rows, each with
+    the omega of its own lower end."""
     blocks, lo = [], p.a
     cand = g.depth if m_a is None else m_a - 1
     while cand >= 0:
@@ -173,8 +175,28 @@ def scalar_split(p, g, m_a):
             raise NoContractionError(f"omega={omega}")
         while m > 0 and (w := contraction_constant(p, lo, g.point(m - 1))) < 0.9:
             m, omega = m - 1, w
-        blocks.append((m, omega))
-        lo, cand = g.point(m), m - 1
+        hi = cand
+        while hi >= m:
+            upper = max(hi + 1 - 64, m)
+            blocks.append((upper, contraction_constant(p, lo, g.point(upper))))
+            lo, hi = g.point(upper), upper - 1
+        cand = m - 1
+    return blocks
+
+
+def omega_split(p, g, m_a):
+    """The paper's split alone, as the solver formed it before the 64-row cap: one
+    _lattice_power array per omega-block, whose lower end x_lo is the base x_(lo+1)."""
+    blocks, gamma_nu1 = [], q_gamma(p.params, p.orders.nu + 1.0)
+    base, cand = (None, g.depth) if m_a is None else (m_a + 1, m_a - 1)
+    while cand >= 0:
+        omega = p.lipschitz_A * solver._lattice_power(g, base, p.orders.nu)[:cand + 1] / gamma_nu1
+        if omega[cand] >= 1.0:
+            raise NoContractionError(f"omega={omega[cand]}")
+        over = np.flatnonzero(omega[:cand] >= 0.9)
+        m = int(over[-1]) + 1 if over.size else 0
+        blocks.append((m, float(omega[m])))
+        base, cand = m + 1, m - 1
     return blocks
 
 
@@ -213,6 +235,69 @@ def test_split_and_initial_term_match_scalar_reference():
             scale[:stop] += abs(coef) * np.abs(basis)
         got_y0 = initial_term(p, g).values
         assert np.all(np.abs(got_y0 - y0) <= 1e-13 * scale), case
+
+
+def _random_problem(rng, case):
+    q = float(rng.uniform(0.3, 0.97))
+    g = grid(q=q, depth=min(int(rng.integers(40, 1200)), int(300 / -math.log10(q))))
+    n = int(rng.integers(1, 3))
+    alpha, beta = n - 1 + rng.uniform(0.05, 1.0, size=2)
+    orders = FracOrders(float(alpha), float(beta), float(rng.uniform()), n)
+    m_a = None if case % 2 else int(rng.integers(g.depth // 4, g.depth + 1))
+    p = make_problem(orders=orders, a=0.0 if m_a is None else g.point(m_a), xi=(1.0,) * n,
+                     A=float(rng.uniform(0.05, 2.0)), params=g.params)
+    return p, g, m_a
+
+
+def test_capped_split_refines_the_omega_split():
+    # any part of a contracting subinterval contracts, so cutting the paper's
+    # blocks into 64-row runs keeps its guarantee; the omegas are _lattice_power's bits
+    rng, split = np.random.default_rng(33), 0
+    for case in range(150):
+        p, g, m_a = _random_problem(rng, case)
+        try:
+            paper = omega_split(p, g, m_a)
+        except NoContractionError:
+            with pytest.raises(NoContractionError):
+                solver._split_subintervals(p, g, m_a)
+            continue
+        got = solver._split_subintervals(p, g, m_a)
+        assert {m for m, _ in paper} <= {m for m, _ in got}, case
+        split += len(got) > len(paper)
+        gamma_nu1 = q_gamma(p.params, p.orders.nu + 1.0)
+        domain_lo = g.depth + 1 if m_a is None else m_a
+        base, hi, ends = None if m_a is None else m_a + 1, domain_lo, iter(paper)
+        end, omega_end = next(ends)
+        for upper, omega in got:
+            # cut from the deep end: only an omega-block's shallowest run is short
+            assert 1 <= hi - upper <= 64 and (hi - upper == 64 or upper == end), case
+            power = solver._lattice_power(g, base, p.orders.nu)
+            assert omega == p.lipschitz_A * power[upper] / gamma_nu1, case
+            assert omega <= omega_end * (1.0 + 1e-13), case  # within the tables' roundoff
+            if upper == end:
+                end, omega_end = next(ends, (None, None))
+            base, hi = upper + 1, upper
+    assert split > 50
+
+
+def test_split_reads_one_weight_table(monkeypatch):
+    calls, kernel = [], qfracops._kernel_weights
+
+    def recording(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(solver, "_kernel_weights", recording)
+    o = FracOrders(alpha=0.8, beta=0.6, mu=0.0, n=1)
+    g = grid(q=0.9, depth=800)
+    for m_a in (None, 700):
+        p = make_problem(orders=o, a=0.0 if m_a is None else g.point(m_a), A=1.5,
+                         params=g.params)
+        assert len(omega_split(p, g, m_a)) > 1
+        calls.clear()
+        assert len(solver._split_subintervals(p, g, m_a)) > 10
+        gp = g.params
+        assert calls == [(gp.q, gp.eps_product, gp.max_terms, o.nu + 1.0, g.b, g.depth + 1)]
 
 
 class TestContractionConstant:
@@ -384,45 +469,75 @@ def _picard_cases():
     g42 = LatticeGrid(b=1.0, depth=40, params=P5)
     lin2 = make_linear_problem(P5, FracOrders(alpha=1.9, beta=1.3, mu=0.4, n=2), lam=0.3,
                                forcing=lambda x: 1.0 + x, xi=(0.8, -0.5))
+    # (problem, grid, y_init, capped blocks, omega-blocks of the paper's split)
     return {
-        "origin-four-blocks": (linear, grid(q=0.9, depth=800), None, 4),
-        "example42-seeded": (bp.problem, g42, sample(g42, lambda x: bp.seed_value), 2),
-        "two-data-orders": (as_cauchy(lin2), grid(), None, None),
+        "origin-four-blocks": (linear, grid(q=0.9, depth=800), None, 16, 4),
+        "example42-seeded": (bp.problem, g42, sample(g42, lambda x: bp.seed_value), 2, 2),
+        "two-data-orders": (as_cauchy(lin2), grid(), None, 4, 1),
     }
 
 
 @pytest.mark.parametrize("case", ["origin-four-blocks", "example42-seeded", "two-data-orders"])
 def test_sweep_matches_whole_iterate_reference(case, monkeypatch):
-    p, g, y_init, n_blocks = _picard_cases()[case]
+    p, g, y_init, n_blocks, n_omega_blocks = _picard_cases()[case]
     tol, max_iter = 1e-12, 500
     want, want_its, want_blocks = reference_picard(p, g, tol, max_iter, y_init)
-    lengths = []
+    m_a = anchor_index(lattice_locate(g, p.a))
+    assert len(want_blocks) == n_blocks and len(omega_split(p, g, m_a)) == n_omega_blocks
+    histories, sums = [], []
+    block_history, lattice_sums = qfracops._block_history, qfracops._lattice_sums
 
-    def recorded(s, w):
-        lengths.append(len(s))
-        return qfracops._lattice_sums(s, w)
+    def recorded_history(w, s, rows):
+        histories.append((rows, len(s)))
+        return block_history(w, s, rows)
 
-    monkeypatch.setattr(solver, "_lattice_sums", recorded)
+    def recorded_sums(s, w):
+        sums.append(len(s))
+        return lattice_sums(s, w)
+
+    monkeypatch.setattr(solver, "_block_history", recorded_history)
+    monkeypatch.setattr(qfracops, "_lattice_sums", recorded_sums)
     sol = picard_solve(p, g, tol=tol, max_iter=max_iter, y_init=y_init)
     assert sol.iterations_per_interval == want_its
     assert sol.subinterval_boundaries == tuple(m for m, _ in want_blocks)
     assert sol.omega_per_interval == tuple(w for _, w in want_blocks)
-    assert n_blocks is None or len(want_blocks) == n_blocks
     assert np.all(np.abs(sol.y.values - want) <= 1e-14 * np.abs(want))
-    # each block sums its frozen history once, then only its own B entries per sweep
-    m_a = anchor_index(lattice_locate(g, p.a))
+    # no lattice sum per sweep: the solve's are its residual's Hilfer derivative alone
+    solve_sums, sums[:] = list(sums), []
+    hilfer_derivative(sol.y, lattice_locate(g, p.a), p.orders)
+    assert solve_sums == sums
+    # one history correlation per block: its B rows against the converged deeper summands
     domain_lo = g.depth + 1 if m_a is None else m_a
     expect, frozen_hi = [], domain_lo
-    for upper, its in zip(sol.subinterval_boundaries, sol.iterations_per_interval):
-        expect += [domain_lo - upper] * (frozen_hi < domain_lo) + [frozen_hi - upper] * its
+    for upper in sol.subinterval_boundaries:
+        expect += [(frozen_hi - upper, domain_lo - frozen_hi)] * (frozen_hi < domain_lo)
         frozen_hi = upper
-    assert lengths == expect
+    assert histories == expect
+
+
+@pytest.mark.parametrize("lam", [1.0, -1.0])
+@pytest.mark.parametrize("q, depth", [(0.5, 1000), (0.98, 4000)])
+def test_deep_sweeps_match_reference_and_closed_form(q, depth, lam):
+    # x_M is 9.3e-302 at q 0.5, M 1000; q 0.98, M 4000 cuts one omega-block into 63 runs
+    g = grid(q=q, depth=depth)
+    lin = make_linear_problem(g.params, FracOrders(alpha=0.8, beta=0.6, mu=0.0, n=1),
+                              lam=lam, forcing=lambda x: 1.0, xi=(1.0,))
+    p = as_cauchy(lin)
+    want, want_its, _ = reference_picard(p, g, 1e-12, 500)
+    sol = picard_solve(p, g, tol=1e-12, max_iter=500)
+    assert sol.iterations_per_interval == want_its and len(want_its) > 16
+    normal = np.abs(want) >= np.finfo(float).tiny
+    assert normal.sum() > 0.9 * len(want)
+    assert np.all(np.abs(sol.y.values - want)[normal] <= 1e-14 * np.abs(want[normal]))
+    closed = linear_solve(lin, g).y.values
+    assert l1(g, sol.y.values - closed) <= 1e-10 * l1(g, closed)
 
 
 def _parent_picard(p, g, tol=1e-10, max_iter=200, y_init=None):
-    """picard_solve's block loop as it was before its sweeps took block views
-    once per block and read finiteness off the increment norm: two
-    ``np.isfinite`` passes per sweep.  The reference the sweeps must match bit for bit."""
+    """picard_solve's block sweep written plainly: each sweep forms the block's
+    history, operator and L^1_q weights afresh, and tests finiteness with two
+    ``np.isfinite`` passes, the new values' and (in _rhs_values) the rhs values'.
+    The reference the hoisted sweeps must match bit for bit."""
     anchor = lattice_locate(g, p.a)
     m_a = anchor_index(anchor)
     nu = p.orders.nu
@@ -440,7 +555,6 @@ def _parent_picard(p, g, tol=1e-10, max_iter=200, y_init=None):
     iterations: list[int] = []
     diff_hist: list[tuple[float, ...]] = []
     f_vals = np.zeros(M + 1)
-    step = np.zeros(M + 1)  # |increment| on the active block
     frozen_hi = domain_lo  # indices in [frozen_hi, domain_lo) are converged
 
     # values past double range stay non-finite until the sweep's check names them
@@ -449,23 +563,22 @@ def _parent_picard(p, g, tol=1e-10, max_iter=200, y_init=None):
         for upper, omega in blocks:
             act, B = slice(upper, frozen_hi), frozen_hi - upper
             solver._rhs_values(p, g, y, f_vals, upper, domain_lo)
-            hist = 0.0
-            if frozen_hi < domain_lo:  # the rows' part from the converged indices
-                s = x[upper:domain_lo] * f_vals[upper:domain_lo]
-                s[:B] = 0.0
-                hist = qfracops._lattice_sums(s, w)[:B]
             norms: list[float] = []
             while True:
-                sums = qfracops._lattice_sums(x[act] * f_vals[act], w) + hist
-                new = y0.values[act] + pref[act] * sums
+                hist = 0.0
+                if frozen_hi < domain_lo:  # the rows' part from the converged indices
+                    deep = x[frozen_hi:domain_lo] * f_vals[frozen_hi:domain_lo]
+                    hist = qfracops._block_history(w, deep, B)
+                own = qfracops._block_toeplitz(w, B) * x[act]
+                new = y0.values[act] + pref[act] * (own @ f_vals[act] + hist)
                 if not np.isfinite(new).all():
                     k = upper + int(np.flatnonzero(~np.isfinite(new))[0])
                     raise DomainError(f"Picard integral I^{nu:g} f(., y) is not finite at "
                                       f"lattice index {k} (x={float(x[k])!r}): it leaves "
                                       "double range")
-                np.abs(new - y[act], out=step[act])
+                step = np.abs(new - y[act])
                 y[act] = new
-                d = _sum_range(g, step, upper, frozen_hi)
+                d = float(np.dot((1.0 - g.q) * x[act], step))
                 norms.append(d)
                 if d < tol:
                     break
@@ -562,8 +675,8 @@ def _turns_bad_above(level, bad):
 @pytest.mark.parametrize("bad, error", [(np.nan, SampleError), (1.7e308, DomainError)])
 def test_mid_iteration_errors_match_parent_loop(bad, error):
     # from y0 = 0 the iterate's maximum rises 0, 1.07, 1.42, 1.52, ... to 1.554,
-    # so level 1.5 is first passed in the third sweep of the one block
-    g = grid()
+    # so level 1.5 is first passed in the third sweep of the one block (64 rows)
+    g = grid(depth=63)
     errors = []
     for solve in (_parent_picard, picard_solve):
         rhs, calls = _turns_bad_above(1.5, bad)
